@@ -12,10 +12,11 @@ package ctqosim
 // through a warmed steady state asserting zero allocations per run.
 //
 // Exercisers are shared across annotations: one event-loop drive covers
-// the whole des kernel (Post reaches take, Step reaches release, heap
-// operations reach the eventHeap methods), one clean delivery and one
-// retransmission drive cover the simnet path, the nil tracer covers the
-// span path, and a warmed bounded Recorder covers the metrics path. The
+// the whole des kernel (Schedule reaches take, Step reaches release and
+// tombstone, heap operations reach the heap4 methods), one clean
+// delivery and one retransmission drive cover the simnet path, the nil
+// tracer covers the span path, and a warmed bounded Recorder covers the
+// metrics path. The
 // table keys make the coverage explicit so adding a //lint:hotpath
 // annotation without deciding how to measure it fails this test.
 
@@ -53,39 +54,40 @@ var hotpathKernelDirs = []string{
 // hotpathExercisers maps every annotated function (package.Receiver.Name
 // or package.Name) to the exerciser group that drives it dynamically.
 var hotpathExercisers = map[string]string{
-	// DES kernel: Post/Run drive the whole pooled near-term scheduling
-	// loop (enqueue, heap sifts, settle, fire); far 3 s/6 s/20 min posts
-	// drive the timer-wheel path through placement, promotion, cascade
-	// and the node pool.
-	"des.Simulator.Post":    "des-event-loop",
-	"des.Simulator.PostAt":  "des-event-loop",
-	"des.Simulator.take":    "des-event-loop",
-	"des.Simulator.release": "des-event-loop",
-	"des.Simulator.enqueue": "des-event-loop",
-	"des.Simulator.settle":  "des-event-loop",
-	"des.Simulator.fire":    "des-event-loop",
-	"des.Simulator.Step":    "des-event-loop",
-	"des.Simulator.Run":     "des-event-loop",
-	"des.Simulator.Cancel":  "des-cancel",
-	"des.heapNode.before":   "des-event-loop",
-	"des.heap4.push":        "des-event-loop",
-	"des.heap4.pop":         "des-event-loop",
-	"des.heap4.siftDown":    "des-event-loop",
-	"des.wheel.resident":    "des-wheel",
-	"des.wheel.takeNode":    "des-wheel",
-	"des.wheel.putNode":     "des-wheel",
-	"des.wheel.place":       "des-wheel",
-	"des.wheel.promote":     "des-wheel",
-	"des.wheel.cascades":    "des-wheel",
-	"des.wheel.spill":       "des-wheel",
+	// DES kernel: Schedule/Run with a bound callback drive the whole
+	// pooled near-term scheduling loop (heap sifts, settle, fire); far
+	// 5 ms/3 s/30 s/20 min schedules drive the timer-wheel path through
+	// placement, promotion, cascade and the node pool; cancels leave
+	// tombstones for settle and promote to reclaim.
+	"des.Simulator.Schedule":   "des-event-loop",
+	"des.Simulator.ScheduleAt": "des-event-loop",
+	"des.Simulator.take":       "des-event-loop",
+	"des.Simulator.release":    "des-event-loop",
+	"des.Simulator.settle":     "des-event-loop",
+	"des.Simulator.fire":       "des-event-loop",
+	"des.Simulator.Step":       "des-event-loop",
+	"des.Simulator.Run":        "des-event-loop",
+	"des.Simulator.Cancel":     "des-cancel",
+	"des.event.tombstone":      "des-cancel",
+	"des.heapNode.before":      "des-event-loop",
+	"des.heap4.push":           "des-event-loop",
+	"des.heap4.pop":            "des-event-loop",
+	"des.heap4.siftDown":       "des-event-loop",
+	"des.wheel.resident":       "des-wheel",
+	"des.wheel.takeNode":       "des-wheel",
+	"des.wheel.putNode":        "des-wheel",
+	"des.wheel.place":          "des-wheel",
+	"des.wheel.promote":        "des-wheel",
+	"des.wheel.cascades":       "des-wheel",
+	"des.wheel.spill":          "des-wheel",
 
-	// simnet: clean delivery covers Send/deliverCall/attempt/hop; a
-	// dropped-then-delivered call covers the retransmission machinery.
+	// simnet: clean delivery over a latency hop covers
+	// Send/deliverer/attempt/hop; a dropped-then-delivered call covers
+	// the retransmission machinery.
 	"simnet.Transport.Send":        "simnet-clean-delivery",
-	"simnet.deliverCall":           "simnet-clean-delivery",
+	"simnet.Transport.deliverer":   "simnet-clean-delivery",
 	"simnet.Transport.attempt":     "simnet-clean-delivery",
 	"simnet.Transport.hop":         "simnet-clean-delivery",
-	"simnet.retransmitAttempt":     "simnet-retransmission",
 	"simnet.Transport.rto":         "simnet-retransmission",
 	"simnet.Transport.maxAttempts": "simnet-retransmission",
 	"simnet.Transport.timeout":     "simnet-retransmission",
@@ -210,10 +212,6 @@ func runPerfLint(t *testing.T) []lint.Finding {
 	return findings
 }
 
-// contractBump is the pooled-event callback of the des exerciser: a
-// package function taking pointer-shaped arguments, as Post requires.
-func contractBump(a0, a1 any) { *a0.(*int)++ }
-
 // acceptAll is the always-admitting receiver of the clean-delivery
 // exerciser.
 type acceptAll struct{}
@@ -264,19 +262,21 @@ func TestHotpathAllocsAgree(t *testing.T) {
 		"des-event-loop": func() float64 {
 			sim := des.NewSimulator(1)
 			n := 0
+			bump := func() { n++ }    // bound once, as recurring model timers are
 			for i := 0; i < 64; i++ { // warm the event pool
-				sim.Post(time.Duration(i), contractBump, &n, nil)
+				sim.Schedule(time.Duration(i), bump)
 			}
 			sim.Run(sim.Now() + time.Second)
 			return testing.AllocsPerRun(200, func() {
 				for i := 0; i < 8; i++ {
-					sim.Post(time.Duration(i)*time.Microsecond, contractBump, &n, nil)
+					sim.Schedule(time.Duration(i)*time.Microsecond, bump)
 				}
+				sim.ScheduleAt(sim.Now()+time.Millisecond, bump)
 				sim.Run(sim.Now() + time.Millisecond)
 			})
 		},
 		"des-wheel": func() float64 {
-			// Posts at 5 ms (wheel level 0), 3 s (level 1, the RTO
+			// Schedules at 5 ms (wheel level 0), 3 s (level 1, the RTO
 			// shape), 30 s (level 2) and 20 min (overflow) exercise
 			// every wheel container; Run then drags the promotion
 			// horizon across them, driving promote, both spill levels
@@ -284,12 +284,13 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			// pool and the heap's backing array.
 			sim := des.NewSimulator(1)
 			n := 0
+			bump := func() { n++ }
 			drive := func() {
 				for i := 0; i < 8; i++ {
-					sim.Post(5*time.Millisecond+time.Duration(i)*time.Microsecond, contractBump, &n, nil)
-					sim.Post(3*time.Second+time.Duration(i)*time.Millisecond, contractBump, &n, nil)
-					sim.Post(30*time.Second+time.Duration(i)*time.Millisecond, contractBump, &n, nil)
-					sim.Post(20*time.Minute+time.Duration(i)*time.Millisecond, contractBump, &n, nil)
+					sim.Schedule(5*time.Millisecond+time.Duration(i)*time.Microsecond, bump)
+					sim.Schedule(3*time.Second+time.Duration(i)*time.Millisecond, bump)
+					sim.Schedule(30*time.Second+time.Duration(i)*time.Millisecond, bump)
+					sim.Schedule(20*time.Minute+time.Duration(i)*time.Millisecond, bump)
 				}
 				sim.Run(sim.Now() + 21*time.Minute)
 			}
@@ -297,19 +298,32 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			return testing.AllocsPerRun(200, drive)
 		},
 		"des-cancel": func() float64 {
+			// Cancelled near and far timers, some of whose objects are
+			// reused before their tombstones leave the heap or wheel,
+			// drive Cancel and every tombstone check; the stale
+			// re-cancels are no-ops.
 			sim := des.NewSimulator(1)
-			ev := sim.Schedule(time.Hour, func() {})
-			sim.Cancel(ev)
-			return testing.AllocsPerRun(200, func() {
-				sim.Cancel(ev) // idempotent re-cancel, the steady-state shape
-			})
+			nop := func() {}
+			drive := func() {
+				for i := 0; i < 8; i++ {
+					near := sim.Schedule(time.Duration(i)*time.Microsecond, nop)
+					far := sim.Schedule(3*time.Second, nop)
+					sim.Cancel(near)
+					sim.Cancel(far)
+					sim.Schedule(time.Millisecond, nop) // reuses far's object
+					sim.Cancel(far)
+				}
+				sim.Run(sim.Now() + 4*time.Second)
+			}
+			drive()
+			return testing.AllocsPerRun(200, drive)
 		},
 		"simnet-clean-delivery": func() float64 {
 			sim := des.NewSimulator(1)
 			tr := simnet.NewTransport(sim)
-			tr.Latency = time.Microsecond // force the pooled deliverCall hop
+			tr.Latency = time.Microsecond // force the scheduled latency hop
 			call := &simnet.Call{}
-			tr.Send(acceptAll{}, call) // warm the per-destination HopStats
+			tr.Send(acceptAll{}, call) // warm the HopStats and bind the call's callback
 			sim.Run(sim.Now() + time.Second)
 			return testing.AllocsPerRun(200, func() {
 				call.Attempts = 0

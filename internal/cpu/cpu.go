@@ -53,7 +53,8 @@ type Node struct {
 	vms    []*VM
 
 	lastUpdate time.Duration
-	completion *des.Event
+	completion des.Timer // the armed next-completion event
+	onComplete func()    // n.complete, bound once so re-arming allocates no closure
 }
 
 // NewNode creates a node with the given core capacity (1.0 = one core).
@@ -61,7 +62,9 @@ func NewNode(sim *des.Simulator, name string, cores float64) *Node {
 	if cores <= 0 {
 		cores = 1
 	}
-	return &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
+	n := &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
+	n.onComplete = n.complete
+	return n
 }
 
 // SetPolicy switches the node's scheduling policy. Call before submitting
@@ -103,7 +106,7 @@ type VM struct {
 	weight float64
 	vcpus  float64
 
-	jobs    []*Job
+	jobs    []*job
 	blocked int // nesting depth of active Block intervals
 
 	// Accumulators, updated lazily by node.advance. All are integrals over
@@ -147,20 +150,18 @@ func (v *VM) Usage() Usage {
 	}
 }
 
-// Job is an outstanding unit of CPU demand on a VM.
-type Job struct {
-	vm        *VM
+// job is an outstanding unit of CPU demand on a VM.
+type job struct {
 	remaining float64 // seconds of CPU demand left
 	done      func()
-	finished  bool
 }
 
 // Submit queues demand seconds of CPU work on the VM; done fires when the
 // work completes. Zero or negative demand completes on the next event
 // (still asynchronously, never re-entrantly).
-func (v *VM) Submit(demand time.Duration, done func()) *Job {
+func (v *VM) Submit(demand time.Duration, done func()) {
 	v.node.advance()
-	j := &Job{vm: v, remaining: demand.Seconds(), done: done}
+	j := &job{remaining: demand.Seconds(), done: done}
 	if j.remaining <= doneEpsilon {
 		// Keep even zero-demand jobs asynchronous: a sliver of demand makes
 		// the completion fire from the event loop, never inside Submit.
@@ -168,7 +169,6 @@ func (v *VM) Submit(demand time.Duration, done func()) *Job {
 	}
 	v.jobs = append(v.jobs, j)
 	v.node.reschedule()
-	return j
 }
 
 // Block stalls the VM for d: all of its jobs stop progressing and the time
@@ -244,7 +244,7 @@ func (n *Node) advance() {
 // Done callbacks run after internal state is consistent; they may submit new
 // work re-entrantly.
 func (n *Node) reschedule() {
-	var completed []*Job
+	var completed []*job
 	for _, vm := range n.vms {
 		if vm.blocked > 0 {
 			continue
@@ -252,7 +252,6 @@ func (n *Node) reschedule() {
 		kept := vm.jobs[:0]
 		for _, j := range vm.jobs {
 			if j.remaining <= doneEpsilon {
-				j.finished = true
 				completed = append(completed, j)
 			} else {
 				kept = append(kept, j)
@@ -265,10 +264,7 @@ func (n *Node) reschedule() {
 		vm.jobs = kept
 	}
 
-	if n.completion != nil {
-		n.sim.Cancel(n.completion)
-		n.completion = nil
-	}
+	n.sim.Cancel(n.completion)
 	alloc := n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
@@ -284,11 +280,7 @@ func (n *Node) reschedule() {
 		}
 	}
 	if next >= 0 {
-		n.completion = n.sim.Schedule(durationFromSeconds(next), func() {
-			n.completion = nil
-			n.advance()
-			n.reschedule()
-		})
+		n.completion = n.sim.Schedule(durationFromSeconds(next), n.onComplete)
 	}
 
 	for _, j := range completed {
@@ -296,6 +288,13 @@ func (n *Node) reschedule() {
 			j.done()
 		}
 	}
+}
+
+// complete is the armed completion event's callback: the earliest job
+// has just run out of demand.
+func (n *Node) complete() {
+	n.advance()
+	n.reschedule()
 }
 
 // allocations computes the core allocation per VM: proportional to weight

@@ -9,10 +9,11 @@
 // hierarchical timer wheel (wheel.go) for O(1) insertion — the paper's
 // 3 s RTO retransmissions above all — and are promoted one 65 µs bucket
 // at a time into a cache-friendly 4-ary min-heap (heap4.go) that only
-// ever orders the events about to fire. Cancellation is O(1) and lazy: a
-// cancelled event becomes a tombstone, dropped when the scheduler
-// reaches it. DESIGN.md §14 describes the structure and its determinism
-// argument.
+// ever orders the events about to fire. Events are pooled, and Schedule
+// hands back a small Timer value rather than the event itself.
+// Cancellation is O(1) and lazy: a cancelled event's queued node becomes
+// a tombstone, dropped when the scheduler reaches it. DESIGN.md §14
+// describes the structure and its determinism argument.
 //
 // The kernel is intentionally single-threaded: all model code runs on the
 // caller's goroutine inside Run/Step. This makes simulations deterministic
@@ -29,40 +30,34 @@ import (
 // time horizon with events still pending.
 var ErrHorizon = errors.New("des: horizon reached with pending events")
 
-// Event lifecycle states. A pending event may fire or be cancelled, and
-// each transition happens at most once; the zero value is pending so
-// pooled events come out of the freelist ready to schedule.
+// Event lifecycle states. Each scheduling of a pooled event object ends
+// exactly once, by firing or by cancellation; the state records how, and
+// stays readable until the object is reused.
 const (
 	eventPending uint8 = iota
 	eventFired
 	eventCanceled
 )
 
-// Event is a scheduled callback. Events created by Schedule/ScheduleAt
-// can be cancelled before they fire. Events created by Post/PostAt are
-// pooled: the kernel recycles the object the moment it fires, so no
-// handle to one ever escapes.
-type Event struct {
-	time  time.Duration
+// event is one scheduled callback. Events are pooled: the kernel pushes
+// the object onto an intrusive freelist the moment it fires or is
+// cancelled, so steady-state scheduling allocates nothing. One object
+// therefore serves many schedulings over its life, and seq names the
+// one it serves now — how a Timer, or a queued heap or wheel node, tells
+// its own scheduling from a later reuse of the same object.
+type event struct {
 	fn    func()
+	seq   uint64
 	state uint8
-
-	// Pooled (Post) form: fn2 is called with the two stashed arguments,
-	// and the object returns to the intrusive freelist before the call.
-	fn2      func(a0, a1 any)
-	a0, a1   any
-	pooled   bool
-	nextFree *Event
+	next  *event // freelist link
 }
 
-// Time returns the simulated time at which the event fires (or would have
-// fired, if cancelled).
-func (e *Event) Time() time.Duration { return e.time }
-
-// Canceled reports whether Cancel removed the event before it fired.
-// Cancelling an event whose callback already ran is a no-op, so a fired
-// event never reports true.
-func (e *Event) Canceled() bool { return e.state == eventCanceled }
+// Timer is the handle Schedule returns: the event plus the seq of the
+// scheduling it names. The zero Timer names nothing.
+type Timer struct {
+	ev  *event
+	seq uint64
+}
 
 // Simulator owns the virtual clock and the pending-event schedule.
 type Simulator struct {
@@ -71,7 +66,7 @@ type Simulator struct {
 	wheel wheel
 	seq   uint64
 	rng   *rand.Rand
-	free  *Event // intrusive freelist of recycled pooled events
+	free  *event // intrusive freelist of fired and cancelled events
 
 	executed    uint64
 	pending     int
@@ -97,7 +92,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Scheduled returns the number of events ever scheduled (including
-// cancelled and pooled ones).
+// cancelled ones).
 func (s *Simulator) Scheduled() uint64 { return s.seq }
 
 // Pending returns the number of live events currently scheduled.
@@ -112,11 +107,14 @@ func (s *Simulator) Pending() int { return s.pending }
 // tombstones never inflate the mark.
 func (s *Simulator) PeakPending() int { return s.peakPending }
 
-// Schedule registers fn to run after delay of simulated time. A negative
-// delay is treated as zero. The returned Event may be cancelled. Each call
-// allocates an Event (the handle keeps it alive); fire-and-forget callers
-// on hot paths should use Post, which recycles events through a pool.
-func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
+// Schedule registers fn to run after delay of simulated time and returns
+// a Timer that can cancel it. A negative delay is treated as zero. Events
+// are pooled, so scheduling allocates nothing once the pool is warm —
+// provided fn is not a fresh closure per call: bind a recurring callback
+// once and pass the same func each time.
+//
+//lint:hotpath DES kernel scheduling path
+func (s *Simulator) Schedule(delay time.Duration, fn func()) Timer {
 	if delay < 0 {
 		delay = 0
 	}
@@ -125,64 +123,26 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) *Event {
 
 // ScheduleAt registers fn to run at absolute simulated time t. Times in the
 // past are clamped to the current time.
-func (s *Simulator) ScheduleAt(t time.Duration, fn func()) *Event {
-	if t < s.now {
-		t = s.now
-	}
-	e := &Event{time: t, fn: fn}
-	s.enqueue(t, e)
-	return e
-}
-
-// Post registers fn to run after delay of simulated time with two
-// caller-supplied arguments, on a pooled event: the kernel recycles
-// event objects through an intrusive freelist, so steady-state posting
-// allocates nothing. No handle is returned — a pooled event cannot be
-// cancelled, because its object is reused the moment it fires. Use
-// Schedule when the timer may need cancelling. A negative delay is
-// treated as zero. Ordering is identical to Schedule: pooled and
-// heap-allocated events share one (time, seq) sequence.
 //
-// Pass pointer-shaped arguments: boxing a non-pointer value into the
-// any parameters allocates at the call site (the allocs analyzer flags
-// it there).
+// The event takes the next slot of the global (time, seq) order and is
+// routed to the near-term heap or the timer wheel. The wheel is the
+// default home: parking is O(1) and keeps the heap one bucket deep. Only
+// events due below the promotion horizon — typically same-bucket
+// microsecond chains, whose bucket has already been promoted — go
+// straight to the heap, which is always correct because the heap may
+// legally hold an event at any distance. If the wheel is idle its
+// horizon may lag the clock arbitrarily, so it is first caught up (safe:
+// there is nothing parked to skip).
 //
-//lint:hotpath DES kernel fire-and-forget scheduling path
-func (s *Simulator) Post(delay time.Duration, fn func(a0, a1 any), a0, a1 any) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.PostAt(s.now+delay, fn, a0, a1)
-}
-
-// PostAt is Post with an absolute simulated time, clamped to now.
-//
-//lint:hotpath DES kernel fire-and-forget scheduling path
-func (s *Simulator) PostAt(t time.Duration, fn func(a0, a1 any), a0, a1 any) {
+//lint:hotpath DES kernel scheduling path
+func (s *Simulator) ScheduleAt(t time.Duration, fn func()) Timer {
 	if t < s.now {
 		t = s.now
 	}
 	e := s.take()
-	e.time = t
-	e.fn2, e.a0, e.a1, e.pooled = fn, a0, a1, true
-	s.enqueue(t, e)
-}
-
-// enqueue assigns the event its slot in the global (time, seq) order,
-// bumps the live-event accounting, and routes it to the near-term heap
-// or the timer wheel. The wheel is the default home: parking is O(1)
-// and keeps the heap one bucket deep. Only events due below the
-// promotion horizon — typically same-bucket microsecond chains, whose
-// bucket has already been promoted — go straight to the heap, which is
-// always correct because the heap may legally hold an event at any
-// distance. If the wheel is idle its horizon may lag the clock
-// arbitrarily, so it is first caught up (safe: there is nothing parked
-// to skip).
-//
-//lint:hotpath
-func (s *Simulator) enqueue(t time.Duration, e *Event) {
 	seq := s.seq
 	s.seq++
+	e.fn, e.seq, e.state = fn, seq, eventPending
 	s.pending++
 	if s.pending > s.peakPending {
 		s.peakPending = s.pending
@@ -195,54 +155,77 @@ func (s *Simulator) enqueue(t time.Duration, e *Event) {
 	}
 	if int64(t>>g0Bits) < w.p0 {
 		s.heap.push(heapNode{time: t, seq: seq, ev: e})
-		return
+	} else {
+		n := w.takeNode()
+		n.time, n.seq, n.ev = t, seq, e
+		w.place(n)
 	}
-	n := w.takeNode()
-	n.time, n.seq, n.ev = t, seq, e
-	w.place(n)
+	return Timer{ev: e, seq: seq}
 }
 
 // take pops the freelist, falling back to the heap allocator only while
 // the pool is warming up.
 //
 //lint:hotpath
-func (s *Simulator) take() *Event {
+func (s *Simulator) take() *event {
 	if e := s.free; e != nil {
-		s.free = e.nextFree
-		e.nextFree = nil
+		s.free = e.next
 		return e
 	}
-	return &Event{} //lint:allow allocs pool warm-up: one object per concurrent pending event, reused forever after
+	return &event{} //lint:allow allocs pool warm-up: one object per concurrent pending event, reused forever after
 }
 
-// release clears the reference fields of a pooled event — so the
-// freelist does not pin caller objects — and pushes it onto the
-// freelist. The scalar fields are left stale on purpose: PostAt
-// overwrites every one of them, and a full struct wipe costs a duffzero
-// on the hottest path in the kernel.
+// release ends an event's current scheduling with the given state and
+// pushes the object onto the freelist. fn is cleared so the freelist
+// does not pin caller closures; seq and state stay as they are until
+// reuse, so a stale Timer or a queued tombstone can still tell how its
+// scheduling ended.
 //
 //lint:hotpath
-func (s *Simulator) release(e *Event) {
-	e.fn2, e.a0, e.a1 = nil, nil, nil
-	e.nextFree = s.free
+func (s *Simulator) release(e *event, state uint8) {
+	e.fn, e.state = nil, state
+	e.next = s.free
 	s.free = e
 }
 
-// Cancel removes the event from the schedule if it has not yet fired:
-// the event is tombstoned in O(1) — no heap surgery — and its slot is
-// reclaimed lazily when the scheduler reaches it (settle drops heap
-// tombstones, promote drops wheel tombstones). Cancelling an event whose
-// callback already ran is a no-op and does not mark it Canceled; so are
-// re-cancelling and passing nil.
+// Cancel removes t's event from the schedule if it has not yet fired. The
+// object goes straight back to the pool, but its queued node stays in
+// the heap or wheel as a tombstone — no heap surgery — reclaimed lazily
+// when the scheduler reaches it (see tombstone). Cancelling through a
+// Timer whose event already fired, was already cancelled, or has since
+// been reused for another scheduling is a no-op, and so is cancelling
+// the zero Timer.
 //
 //lint:hotpath
-func (s *Simulator) Cancel(e *Event) {
-	if e == nil || e.state != eventPending {
+func (s *Simulator) Cancel(t Timer) {
+	e := t.ev
+	if e == nil || e.seq != t.seq || e.state != eventPending {
 		return
 	}
-	e.state = eventCanceled
+	s.release(e, eventCanceled)
 	s.pending--
 	s.tombstones++
+}
+
+// tombstone reports whether a queued node with the given seq is a
+// lazy-cancellation tombstone: its event was cancelled, and possibly
+// reused since for a later scheduling (the seqs differ). A node whose
+// seq matches a fired event is an impossible state — firing pops the
+// node — and panics.
+//
+//lint:hotpath
+func (e *event) tombstone(seq uint64) bool {
+	if e.seq != seq {
+		return true
+	}
+	switch e.state {
+	case eventPending:
+		return false
+	case eventCanceled:
+		return true
+	default:
+		panic("des: fired event still queued")
+	}
 }
 
 // settle drains cancelled tombstones off the heap top and promotes due
@@ -252,7 +235,7 @@ func (s *Simulator) Cancel(e *Event) {
 // promotion horizon is already in the heap, and every parked event is at
 // or beyond it, so a heap top below the horizon is the global minimum.
 // While the tombstone count is zero — the steady state of cancel-free
-// stretches — the top's Event is never even loaded.
+// stretches — the top's event is never even loaded.
 //
 //lint:hotpath
 func (s *Simulator) settle() bool {
@@ -265,38 +248,27 @@ func (s *Simulator) settle() bool {
 		if len(s.heap.a) == 0 {
 			return false
 		}
-		if s.tombstones == 0 {
+		if top := s.heap.a[0]; s.tombstones == 0 || !top.ev.tombstone(top.seq) {
 			return true
 		}
-		switch s.heap.a[0].ev.state {
-		case eventPending:
-			return true
-		case eventCanceled:
-			s.heap.pop() // lazy-cancellation tombstone: drop and move on
-			s.tombstones--
-		default:
-			panic("des: fired event still queued")
-		}
+		s.heap.pop()
+		s.tombstones--
 	}
 }
 
-// fire advances the clock to t and runs the event's callback. A pooled
-// event is released back to the freelist before its callback runs, so
-// the callback can Post and reuse the very slot it fired from.
+// fire pops the settled heap top, advances the clock to its time and runs
+// its callback. The event is released to the pool before the callback
+// runs, so a callback that schedules reuses the very slot it fired from.
 //
 //lint:hotpath
-func (s *Simulator) fire(e *Event, t time.Duration) {
-	s.now = t
+func (s *Simulator) fire() {
+	n := s.heap.pop()
+	s.now = n.time
 	s.executed++
 	s.pending--
-	if e.pooled {
-		fn2, a0, a1 := e.fn2, e.a0, e.a1
-		s.release(e)
-		fn2(a0, a1)
-		return
-	}
-	e.state = eventFired
-	e.fn()
+	fn := n.ev.fn
+	s.release(n.ev, eventFired)
+	fn()
 }
 
 // Step executes the single next event, advancing the clock to its
@@ -307,8 +279,7 @@ func (s *Simulator) Step() bool {
 	if !s.settle() {
 		return false
 	}
-	n := s.heap.pop()
-	s.fire(n.ev, n.time)
+	s.fire()
 	return true
 }
 
@@ -323,8 +294,7 @@ func (s *Simulator) Run(horizon time.Duration) error {
 			s.now = horizon
 			return ErrHorizon
 		}
-		n := s.heap.pop()
-		s.fire(n.ev, n.time)
+		s.fire()
 	}
 	if s.now < horizon {
 		s.now = horizon

@@ -77,14 +77,15 @@ func TestNegativeDelayClamped(t *testing.T) {
 
 func TestScheduleAtPastClamped(t *testing.T) {
 	sim := NewSimulator(1)
+	var at time.Duration
 	sim.Schedule(10*time.Millisecond, func() {
-		ev := sim.ScheduleAt(5*time.Millisecond, func() {})
-		if ev.Time() != 10*time.Millisecond {
-			t.Errorf("past ScheduleAt time=%v, want clamped to 10ms", ev.Time())
-		}
+		sim.ScheduleAt(5*time.Millisecond, func() { at = sim.Now() })
 	})
 	if err := sim.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if at != 10*time.Millisecond {
+		t.Fatalf("past ScheduleAt fired at %v, want clamped to 10ms", at)
 	}
 }
 
@@ -100,8 +101,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if ev.ev.state != eventCanceled {
+		t.Fatalf("event state = %d after Cancel, want cancelled", ev.ev.state)
 	}
 }
 
@@ -110,7 +111,10 @@ func TestCancelIsIdempotent(t *testing.T) {
 	ev := sim.Schedule(10*time.Millisecond, func() {})
 	sim.Cancel(ev)
 	sim.Cancel(ev) // must not panic
-	sim.Cancel(nil)
+	sim.Cancel(Timer{})
+	if sim.Pending() != 0 {
+		t.Fatalf("Pending = %d after repeated cancels, want 0", sim.Pending())
+	}
 }
 
 func TestCancelAfterFire(t *testing.T) {
@@ -124,15 +128,27 @@ func TestCancelAfterFire(t *testing.T) {
 		t.Fatal("event did not fire")
 	}
 	sim.Cancel(ev) // no-op: the callback already ran
-	if ev.Canceled() {
-		t.Fatal("Canceled() = true for an event whose callback ran")
+	if ev.ev.state != eventFired {
+		t.Fatalf("event state = %d after cancel-after-fire, want fired", ev.ev.state)
 	}
 	if sim.Pending() != 0 {
 		t.Fatalf("Pending = %d after cancel-after-fire, want 0", sim.Pending())
 	}
-	sim.Cancel(ev) // still a no-op on repeat
-	if sim.Pending() != 0 {
-		t.Fatalf("Pending = %d after double cancel-after-fire, want 0", sim.Pending())
+	// The fired event's object is reused by the next Schedule; the stale
+	// handle must not cancel the new scheduling.
+	again := false
+	next := sim.Schedule(time.Millisecond, func() { again = true })
+	if next.ev != ev.ev {
+		t.Fatal("Schedule did not reuse the fired event's pooled object")
+	}
+	sim.Cancel(ev)
+	if sim.Pending() != 1 {
+		t.Fatalf("Pending = %d after a stale cancel, want 1", sim.Pending())
+	}
+	for sim.Step() {
+	}
+	if !again {
+		t.Fatal("a stale handle cancelled the event that reused its object")
 	}
 }
 
@@ -140,7 +156,7 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	sim := NewSimulator(1)
 
 	var got []int
-	evs := make([]*Event, 0, 5)
+	evs := make([]Timer, 0, 5)
 	for i := 0; i < 5; i++ {
 		i := i
 		evs = append(evs, sim.Schedule(time.Duration(i+1)*time.Millisecond, func() {
@@ -312,7 +328,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 	f := func(delays []uint16, mask []bool) bool {
 		sim := NewSimulator(5)
 		fired := make([]bool, len(delays))
-		evs := make([]*Event, len(delays))
+		evs := make([]Timer, len(delays))
 		for i, d := range delays {
 			i := i
 			evs[i] = sim.Schedule(time.Duration(d)*time.Millisecond, func() {

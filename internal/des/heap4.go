@@ -4,12 +4,12 @@ import "time"
 
 // heapNode is one pending entry of the near-term scheduler. The (time,
 // seq) ordering key is stored inline so sift comparisons walk the
-// contiguous backing array instead of chasing *Event pointers — the
+// contiguous backing array instead of chasing *event pointers — the
 // cache-friendliness half of the 4-ary layout (DESIGN.md §14).
 type heapNode struct {
 	time time.Duration
 	seq  uint64
-	ev   *Event
+	ev   *event
 }
 
 // before is the scheduler's total order: earlier time first, FIFO seq
@@ -66,7 +66,7 @@ func (h *heap4) pop() heapNode {
 	top := a[0]
 	last := len(a) - 1
 	n := a[last]
-	a[last] = heapNode{} // release the *Event reference for the collector
+	a[last] = heapNode{} // release the *event reference for the collector
 	h.a = a[:last]
 	if last > 0 {
 		h.siftDown(n)

@@ -8,77 +8,26 @@ import (
 // freeLen counts the events sitting on the simulator's freelist.
 func freeLen(s *Simulator) int {
 	n := 0
-	for e := s.free; e != nil; e = e.nextFree {
+	for e := s.free; e != nil; e = e.next {
 		n++
 	}
 	return n
 }
 
-func TestPostFires(t *testing.T) {
+// TestScheduleFreelistReuse pins the pool mechanics: fired events land on
+// the freelist and the next Schedule takes from it instead of allocating.
+func TestScheduleFreelistReuse(t *testing.T) {
 	sim := NewSimulator(1)
-	var got string
-	var at time.Duration
-	sim.Post(5*time.Millisecond, func(a0, a1 any) {
-		got = a0.(string) + a1.(string)
-		at = sim.Now()
-	}, "hello ", "world")
-	for sim.Step() {
-	}
-	if got != "hello world" {
-		t.Errorf("posted args = %q, want %q", got, "hello world")
-	}
-	if at != 5*time.Millisecond {
-		t.Errorf("fired at %v, want 5ms", at)
-	}
-}
-
-func TestPostClamping(t *testing.T) {
-	sim := NewSimulator(1)
-	var fired []time.Duration
-	note := func(a0, a1 any) { fired = append(fired, sim.Now()) }
-	sim.Post(time.Millisecond, func(a0, a1 any) {
-		// From inside an event: negative delays and past absolute times
-		// both clamp to now, like Schedule/ScheduleAt.
-		sim.Post(-time.Second, note, nil, nil)
-		sim.PostAt(0, note, nil, nil)
-	}, nil, nil)
-	for sim.Step() {
-	}
-	if len(fired) != 2 || fired[0] != time.Millisecond || fired[1] != time.Millisecond {
-		t.Errorf("clamped posts fired at %v, want both at 1ms", fired)
-	}
-}
-
-// TestPostScheduleSharedSeq pins the ordering contract: pooled and
-// heap-allocated events share one (time, seq) sequence, so simultaneous
-// events run in scheduling order regardless of which API created them.
-func TestPostScheduleSharedSeq(t *testing.T) {
-	sim := NewSimulator(1)
-	var order []int
-	sim.Post(time.Millisecond, func(a0, a1 any) { order = append(order, 0) }, nil, nil)
-	sim.Schedule(time.Millisecond, func() { order = append(order, 1) })
-	sim.Post(time.Millisecond, func(a0, a1 any) { order = append(order, 2) }, nil, nil)
-	for sim.Step() {
-	}
-	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
-		t.Errorf("simultaneous Post/Schedule order = %v, want [0 1 2]", order)
-	}
-}
-
-// TestPostFreelistReuse pins the pool mechanics: fired events land on
-// the freelist and the next Post takes from it instead of allocating.
-func TestPostFreelistReuse(t *testing.T) {
-	sim := NewSimulator(1)
-	nop := func(a0, a1 any) {}
+	nop := func() {}
 	for i := 0; i < 3; i++ {
-		sim.Post(time.Duration(i)*time.Microsecond, nop, nil, nil)
+		sim.Schedule(time.Duration(i)*time.Microsecond, nop)
 	}
 	for sim.Step() {
 	}
 	if n := freeLen(sim); n != 3 {
-		t.Fatalf("freelist after draining 3 posts = %d events, want 3", n)
+		t.Fatalf("freelist after draining 3 events = %d, want 3", n)
 	}
-	sim.Post(time.Microsecond, nop, nil, nil)
+	sim.Schedule(time.Microsecond, nop)
 	if n := freeLen(sim); n != 2 {
 		t.Errorf("freelist after reusing one slot = %d events, want 2", n)
 	}
@@ -89,19 +38,52 @@ func TestPostFreelistReuse(t *testing.T) {
 	}
 }
 
-// TestPostReleaseBeforeFire pins that the slot is recycled before the
-// callback runs: a self-rescheduling event chain reuses one Event
-// object forever instead of growing the pool.
-func TestPostReleaseBeforeFire(t *testing.T) {
+// TestCancelledSlotReusedBeforeReclaim pins the seq-matched liveness
+// rule: Cancel returns the event to the pool at once, so the next
+// Schedule reuses the object while the old scheduling's node is still
+// queued. That node must be dropped as a tombstone — not fire the new
+// callback — whether it sits in the wheel or in the near-term heap.
+func TestCancelledSlotReusedBeforeReclaim(t *testing.T) {
+	sim := NewSimulator(1)
+	var got []string
+	note := func(s string) func() { return func() { got = append(got, s) } }
+
+	old := sim.Schedule(time.Millisecond, note("wheel-old")) // parks in the wheel
+	sim.Cancel(old)
+	reused := sim.Schedule(2*time.Millisecond, note("wheel-new"))
+	if reused.ev != old.ev {
+		t.Fatal("Schedule did not reuse the cancelled event's object")
+	}
+	sim.Schedule(3*time.Millisecond, func() {
+		// The bucket is promoted, so same-instant events go to the heap.
+		old := sim.Schedule(0, note("heap-old"))
+		sim.Cancel(old)
+		sim.Schedule(0, note("heap-new"))
+	})
+	for sim.Step() {
+	}
+	want := []string{"wheel-new", "heap-new"}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	if sim.Pending() != 0 || sim.tombstones != 0 {
+		t.Fatalf("Pending = %d, tombstones = %d after drain, want 0 and 0", sim.Pending(), sim.tombstones)
+	}
+}
+
+// TestScheduleReleaseBeforeFire pins that the slot is recycled before the
+// callback runs: a self-rescheduling event chain reuses one event object
+// forever instead of growing the pool.
+func TestScheduleReleaseBeforeFire(t *testing.T) {
 	sim := NewSimulator(1)
 	count := 0
-	var hop func(a0, a1 any)
-	hop = func(a0, a1 any) {
+	var hop func()
+	hop = func() {
 		if count++; count < 100 {
-			sim.Post(time.Microsecond, hop, nil, nil)
+			sim.Schedule(time.Microsecond, hop)
 		}
 	}
-	sim.Post(0, hop, nil, nil)
+	sim.Schedule(0, hop)
 	for sim.Step() {
 	}
 	if count != 100 {
@@ -112,24 +94,26 @@ func TestPostReleaseBeforeFire(t *testing.T) {
 	}
 }
 
-// TestPostZeroAllocSteadyState is the dynamic half of the hot-path
+// TestScheduleZeroAllocSteadyState is the dynamic half of the hot-path
 // contract for the kernel: once the pool and the heap's backing array
-// are warm, Post+Step allocates nothing. The arguments are pointers —
-// boxing a non-pointer value into the any parameters would allocate at
-// the caller, which is exactly what the allocs analyzer flags there.
-func TestPostZeroAllocSteadyState(t *testing.T) {
+// are warm, Schedule+Step allocates nothing. The callback is bound once,
+// outside the measured loop — a fresh capturing closure per call would
+// allocate at the caller, which is exactly what the allocs analyzer
+// flags there.
+func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	sim := NewSimulator(1)
-	nop := func(a0, a1 any) {}
+	n := 0
+	bump := func() { n++ }
 	for i := 0; i < 64; i++ {
-		sim.Post(time.Duration(i)*time.Microsecond, nop, sim, nil)
+		sim.Schedule(time.Duration(i)*time.Microsecond, bump)
 	}
 	for sim.Step() {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		sim.Post(time.Microsecond, nop, sim, nil)
+		sim.Schedule(time.Microsecond, bump)
 		sim.Step()
 	})
 	if allocs != 0 {
-		t.Errorf("warm Post+Step allocates %.1f objects per op, want 0", allocs)
+		t.Errorf("warm Schedule+Step allocates %.1f objects per op, want 0", allocs)
 	}
 }

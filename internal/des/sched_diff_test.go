@@ -108,11 +108,15 @@ func (r *refSim) run(horizon time.Duration) {
 	}
 }
 
-// diffDriver applies one trace to both schedulers in lockstep.
+// diffDriver applies one trace to both schedulers in lockstep. It keeps
+// every Timer it was handed, so later cancels may go through stale
+// handles: the event already fired, or was cancelled and its pooled
+// object reused by a later schedule. Both must be no-ops, as they are
+// on the reference.
 type diffDriver struct {
 	sim  *Simulator
 	ref  refSim
-	evs  []*Event
+	evs  []Timer
 	refs []*refEvent
 	log  []refFire
 }
@@ -141,7 +145,7 @@ func (d *diffDriver) run(horizon time.Duration) {
 	d.ref.run(horizon)
 }
 
-// applyDiffTrace decodes data as a schedule/cancel/advance op stream,
+// applyDiffTrace decodes data as a schedule/cancel/advance/reuse op stream,
 // applies it to both schedulers, then drains. The delay bands are chosen
 // so traces reach every scheduler container: sub-ms delays stay in the
 // near heap, the 3 s band lands in wheel level 0 (the RTO shape),
@@ -152,7 +156,7 @@ func applyDiffTrace(data []byte) *diffDriver {
 	for i := 0; i+2 < len(data); i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		ab := time.Duration(uint16(a)<<8 | uint16(b))
-		switch op % 5 {
+		switch op % 6 {
 		case 0: // near band: µs-scale, heap-resident
 			d.schedule(d.sim.Now() + ab*time.Microsecond)
 		case 1: // RTO band: 3 s + jitter, wheel level 0
@@ -165,6 +169,13 @@ func applyDiffTrace(data []byte) *diffDriver {
 			}
 		case 4: // advance the clock up to ~65 s
 			d.run(d.sim.Now() + ab*time.Millisecond)
+		case 5: // cancel, let a near schedule reuse the freed event, cancel the stale handle
+			if len(d.evs) > 0 {
+				i := int(a) % len(d.evs)
+				d.cancel(i)
+				d.schedule(d.sim.Now() + time.Duration(b)*time.Microsecond)
+				d.cancel(i)
+			}
 		}
 	}
 	d.run(d.sim.Now() + time.Hour) // drain: every band is due within the hour
@@ -198,6 +209,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 5, 0, 2, 29, 255, 4, 255, 255, 3, 0, 1})
 	f.Add([]byte{2, 0, 0, 4, 255, 255, 2, 0, 0, 4, 255, 255, 1, 0, 0}) // idle catch-up
 	f.Add([]byte{0, 0, 1, 3, 0, 0, 3, 0, 0, 1, 0, 0, 3, 0, 1, 4, 16, 0})
+	f.Add([]byte{0, 0, 50, 3, 0, 0, 0, 0, 100, 3, 0, 0, 4, 0, 200, 3, 0, 1, 5, 0, 9}) // stale handles
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDiff(t, applyDiffTrace(data))
 	})
@@ -238,7 +250,9 @@ func TestSchedulerDifferentialTrace(t *testing.T) {
 	d.run(d.sim.Now() + 10*time.Second)
 	d.schedule(d.sim.Now() + 3*time.Second) // park against an advanced horizon
 	d.cancel(3)
-	d.cancel(0) // already fired: no-op on both sides
+	d.cancel(0)                                   // already fired: no-op on both sides
+	d.schedule(d.sim.Now() + 40*time.Microsecond) // reuses event 3's object
+	d.cancel(3)                                   // stale handle after reuse: no-op, event 6 fires
 	d.run(d.sim.Now() + time.Hour)
 	checkDiff(t, d)
 }

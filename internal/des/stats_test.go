@@ -40,7 +40,7 @@ func TestPeakPending(t *testing.T) {
 // tombstone paths are audited.
 func TestPeakPendingCancelHeavy(t *testing.T) {
 	s := NewSimulator(1)
-	evs := make([]*Event, 0, 100)
+	evs := make([]Timer, 0, 100)
 	for i := 0; i < 100; i++ {
 		at := time.Duration(i+1) * time.Millisecond
 		if i%2 == 1 {
@@ -57,7 +57,8 @@ func TestPeakPendingCancelHeavy(t *testing.T) {
 	if got := s.Pending(); got != 10 {
 		t.Fatalf("Pending after cancels = %d, want 10", got)
 	}
-	// 90 tombstones linger; scheduling 50 more live events must not push
+	// 90 tombstones linger; scheduling 50 more live events — which reuse
+	// cancelled objects whose tombstones are still queued — must not push
 	// the mark past the true live count (10+50=60 < 100).
 	for i := 0; i < 50; i++ {
 		s.Schedule(time.Duration(i+200)*time.Millisecond, func() {})
@@ -73,6 +74,9 @@ func TestPeakPendingCancelHeavy(t *testing.T) {
 	}
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
+	}
+	if s.tombstones != 0 {
+		t.Fatalf("%d tombstones unaccounted for after drain", s.tombstones)
 	}
 	if got := uint64(60); s.Executed() != got {
 		t.Fatalf("Executed = %d, want %d (cancelled events must not run)", s.Executed(), got)

@@ -10,7 +10,8 @@ type Ticker struct {
 	sim    *Simulator
 	period time.Duration
 	fn     func(now time.Duration)
-	next   *Event
+	tick   func() // t.fire, bound once so re-arming allocates nothing
+	next   Timer
 	stop   bool
 }
 
@@ -18,29 +19,23 @@ type Ticker struct {
 // Period must be positive.
 func NewTicker(sim *Simulator, period time.Duration, fn func(now time.Duration)) *Ticker {
 	t := &Ticker{sim: sim, period: period, fn: fn}
+	t.tick = t.fire
 	if period > 0 {
-		t.arm()
+		t.next = sim.Schedule(period, t.tick)
 	}
 	return t
 }
 
-// Stop cancels all future firings. Safe to call multiple times.
+// Stop cancels all future firings. Safe to call multiple times, and from
+// inside the callback.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.next != nil {
-		t.sim.Cancel(t.next)
-		t.next = nil
-	}
+	t.sim.Cancel(t.next)
 }
 
-func (t *Ticker) arm() {
-	t.next = t.sim.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stop {
-			t.arm()
-		}
-	})
+func (t *Ticker) fire() {
+	t.fn(t.sim.Now())
+	if !t.stop {
+		t.next = t.sim.Schedule(t.period, t.tick)
+	}
 }

@@ -37,7 +37,7 @@ const (
 type wheelNode struct {
 	time time.Duration
 	seq  uint64
-	ev   *Event
+	ev   *event
 	next *wheelNode
 }
 
@@ -147,10 +147,10 @@ func (w *wheel) promote(h *heap4) int {
 		for n := w.level0[slot]; n != nil; {
 			next := n.next
 			w.count0--
-			if n.ev.state != eventCanceled {
-				h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
-			} else {
+			if n.ev.tombstone(n.seq) {
 				dropped++
+			} else {
+				h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
 			}
 			w.putNode(n)
 			n = next
@@ -204,7 +204,7 @@ func (w *wheel) cascades() int {
 			for n := w.overflow; n != nil; {
 				next := n.next
 				switch {
-				case n.ev.state == eventCanceled:
+				case n.ev.tombstone(n.seq):
 					w.countOver--
 					w.putNode(n)
 					dropped++
@@ -240,11 +240,11 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 		next := n.next
 		if int64(n.time>>gBits) == p {
 			*count = *count - 1
-			if n.ev.state != eventCanceled {
-				w.place(n)
-			} else {
+			if n.ev.tombstone(n.seq) {
 				w.putNode(n)
 				dropped++
+			} else {
+				w.place(n)
 			}
 		} else {
 			n.next = keep

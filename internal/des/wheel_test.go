@@ -164,8 +164,9 @@ func TestWheelIdleCatchUp(t *testing.T) {
 // handling: the old container/heap implementation silently swallowed a
 // failed *Event type assertion, hiding kernel corruption; the rewrite
 // has no any boxing to fail, so the impossible states that remain —
-// a fired event still queued, a wheel placement below the promotion
-// horizon — must panic loudly instead of being masked.
+// a queued node whose seq matches a fired event, a wheel placement
+// below the promotion horizon — must panic loudly instead of being
+// masked.
 func TestImpossibleStatesPanic(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
@@ -178,8 +179,15 @@ func TestImpossibleStatesPanic(t *testing.T) {
 	}
 	expectPanic("fired event still queued", func() {
 		s := NewSimulator(1)
-		s.heap.push(heapNode{time: time.Millisecond, seq: 0, ev: &Event{state: eventFired}})
+		s.heap.push(heapNode{time: time.Millisecond, seq: 0, ev: &event{state: eventFired}})
 		s.tombstones = 1 // force settle onto the state-inspection path
+		s.Step()
+	})
+	expectPanic("fired event still parked in the wheel", func() {
+		s := NewSimulator(1)
+		n := s.wheel.takeNode()
+		n.time, n.ev = time.Millisecond, &event{state: eventFired}
+		s.wheel.place(n)
 		s.Step()
 	})
 	expectPanic("placement below the promotion horizon", func() {

@@ -23,6 +23,17 @@ func serveTier(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// closeTiers drains tiers upstream-first, so each tier's in-flight
+// downstream calls finish before the tier below closes.
+func closeTiers(t *testing.T, tiers ...*Server) {
+	t.Helper()
+	for _, s := range tiers {
+		if err := s.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+}
+
 func TestProtocolRoundTrip(t *testing.T) {
 	req := Request{
 		ID:         42,
@@ -70,6 +81,9 @@ func TestSingleTierServesRequests(t *testing.T) {
 			t.Fatalf("request %d failed: %v", o.ID, o.Err)
 		}
 	}
+	// A reply reaches the client before the server counts it; Close
+	// drains the tier, after which the counters are final.
+	closeTiers(t, s)
 	if got := s.Stats().Completed(); got != 20 {
 		t.Fatalf("completed = %d, want 20", got)
 	}
@@ -94,6 +108,7 @@ func TestThreeTierChain(t *testing.T) {
 			t.Fatalf("request %d latency %v below the 4ms service chain", o.ID, o.Latency)
 		}
 	}
+	closeTiers(t, web, app, db)
 	if db.Stats().Completed() != 10 || app.Stats().Completed() != 10 {
 		t.Fatalf("chain completions: db=%d app=%d",
 			db.Stats().Completed(), app.Stats().Completed())
@@ -258,6 +273,7 @@ func TestDeployTopology(t *testing.T) {
 			t.Fatalf("request %d: %v", o.ID, o.Err)
 		}
 	}
+	closeTiers(t, topo.Web, topo.App, topo.DB)
 	if topo.DB.Stats().Completed() != 8 {
 		t.Fatalf("db completed = %d", topo.DB.Stats().Completed())
 	}

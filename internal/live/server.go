@@ -92,10 +92,12 @@ type Server struct {
 	stats    Stats
 
 	// admission: held (in service + queued) for sync; in-flight for async.
-	held    atomic.Int64
-	work    chan workItem
-	closing atomic.Bool
-	wg      sync.WaitGroup
+	held      atomic.Int64
+	work      chan workItem
+	closing   atomic.Bool
+	wg        sync.WaitGroup
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // workItem carries an admitted connection plus its accept timestamp, so
@@ -148,16 +150,19 @@ func (s *Server) name() string {
 }
 
 // Close stops accepting, waits for in-flight work to finish, and releases
-// the listener.
+// the listener. Once it returns, the Stats counters are final. Calling it
+// again is a no-op that returns the first call's error.
 func (s *Server) Close() error {
-	s.closing.Store(true)
-	err := s.listener.Close()
-	close(s.work)
-	s.wg.Wait()
-	if errors.Is(err, net.ErrClosed) {
-		return nil
-	}
-	return err
+	s.closeOnce.Do(func() {
+		s.closing.Store(true)
+		err := s.listener.Close()
+		close(s.work)
+		s.wg.Wait()
+		if !errors.Is(err, net.ErrClosed) {
+			s.closeErr = err
+		}
+	})
+	return s.closeErr
 }
 
 // acceptLoop admits connections up to the admission bound and drops the

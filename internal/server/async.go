@@ -40,6 +40,8 @@ type AsyncServer struct {
 	inFlight int // admitted requests not yet replied
 	ready    []func()
 	stats    Stats
+
+	deferredDispatch func() // a.dispatch, bound once so release allocates no closure
 }
 
 var _ Server = (*AsyncServer)(nil)
@@ -52,7 +54,9 @@ func NewAsync(sim *des.Simulator, vm *cpu.VM, transport *simnet.Transport, plan 
 	if cfg.LiteQDepth < 1 {
 		cfg.LiteQDepth = 1
 	}
-	return &AsyncServer{sim: sim, vm: vm, transport: transport, plan: plan, cfg: cfg}
+	a := &AsyncServer{sim: sim, vm: vm, transport: transport, plan: plan, cfg: cfg}
+	a.deferredDispatch = a.dispatch
+	return a
 }
 
 // Name implements simnet.Admission.
@@ -192,7 +196,7 @@ func (a *AsyncServer) release() {
 	a.busy--
 	// Dispatch is deferred to a fresh event so the released worker picks
 	// up queued work after the current call stack unwinds.
-	a.sim.Schedule(0, a.dispatch)
+	a.sim.Schedule(0, a.deferredDispatch)
 }
 
 func (a *AsyncServer) finish(call *simnet.Call, payload any, failed bool) {

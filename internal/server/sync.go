@@ -61,7 +61,7 @@ type SyncServer struct {
 // its open queue-wait span.
 type queuedCall struct {
 	call  *simnet.Call
-	timer *des.Event
+	timer des.Timer
 	wait  span.ID
 }
 
@@ -260,9 +260,7 @@ func (s *SyncServer) drainQueue() {
 		copy(s.queue, s.queue[1:])
 		s.queue[len(s.queue)-1] = nil
 		s.queue = s.queue[:len(s.queue)-1]
-		if next.timer != nil {
-			s.sim.Cancel(next.timer)
-		}
+		s.sim.Cancel(next.timer)
 		next.call.Trace.End(next.wait)
 		s.startOnThread(next.call)
 	}

@@ -8,11 +8,7 @@ package simnet
 type ConnPool struct {
 	size    int
 	inUse   int
-	waiters []func()
-
-	// MaxWaiting caps the wait queue; 0 means unbounded. The paper's pool
-	// waits are unbounded (the thread pool above bounds them in practice).
-	MaxWaiting int
+	waiters []func() // unbounded, as in the paper: the thread pool above bounds them
 
 	peakWaiting int
 }
@@ -27,21 +23,17 @@ func NewConnPool(size int) *ConnPool {
 
 // Acquire runs fn as soon as a connection is available — immediately and
 // synchronously if the pool has a free connection, otherwise when one is
-// released. It returns false if the wait queue is full (fn will never run).
-func (p *ConnPool) Acquire(fn func()) bool {
+// released.
+func (p *ConnPool) Acquire(fn func()) {
 	if p.inUse < p.size {
 		p.inUse++
 		fn()
-		return true
-	}
-	if p.MaxWaiting > 0 && len(p.waiters) >= p.MaxWaiting {
-		return false
+		return
 	}
 	p.waiters = append(p.waiters, fn)
 	if len(p.waiters) > p.peakWaiting {
 		p.peakWaiting = len(p.waiters)
 	}
-	return true
 }
 
 // Release returns a connection to the pool, handing it to the oldest waiter

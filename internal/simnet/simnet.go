@@ -64,11 +64,14 @@ type Call struct {
 	Trace  *span.Trace
 	SpanID span.ID
 
-	// dst and retransGap carry per-call delivery state through the pooled
-	// des.Post callbacks, so the transport schedules retransmissions and
-	// latency hops without allocating a capturing closure per event.
+	// dst and retransGap carry per-call delivery state across scheduled
+	// events, and deliver is the call's one scheduled callback — shared by
+	// the latency hop and the RTO retry, bound on first use — so the
+	// transport schedules retransmissions and latency hops without
+	// allocating a closure per event.
 	dst        Admission
 	retransGap span.ID
+	deliver    func()
 }
 
 // Retransmits returns the number of retransmissions (attempts beyond the
@@ -145,9 +148,10 @@ func NewTransport(sim *des.Simulator) *Transport {
 }
 
 // Send attempts delivery of call to dst, retransmitting on drops. The call's
-// FirstSent is stamped on the first attempt. Delivery and retransmission
-// events ride pooled des.Post events with the *Transport and *Call as the
-// two arguments, so steady-state sending allocates nothing.
+// FirstSent is stamped on the first attempt. Latency hops and
+// retransmissions are pooled des events running the call's bound
+// callback, so steady-state sending allocates nothing. A Call travels on
+// one Transport.
 //
 //lint:hotpath simnet delivery path
 func (t *Transport) Send(dst Admission, call *Call) {
@@ -156,29 +160,26 @@ func (t *Transport) Send(dst Admission, call *Call) {
 	}
 	call.dst = dst
 	if t.Latency > 0 {
-		t.sim.Post(t.Latency, deliverCall, t, call)
+		t.sim.Schedule(t.Latency, t.deliverer(call))
 		return
 	}
 	t.attempt(dst, call)
 }
 
-// deliverCall is the pooled-event callback for a latency hop.
+// deliverer returns the call's scheduled-delivery callback, binding it on
+// first use. When it fires it closes the pending retransmission-gap span,
+// if any (a latency hop has none), and makes the next attempt.
 //
 //lint:hotpath simnet delivery path
-func deliverCall(a0, a1 any) {
-	t, call := a0.(*Transport), a1.(*Call)
-	t.attempt(call.dst, call)
-}
-
-// retransmitAttempt is the pooled-event callback for an RTO expiry: it
-// closes the retransmission-gap span and redelivers.
-//
-//lint:hotpath simnet delivery path
-func retransmitAttempt(a0, a1 any) {
-	t, call := a0.(*Transport), a1.(*Call)
-	call.Trace.End(call.retransGap)
-	call.retransGap = 0
-	t.attempt(call.dst, call)
+func (t *Transport) deliverer(call *Call) func() {
+	if call.deliver == nil {
+		call.deliver = func() { //lint:allow allocs one callback per Call, bound on its first latency hop or drop: never on clean zero-latency delivery
+			call.Trace.End(call.retransGap)
+			call.retransGap = 0
+			t.attempt(call.dst, call)
+		}
+	}
+	return call.deliver
 }
 
 // Stats returns the accumulated counters for a destination. The returned
@@ -256,7 +257,7 @@ func (t *Transport) attempt(dst Admission, call *Call) {
 			"attempt %d dropped by %s; waiting RTO", call.Attempts, dst.Name()))
 	}
 	call.retransGap = gap
-	t.sim.Post(t.timeout(call.Attempts)+t.Latency, retransmitAttempt, t, call)
+	t.sim.Schedule(t.timeout(call.Attempts)+t.Latency, t.deliverer(call))
 }
 
 //lint:hotpath

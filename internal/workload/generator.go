@@ -91,7 +91,8 @@ func (c *ClosedLoop) Start() {
 		if c.cfg.Session != nil {
 			st.current = c.cfg.Session.Start
 		}
-		c.sim.Schedule(c.think(), func() { c.clientLoop(st) })
+		st.cycle = func() { c.clientLoop(st) }
+		c.sim.Schedule(c.think(), st.cycle)
 	}
 	if c.cfg.Burst != nil && c.cfg.Burst.Index > 1 {
 		epoch := c.cfg.Burst.Epoch
@@ -133,6 +134,7 @@ func (c *ClosedLoop) Failed() int64 { return c.failed }
 // clientState is one client's session position.
 type clientState struct {
 	current string
+	cycle   func() // c.clientLoop(st), bound once so each think allocates no closure
 }
 
 func (c *ClosedLoop) clientLoop(st *clientState) {
@@ -156,7 +158,7 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 		if c.cfg.Session != nil {
 			st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
 		}
-		c.sim.Schedule(c.think(), func() { c.clientLoop(st) })
+		c.sim.Schedule(c.think(), st.cycle)
 	}
 	call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
 	call.OnReply = func(reply any) {
