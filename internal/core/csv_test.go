@@ -95,20 +95,31 @@ func readCSV(t *testing.T, path string) [][]string {
 func TestEndToEndInvariants(t *testing.T) {
 	res := mustRun(t, shorten(Figure3Config(), 30*time.Second))
 
-	// Every VLRT request carries at least one recorded drop, and the drop
-	// attribution matches a real tier.
+	// Every VLRT request is attributed to the tier that first dropped one
+	// of its packets: in every window the per-tier series sum to the whole
+	// series, so no VLRT request lacks a drop or blames an unknown server.
 	tierSet := make(map[string]bool)
+	all := res.VLRTSeries("")
+	perTier := make([]int, len(all))
 	for _, tier := range res.System.TierNames() {
 		tierSet[tier] = true
-	}
-	for _, req := range res.Recorder.Requests() {
-		if req.VLRT() && len(req.Drops) == 0 {
-			t.Fatalf("request %d is VLRT with no recorded drop", req.ID)
+		for i, n := range res.VLRTSeries(tier) {
+			perTier[i] += n
 		}
-		for _, d := range req.Drops {
-			if !tierSet[d] {
-				t.Fatalf("request %d dropped at unknown server %q", req.ID, d)
-			}
+	}
+	total := 0
+	for i := range all {
+		if perTier[i] != all[i] {
+			t.Fatalf("window %d: %d VLRT requests, but the tiers' series sum to %d", i, all[i], perTier[i])
+		}
+		total += all[i]
+	}
+	if total == 0 {
+		t.Fatal("no VLRT requests: the invariants above checked nothing")
+	}
+	for _, sd := range res.Recorder.DropsByServer() {
+		if !tierSet[sd.Server] {
+			t.Fatalf("recorder attributes %d drops to unknown server %q", sd.Drops, sd.Server)
 		}
 	}
 

@@ -13,6 +13,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ctqosim/internal/metrics"
+	"ctqosim/internal/ntier"
+	"ctqosim/internal/trace"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
@@ -29,14 +33,26 @@ const (
 	goldenPath        = "testdata/golden.txt"
 )
 
+// goldenBounded names the files that get a second row, keyed
+// path+"#bounded", run the way ntierlab simstats and sweeps run them:
+// trace and spans off, bounded recorder retention.
+var goldenBounded = map[string]bool{
+	"scenarios/async-highutil.json": true,
+	"scenarios/fig3.json":           true,
+}
+
 // goldenFiles lists every embedded scenario file — the registry, the
-// Fig. 12 templates and the matrix cells — in lexical path order.
+// Fig. 12 templates and the matrix cells — in lexical path order, each
+// followed by its "#bounded" key when it has one.
 func goldenFiles(t *testing.T) []string {
 	t.Helper()
 	var paths []string
 	err := fs.WalkDir(scenarioFS, "scenarios", func(p string, d fs.DirEntry, err error) error {
 		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".json") {
 			paths = append(paths, p)
+			if goldenBounded[p] {
+				paths = append(paths, p+"#bounded")
+			}
 		}
 		return err
 	})
@@ -48,10 +64,17 @@ func goldenFiles(t *testing.T) []string {
 
 // goldenRow runs one embedded file at seed 1 on the golden horizon and
 // renders its readable row plus a SHA-256 over the Summarize JSON (with
-// SimStats off) and every response time in record order. It fails if
-// any steady or co-tenant server does not conserve its admissions.
-func goldenRow(path string) (string, error) {
+// SimStats off) and every response time in record order. A "#bounded"
+// key runs the file with trace and spans off under bounded retention. It
+// fails if the run breaks a conservation law (checkConservation).
+func goldenRow(key string) (string, error) {
+	path, variant, _ := strings.Cut(key, "#")
 	cfg := mustScenario(path)
+	if variant == "bounded" {
+		cfg.Trace = false
+		cfg.Spans = false
+		cfg.Retention = metrics.RetainBounded
+	}
 	cfg.Seed = 1
 	cfg.WarmUp = goldenWarmUp
 	cfg.Duration = goldenDuration
@@ -92,25 +115,70 @@ func goldenRow(path string) (string, error) {
 	}
 	rec := res.Recorder
 	return fmt.Sprintf("%s req=%d thr=%.3f p50=%v p99=%v p999=%v vlrt=%d drops=[%s] events=%d/%d peak=%d sha256=%x",
-		path, rec.Len(), res.Throughput, rec.Percentile(0.50), rec.Percentile(0.99), rec.Percentile(0.999),
+		key, rec.Len(), res.Throughput, rec.Percentile(0.50), rec.Percentile(0.99), rec.Percentile(0.999),
 		res.VLRTCount, strings.Join(drops, ","), st.EventsExecuted, st.EventsScheduled, st.PeakPending,
 		h.Sum(nil)), nil
 }
 
-// checkConservation requires every steady and co-tenant server to account
-// for each admitted request: accepted = completed + failed + in flight,
-// with shed requests counted as failed.
+// checkConservation checks the run's conservation laws. Every steady and
+// co-tenant server accounts for each admitted request: accepted =
+// completed + failed + in flight, with shed requests counted as failed.
+// Every destination of both transports accounts for each attempt:
+// attempts = delivered + dropped, and every drop is retransmitted or
+// given up. When the run has a trace log, its events per (kind, server)
+// equal the steady transport's counters.
 func checkConservation(res *Result) error {
-	servers := res.System.Servers()
+	systems := []*ntier.System{res.System}
 	if res.Bursty != nil {
-		servers = append(servers, res.Bursty.Servers()...)
+		systems = append(systems, res.Bursty)
 	}
-	for _, srv := range servers {
-		st := srv.Stats()
-		if held := st.Completed + st.Failed + int64(srv.Depth()); st.Accepted != held {
-			return fmt.Errorf("%s accepted %d requests but completed %d + failed %d + in flight %d",
-				srv.Name(), st.Accepted, st.Completed, st.Failed, srv.Depth())
+	for _, sys := range systems {
+		for _, srv := range sys.Servers() {
+			st := srv.Stats()
+			if held := st.Completed + st.Failed + int64(srv.Depth()); st.Accepted != held {
+				return fmt.Errorf("%s accepted %d requests but completed %d + failed %d + in flight %d",
+					srv.Name(), st.Accepted, st.Completed, st.Failed, srv.Depth())
+			}
 		}
+		for _, dst := range sys.Transport.Destinations() {
+			hs := sys.Transport.Stats(dst)
+			if hs.Attempts != hs.Delivered+hs.Dropped {
+				return fmt.Errorf("%s: %d attempts but %d delivered + %d dropped",
+					dst, hs.Attempts, hs.Delivered, hs.Dropped)
+			}
+			if hs.Dropped != hs.Retransmits+hs.GaveUp {
+				return fmt.Errorf("%s: %d drops but %d retransmitted + %d given up",
+					dst, hs.Dropped, hs.Retransmits, hs.GaveUp)
+			}
+		}
+	}
+	if res.TraceLog == nil {
+		return nil
+	}
+	type cell struct {
+		kind   trace.Kind
+		server string
+	}
+	events := res.TraceLog.Events()
+	logged := make(map[cell]int64)
+	for _, ev := range events {
+		logged[cell{ev.Kind, ev.Server}]++
+	}
+	kinds := [...]trace.Kind{trace.KindDelivered, trace.KindDropped, trace.KindRetransmitted, trace.KindGaveUp}
+	var counted int64
+	tr := res.System.Transport
+	for _, dst := range tr.Destinations() {
+		hs := tr.Stats(dst)
+		for i, n := range [...]int64{hs.Delivered, hs.Dropped, hs.Retransmits, hs.GaveUp} {
+			if got := logged[cell{kinds[i], dst}]; got != n {
+				return fmt.Errorf("%s: trace log has %d %s events, transport counted %d",
+					dst, got, kinds[i], n)
+			}
+			counted += n
+		}
+	}
+	if int64(len(events)) != counted {
+		return fmt.Errorf("trace log has %d events, transport counted %d", len(events), counted)
 	}
 	return nil
 }
