@@ -47,10 +47,11 @@
 // recorded baseline (-bench-floor adjusts the ratio, 0 disables) — the
 // reference point for DES hot-path work.
 //
-// -retention bounded switches the response-time recorder to the
-// constant-memory telemetry path (HDR histogram + windowed counters);
-// the default, all, keeps every request exactly. -cpuprofile and
-// -memprofile write pprof profiles for the process.
+// -retention bounded caps the response times the recorder's HDR
+// histograms keep verbatim, so its memory is constant in the request
+// count; the default, all, keeps every response time for exact
+// quantiles. -cpuprofile and -memprofile write pprof profiles for the
+// process.
 package main
 
 import (

@@ -373,7 +373,6 @@ func TestHotpathAllocsAgree(t *testing.T) {
 		"metrics-bounded-record": func() float64 {
 			r := metrics.NewRecorder()
 			r.Retention = metrics.RetainBounded
-			r.HDR = metrics.HDRConfig{ExactCap: -1}
 			r.SeriesWindow = 50 * time.Millisecond
 			fast := &workload.Request{
 				Class:     workload.ClassStatic,
@@ -386,8 +385,13 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				Completed: 5 * time.Second,
 				Drops:     []string{"db"},
 			}
-			r.Record(fast) // warm: aggregates, class accumulator, VLRT window
+			// Warm: aggregates, class accumulator, VLRT window, and past
+			// DefaultHDRExactCap so both histograms have spilled into
+			// their steady-state buckets.
 			r.Record(vlrt)
+			for r.Len() <= metrics.DefaultHDRExactCap {
+				r.Record(fast)
+			}
 			return testing.AllocsPerRun(200, func() {
 				r.Record(fast)
 				r.Record(vlrt)

@@ -248,21 +248,12 @@ type Config struct {
 
 	// Trace enables the micro-level event log and CTQO analysis.
 	Trace bool
-	// TraceReservoir, when positive with Trace, caps the event log's
-	// memory: drops/retransmissions/give-ups stay exact, delivered
-	// events are reservoir-sampled to this many exemplars, and per-kind
-	// counters stay exact (trace.NewCappedLog). Zero keeps every event.
-	TraceReservoir int
 
 	// Retention selects the recorder's memory policy: metrics.RetainAll
-	// (default, exact, O(requests) memory) or metrics.RetainBounded
-	// (constant-memory HDR aggregation for million-request runs).
+	// (default, exact quantiles, two response times kept per request) or
+	// metrics.RetainBounded (constant-memory HDR buckets for
+	// million-request runs).
 	Retention metrics.Retention
-	// HDR tunes the bounded-mode histograms; zero takes the defaults.
-	HDR metrics.HDRConfig
-	// MonitorCap, when positive, bounds every monitor series to this
-	// many stored samples via deterministic ring-window downsampling.
-	MonitorCap int
 	// SimStats enables DES kernel self-profiling: events executed, wall
 	// events/sec, peak pending-heap depth and allocation deltas are
 	// captured at the run boundaries into Result.SimStats.
@@ -272,12 +263,6 @@ type Config struct {
 	// queue-wait, service, downstream and retransmission-gap spans, and the
 	// result carries the critical-path breakdown plus tail exemplars.
 	Spans bool
-	// SpanTailThreshold is the keep-full-tree latency bound; zero defaults
-	// to span.DefaultTailThreshold (1s).
-	SpanTailThreshold time.Duration
-	// SpanReservoir is the normal-trace reservoir size; zero defaults to
-	// span.DefaultReservoir.
-	SpanReservoir int
 
 	// Tweak, if non-nil, may adjust the steady system spec before build —
 	// the escape hatch for ablations. It runs on the worker goroutine and
@@ -398,7 +383,7 @@ func (r *Result) Histogram() *metrics.Histogram {
 // VLRTSeries counts VLRT requests per monitor window, optionally filtered
 // by the dropping server (Figs. 3c, 7c, 8c, 9c).
 func (r *Result) VLRTSeries(server string) []int {
-	return r.Recorder.VLRTSeries(r.Config.SampleInterval, r.End, server)
+	return r.Recorder.VLRTSeries(r.End, server)
 }
 
 // QueueSeries returns a steady server's queued-requests timeline.

@@ -100,9 +100,6 @@ func (e *Experiment) Run() (*Result, error) {
 
 	// --- monitoring ----------------------------------------------------
 	mon := metrics.NewMonitor(sim, cfg.SampleInterval)
-	if cfg.MonitorCap > 0 {
-		mon.LimitSamples(cfg.MonitorCap)
-	}
 	for _, srv := range steady.Servers() {
 		mon.WatchServer(srv)
 	}
@@ -112,30 +109,21 @@ func (e *Experiment) Run() (*Result, error) {
 
 	var log *trace.Log
 	if cfg.Trace {
-		if cfg.TraceReservoir > 0 {
-			log = trace.NewCappedLog(sim, cfg.Seed, cfg.TraceReservoir)
-		} else {
-			log = trace.NewLog(sim)
-		}
+		log = trace.NewLog(sim)
 		steady.Transport.Listener = log
 	}
 
 	var tracer *span.Tracer
 	if cfg.Spans {
-		tracer = span.NewTracer(sim.Now, span.TracerConfig{
-			Seed:          cfg.Seed,
-			TailThreshold: cfg.SpanTailThreshold,
-			Reservoir:     cfg.SpanReservoir,
-		})
+		tracer = span.NewTracer(sim.Now, span.TracerConfig{Seed: cfg.Seed})
 	}
 
 	// --- steady workload -----------------------------------------------
 	rec := metrics.NewRecorder()
 	rec.WarmUp = cfg.WarmUp
 	rec.Retention = cfg.Retention
-	rec.HDR = cfg.HDR
-	// Bounded mode buckets VLRTs at the monitor interval, which is what
-	// Result.VLRTSeries asks for.
+	// VLRTs are bucketed at the monitor interval, which is what
+	// Result.VLRTSeries reports.
 	rec.SeriesWindow = cfg.SampleInterval
 	cl := workload.NewClosedLoop(sim, steady.Frontend(), workload.ClosedLoopConfig{
 		Clients:   cfg.Clients,

@@ -87,12 +87,10 @@ type EffectiveConfigJSON struct {
 	Trace bool `json:"trace"`
 	Spans bool `json:"spans"`
 
-	TraceReservoir int    `json:"traceReservoir,omitempty"`
-	Retention      string `json:"retention,omitempty"`
-	HDRSigBits     int    `json:"hdrSigBits,omitempty"`
-	HDRExactCap    int    `json:"hdrExactCap,omitempty"`
-	MonitorCap     int    `json:"monitorCap,omitempty"`
-	SimStats       bool   `json:"simStats,omitempty"`
+	Retention   string `json:"retention,omitempty"`
+	HDRSigBits  int    `json:"hdrSigBits,omitempty"`
+	HDRExactCap int    `json:"hdrExactCap,omitempty"`
+	SimStats    bool   `json:"simStats,omitempty"`
 
 	Consolidation *ConsolidationJSON `json:"consolidation,omitempty"`
 	LogFlush      *LogFlushJSON      `json:"logFlush,omitempty"`
@@ -228,15 +226,12 @@ func effectiveConfig(cfg Config) EffectiveConfigJSON {
 		OverheadPerThread:    cfg.OverheadPerThread,
 		Trace:                cfg.Trace,
 		Spans:                cfg.Spans,
-		TraceReservoir:       cfg.TraceReservoir,
-		MonitorCap:           cfg.MonitorCap,
 		SimStats:             cfg.SimStats,
 	}
 	if cfg.Retention == metrics.RetainBounded {
 		out.Retention = "bounded"
-		hdr := cfg.HDR.WithDefaults()
-		out.HDRSigBits = hdr.SigBits
-		out.HDRExactCap = hdr.ExactCap
+		out.HDRSigBits = metrics.DefaultHDRSigBits
+		out.HDRExactCap = metrics.DefaultHDRExactCap
 	}
 	if cfg.Burst != nil {
 		out.BurstIndex = cfg.Burst.Index

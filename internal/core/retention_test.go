@@ -191,29 +191,3 @@ func TestEffectiveConfigEchoesRetention(t *testing.T) {
 		}
 	}
 }
-
-// TestMonitorCapAndTraceReservoirWiring checks the remaining telemetry
-// knobs reach their subsystems through Config.
-func TestMonitorCapAndTraceReservoirWiring(t *testing.T) {
-	cfg := shorten(Figure3Config(), 10*time.Second)
-	cfg.MonitorCap = 16
-	cfg.TraceReservoir = 32
-	res := mustRun(t, cfg)
-
-	for _, tier := range res.System.TierNames() {
-		if q := res.Monitor.Queue(tier); len(q.Values) > 16 {
-			t.Fatalf("%s queue series holds %d samples, cap 16", tier, len(q.Values))
-		}
-	}
-	if res.TraceLog == nil || !res.TraceLog.Capped() {
-		t.Fatal("TraceReservoir did not produce a capped log")
-	}
-	// Counters stay exact even with the reservoir on.
-	var delivered int64
-	for _, c := range res.TraceLog.Counters() {
-		delivered += c.Count
-	}
-	if delivered == 0 {
-		t.Fatal("capped log counters empty")
-	}
-}

@@ -23,14 +23,3 @@ func BenchmarkRecorderRecord(b *testing.B) {
 		r.Record(req)
 	}
 }
-
-func BenchmarkP2Observe(b *testing.B) {
-	q, err := NewP2Quantile(0.99)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		q.Observe(float64(i % 997))
-	}
-}

@@ -5,14 +5,14 @@ import (
 	"testing"
 	"time"
 
-	"ctqosim/internal/des"
 	"ctqosim/internal/workload"
 )
 
-// boundedPair records the same request stream into an exact and a bounded
-// recorder.
+// boundedPair returns an exact and a bounded recorder with the same VLRT
+// series window, to record the same request stream into.
 func boundedPair(window time.Duration) (exact, bounded *Recorder) {
 	exact = NewRecorder()
+	exact.SeriesWindow = window
 	bounded = NewRecorder()
 	bounded.Retention = RetainBounded
 	bounded.SeriesWindow = window
@@ -70,8 +70,8 @@ func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 		}
 	}
 
-	eSeries := exact.VLRTSeries(50*time.Millisecond, time.Second, "")
-	bSeries := bounded.VLRTSeries(50*time.Millisecond, time.Second, "")
+	eSeries := exact.VLRTSeries(time.Second, "")
+	bSeries := bounded.VLRTSeries(time.Second, "")
 	if len(eSeries) != len(bSeries) {
 		t.Fatalf("VLRTSeries length: exact %d, bounded %d", len(eSeries), len(bSeries))
 	}
@@ -80,8 +80,8 @@ func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 			t.Fatalf("VLRTSeries[%d]: exact %d, bounded %d", i, eSeries[i], bSeries[i])
 		}
 	}
-	eApache := exact.VLRTSeries(50*time.Millisecond, time.Second, "apache")
-	bApache := bounded.VLRTSeries(50*time.Millisecond, time.Second, "apache")
+	eApache := exact.VLRTSeries(time.Second, "apache")
+	bApache := bounded.VLRTSeries(time.Second, "apache")
 	for i := range eApache {
 		if eApache[i] != bApache[i] {
 			t.Fatalf("apache VLRTSeries[%d]: exact %d, bounded %d", i, eApache[i], bApache[i])
@@ -114,9 +114,17 @@ func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 		}
 	}
 
-	// Bounded mode does not retain requests.
-	if bounded.Requests() != nil || bounded.ResponseTimes() != nil {
-		t.Fatal("bounded recorder retained requests")
+	// Bounded mode keeps at most DefaultHDRExactCap response times: all
+	// of a small run, none once the run outgrows the cap.
+	if got := bounded.ResponseTimes(); len(got) != len(reqs) {
+		t.Fatalf("small bounded run kept %d response times, want %d", len(got), len(reqs))
+	}
+	for bounded.Len() <= DefaultHDRExactCap {
+		bounded.Record(req(time.Second, 2*time.Second))
+	}
+	if got := bounded.ResponseTimes(); got != nil {
+		t.Fatalf("bounded run of %d requests kept %d response times, want none past the cap of %d",
+			bounded.Len(), len(got), DefaultHDRExactCap)
 	}
 }
 
@@ -195,103 +203,20 @@ func TestBoundedTelemetryFlatMemory(t *testing.T) {
 	}
 }
 
-// TestBoundedVLRTSeriesWindowMismatch pins that bounded mode only answers
-// for the retained window width.
-func TestBoundedVLRTSeriesWindowMismatch(t *testing.T) {
-	_, bounded := boundedPair(50 * time.Millisecond)
-	bounded.Record(req(10*time.Millisecond, 4*time.Second))
-	if got := bounded.VLRTSeries(100*time.Millisecond, time.Second, ""); got != nil {
-		t.Fatalf("mismatched window returned %v, want nil", got)
-	}
-	if got := bounded.VLRTSeries(50*time.Millisecond, time.Second, ""); got == nil {
-		t.Fatal("matching window returned nil")
-	}
-}
-
-// TestSeriesRingWindowFold walks the deterministic downsampling ladder:
-// cap 4 at 50ms folds into 2 samples at 100ms, then again at 200ms, with
-// every stored value the exact mean of the raw samples it summarizes.
-func TestSeriesRingWindowFold(t *testing.T) {
-	s := &Series{Interval: 50 * time.Millisecond, MaxSamples: 4}
-	for i := 1; i <= 4; i++ {
-		s.Append(float64(i))
-	}
-	// len hit the cap → fold to pair means at doubled interval.
-	if len(s.Values) != 2 || s.Values[0] != 1.5 || s.Values[1] != 3.5 {
-		t.Fatalf("after first fold: %v", s.Values)
-	}
-	if s.Interval != 100*time.Millisecond || s.Factor() != 2 {
-		t.Fatalf("after first fold: interval %v factor %d", s.Interval, s.Factor())
-	}
-	for i := 5; i <= 8; i++ {
-		s.Append(float64(i))
-	}
-	if len(s.Values) != 2 || s.Values[0] != 2.5 || s.Values[1] != 6.5 {
-		t.Fatalf("after second fold: %v", s.Values)
-	}
-	if s.Interval != 200*time.Millisecond || s.Factor() != 4 {
-		t.Fatalf("after second fold: interval %v factor %d", s.Interval, s.Factor())
-	}
-	// A partial coarse window stays in the carry, not in Values.
-	s.Append(9)
-	if len(s.Values) != 2 {
-		t.Fatalf("partial window leaked into Values: %v", s.Values)
-	}
-}
-
-// TestSeriesRingWindowLongRun checks the bound holds over a long horizon
-// and that the windowed means conserve the overall mean exactly when the
-// sample count is a multiple of the fold factor.
-func TestSeriesRingWindowLongRun(t *testing.T) {
-	s := &Series{Interval: 50 * time.Millisecond, MaxSamples: 8}
-	const n = 4096
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := float64(i % 17)
-		sum += v
-		s.Append(v)
-	}
-	if len(s.Values) > 8 {
-		t.Fatalf("ring window exceeded cap: %d stored", len(s.Values))
-	}
-	if got := s.Interval * time.Duration(len(s.Values)); got < 50*time.Millisecond*n/2 {
-		t.Fatalf("coarsened span %v does not cover the horizon", got)
-	}
-	// n is a power of two, so every stored value summarizes exactly factor
-	// raw samples and the mean of stored values equals the raw mean.
-	if got, want := s.Mean(), sum/n; math.Abs(got-want) > 1e-9 {
-		t.Fatalf("Mean after folds = %v, want %v", got, want)
-	}
-}
-
-// TestSeriesUnboundedUnchanged pins the default path: MaxSamples 0 keeps
-// plain appends — the byte-identity contract for existing runs.
+// TestSeriesUnboundedUnchanged pins that Append keeps every sample, in
+// order, at the base interval.
 func TestSeriesUnboundedUnchanged(t *testing.T) {
 	s := &Series{Interval: 50 * time.Millisecond}
 	for i := 0; i < 100; i++ {
 		s.Append(float64(i))
 	}
-	if len(s.Values) != 100 || s.Factor() != 1 || s.Interval != 50*time.Millisecond {
-		t.Fatalf("unbounded series changed: len %d factor %d interval %v",
-			len(s.Values), s.Factor(), s.Interval)
+	if len(s.Values) != 100 || s.Interval != 50*time.Millisecond {
+		t.Fatalf("series changed: len %d interval %v", len(s.Values), s.Interval)
 	}
-}
-
-// TestSeriesCapNormalization pins the odd/small cap handling: caps below
-// 2 and odd caps normalize up to the next even bound.
-func TestSeriesCapNormalization(t *testing.T) {
-	one := &Series{Interval: time.Millisecond, MaxSamples: 1} // behaves as 2
-	one.Append(1)
-	one.Append(3)
-	if len(one.Values) != 1 || one.Values[0] != 2 {
-		t.Fatalf("cap 1: %v", one.Values)
-	}
-	odd := &Series{Interval: time.Millisecond, MaxSamples: 3} // behaves as 4
-	for i := 1; i <= 4; i++ {
-		odd.Append(float64(i))
-	}
-	if len(odd.Values) != 2 || odd.Values[0] != 1.5 || odd.Values[1] != 3.5 {
-		t.Fatalf("cap 3: %v", odd.Values)
+	for i, v := range s.Values {
+		if v != float64(i) {
+			t.Fatalf("Values[%d] = %v, want %d", i, v, i)
+		}
 	}
 }
 
@@ -301,8 +226,6 @@ func TestSeriesCapNormalization(t *testing.T) {
 // range.
 func TestSeriesAtEdgeCases(t *testing.T) {
 	base := &Series{Interval: 50 * time.Millisecond, Values: []float64{10, 20, 30, 40}}
-	folded := &Series{Interval: 100 * time.Millisecond, Values: []float64{15, 35},
-		MaxSamples: 2, factor: 2}
 	tests := []struct {
 		name string
 		s    *Series
@@ -316,47 +239,12 @@ func TestSeriesAtEdgeCases(t *testing.T) {
 		{"sample boundary rounds down", base, 149 * time.Millisecond, 20},
 		{"exact horizon", base, 200 * time.Millisecond, 40},
 		{"past horizon clamps to last", base, time.Hour, 40},
-		{"folded series uses coarsened interval", folded, 100 * time.Millisecond, 15},
-		{"folded series horizon", folded, 200 * time.Millisecond, 35},
-		{"folded past horizon", folded, time.Minute, 35},
 		{"empty series", &Series{Interval: time.Millisecond}, time.Second, 0},
 		{"zero interval", &Series{Values: []float64{5}}, time.Second, 0},
 	}
 	for _, tt := range tests {
 		if got := tt.s.At(tt.t); got != tt.want {
 			t.Errorf("%s: At(%v) = %v, want %v", tt.name, tt.t, got, tt.want)
-		}
-	}
-}
-
-// TestMonitorLimitSamples checks the monitor-level wiring: a cap set
-// before or after WatchServer bounds every series, and sampling through
-// the DES produces the folded view.
-func TestMonitorLimitSamples(t *testing.T) {
-	sim := des.NewSimulator(1)
-	mon := NewMonitor(sim, 50*time.Millisecond)
-	early := &fakeDepth{name: "early", depth: 2}
-	mon.WatchServer(early) // watched before the cap: LimitSamples must reach it
-	mon.LimitSamples(4)
-	late := &fakeDepth{name: "late", depth: 3}
-	mon.WatchServer(late)
-	mon.Start()
-	if err := sim.Run(time.Second); err != nil && err != des.ErrHorizon {
-		t.Fatalf("Run: %v", err)
-	}
-	for _, name := range []string{"early", "late"} {
-		s := mon.Queue(name)
-		if len(s.Values) > 4 {
-			t.Fatalf("%s: %d stored samples, cap 4", name, len(s.Values))
-		}
-		if s.Factor() < 2 {
-			t.Fatalf("%s: no fold happened over 20 samples (factor %d)", name, s.Factor())
-		}
-		// Constant input folds to the same constant.
-		for _, v := range s.Values {
-			if v != float64(mon.Queue(name).Values[0]) {
-				t.Fatalf("%s: folded values not constant: %v", name, s.Values)
-			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 )
@@ -36,15 +37,14 @@ type HDRConfig struct {
 	// ExactCap is the exact small-run capacity: histograms retain up to
 	// this many raw values and answer exactly; the ExactCap+1-th
 	// observation spills them into buckets. Zero defaults to
-	// DefaultHDRExactCap; negative disables exact mode entirely.
+	// DefaultHDRExactCap; negative disables exact mode entirely;
+	// math.MaxInt never spills.
 	ExactCap int
 }
 
-// WithDefaults returns the resolved configuration: zero fields replaced
+// withDefaults returns the resolved configuration: zero fields replaced
 // by the defaults, out-of-range ones clamped — what a histogram built
-// from c will actually use (and what the effective-config JSON echoes).
-func (c HDRConfig) WithDefaults() HDRConfig { return c.withDefaults() }
-
+// from c will actually use.
 func (c HDRConfig) withDefaults() HDRConfig {
 	if c.SigBits <= 0 {
 		c.SigBits = DefaultHDRSigBits
@@ -77,8 +77,11 @@ type HDRHistogram struct {
 	cfg    HDRConfig
 	counts []int64
 	// exact holds the raw values of a small run, in observation order;
-	// nil once spilled (or when ExactCap is 0).
+	// nil once spilled (or when ExactCap is 0). sorted caches them in
+	// ascending order so repeated quantile queries don't re-sort; Observe
+	// and Merge clear it.
 	exact   []time.Duration
+	sorted  []time.Duration
 	spilled bool
 
 	count    int64
@@ -176,8 +179,9 @@ func (h *HDRHistogram) ObserveN(d time.Duration, n int64) {
 	h.sum += int64(d) * n
 	if !h.spilled {
 		if len(h.exact)+int(n) <= h.cfg.ExactCap {
+			h.sorted = nil
 			for i := int64(0); i < n; i++ {
-				h.exact = append(h.exact, d) //lint:allow allocs exact small-run mode, bounded by ExactCap; spills once
+				h.exact = append(h.exact, d) //lint:allow allocs exact side, bounded by ExactCap (spills once) or unlimited by the caller's choice
 			}
 			return
 		}
@@ -187,7 +191,7 @@ func (h *HDRHistogram) ObserveN(d time.Duration, n int64) {
 }
 
 // spill moves the exact values into buckets and switches the histogram
-// to bounded mode permanently.
+// to bucketed mode permanently.
 func (h *HDRHistogram) spill() {
 	if h.spilled {
 		return
@@ -196,7 +200,7 @@ func (h *HDRHistogram) spill() {
 	for _, v := range h.exact {
 		h.counts[h.bucketIdx(v)]++
 	}
-	h.exact = nil
+	h.exact, h.sorted = nil, nil
 	h.spilled = true
 }
 
@@ -320,12 +324,13 @@ func (h *HDRHistogram) Each(fn func(value time.Duration, count int64)) {
 }
 
 // sortedExact returns the exact values in ascending order without
-// mutating the observation-order slice.
+// mutating the observation-order slice, sorting only after new values.
 func (h *HDRHistogram) sortedExact() []time.Duration {
-	sorted := make([]time.Duration, len(h.exact))
-	copy(sorted, h.exact)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	return sorted
+	if h.sorted == nil && len(h.exact) > 0 {
+		h.sorted = append([]time.Duration(nil), h.exact...)
+		slices.Sort(h.sorted)
+	}
+	return h.sorted
 }
 
 // Merge folds o into h (o is left untouched). Histograms must share a
@@ -347,6 +352,7 @@ func (h *HDRHistogram) Merge(o *HDRHistogram) error {
 	}
 	h.count += o.count
 	h.sum += o.sum
+	h.sorted = nil
 	if !h.spilled && !o.spilled && len(h.exact)+len(o.exact) <= h.cfg.ExactCap {
 		h.exact = append(h.exact, o.exact...)
 		return nil
@@ -396,10 +402,11 @@ func (h *HDRHistogram) MarshalBinary() ([]byte, error) {
 }
 
 // FootprintBytes returns a deterministic accounting of the histogram's
-// retained memory: the dense count array plus any exact values. It
-// depends only on the config once spilled — never on the request count.
+// retained memory: the dense count array plus any exact values and their
+// sorted copy. It depends only on the config once spilled — never on the
+// request count.
 func (h *HDRHistogram) FootprintBytes() int64 {
-	return int64(cap(h.counts))*8 + int64(cap(h.exact))*8
+	return int64(cap(h.counts)+cap(h.exact)+cap(h.sorted)) * 8
 }
 
 func clampDuration(d, lo, hi time.Duration) time.Duration {

@@ -17,49 +17,53 @@ import (
 // request.
 const VLRTThreshold = 3 * time.Second
 
-// Retention selects the recorder's memory policy.
+// Retention selects how many response times the recorder keeps verbatim.
+// Every other statistic is an exact aggregate in both modes.
 type Retention int
 
 const (
-	// RetainAll keeps every recorded request — the exact default used by
+	// RetainAll keeps every response time: the histograms' exact side is
+	// unlimited, so every quantile is exact. It is the default, used by
 	// small runs and the byte-identity tests.
 	RetainAll Retention = iota
-	// RetainBounded keeps only constant-memory aggregates: an
-	// HDRHistogram per distribution, exact counters for everything
-	// countable, and the per-window VLRT series. Memory is O(1) in the
-	// request count, so million-request runs stay cheap; percentiles are
-	// within the histogram's RelativeError of the exact answer.
+	// RetainBounded keeps at most DefaultHDRExactCap response times per
+	// histogram; past that they spill into fixed buckets, so memory is
+	// O(1) in the request count and percentiles are within the
+	// histogram's RelativeError of the exact answer.
 	RetainBounded
 )
 
+// hdrConfig returns the histogram configuration the retention selects:
+// the default exact capacity for RetainBounded, an unlimited one for
+// RetainAll.
+func (r Retention) hdrConfig() HDRConfig {
+	if r == RetainBounded {
+		return HDRConfig{}
+	}
+	return HDRConfig{ExactCap: math.MaxInt}
+}
+
 // Recorder collects completed requests. It implements workload.Sink.
-// A warm-up cutoff excludes ramp-up artifacts from statistics.
+// A warm-up cutoff excludes ramp-up artifacts from statistics. It keeps
+// aggregates only, never the requests: response times go to HDR
+// histograms (one overall, one per class) and everything countable to
+// exact counters.
 //
-// Retention, HDR and SeriesWindow must be set before the first Record.
+// Retention and SeriesWindow must be set before the first Record. Not
+// safe for concurrent use.
 type Recorder struct {
 	// WarmUp excludes requests submitted before this simulated time from
 	// all statistics.
 	WarmUp time.Duration
-	// Retention selects between exact request retention (RetainAll, the
-	// default) and constant-memory aggregation (RetainBounded).
+	// Retention selects the histograms' exact capacity: unlimited
+	// (RetainAll, the default) or DefaultHDRExactCap (RetainBounded).
 	Retention Retention
-	// HDR tunes the bounded-mode histograms; zero takes the defaults.
-	HDR HDRConfig
-	// SeriesWindow is the bounded-mode VLRT bucketing window (normally
-	// the monitor interval). Zero disables the bounded VLRT series.
+	// SeriesWindow is the VLRTSeries bucketing window (normally the
+	// monitor interval). Zero disables the VLRT series.
 	SeriesWindow time.Duration
 
-	requests []*workload.Request
-	// sorted caches the ascending response times so repeated quantile
-	// queries (p99/p99.9 per replication in sweeps) don't re-sort;
-	// invalidated by Record. Not safe for concurrent use, like the rest
-	// of the Recorder.
-	sorted []time.Duration
-
-	// Bounded-mode aggregates (nil/zero under RetainAll).
+	// Aggregates, created on the first record.
 	hdr          *HDRHistogram
-	count        int
-	sumRT        time.Duration
 	vlrt         int
 	failed       int
 	drops        map[string]int
@@ -68,10 +72,8 @@ type Recorder struct {
 	vlrtByServer map[string][]int
 }
 
-// classAccum is the bounded-mode per-class aggregate behind ByClass.
+// classAccum is the per-class aggregate behind ByClass.
 type classAccum struct {
-	count  int
-	sum    time.Duration
 	hdr    *HDRHistogram
 	vlrt   int
 	failed int
@@ -82,29 +84,20 @@ var _ workload.Sink = (*Recorder)(nil)
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// bounded reports whether the recorder aggregates instead of retaining.
-func (r *Recorder) bounded() bool { return r.Retention == RetainBounded }
-
-// Record implements workload.Sink. The bounded-retention path is part of
-// the hot-path allocation contract: after the one-time aggregate and
-// per-class initializations, recording a request allocates nothing.
+// Record implements workload.Sink. It is part of the hot-path allocation
+// contract: after the one-time aggregate and per-class initializations
+// and once the histograms have spilled (bounded retention), recording a
+// request allocates nothing.
 //
 //lint:hotpath HDR record path (bounded retention)
 func (r *Recorder) Record(req *workload.Request) {
 	if req.Submitted < r.WarmUp {
 		return
 	}
-	if !r.bounded() {
-		r.requests = append(r.requests, req) //lint:allow allocs RetainAll retains every request by design; bounded mode is the measured path
-		r.sorted = nil
-		return
-	}
 	if r.hdr == nil {
-		r.initBounded() //lint:allow allocs first bounded record initializes the fixed aggregates
+		r.initAggregates() //lint:allow allocs first record initializes the fixed aggregates
 	}
 	rt := req.ResponseTime()
-	r.count++
-	r.sumRT += rt
 	r.hdr.Observe(rt)
 	if req.Failed {
 		r.failed++
@@ -126,8 +119,6 @@ func (r *Recorder) Record(req *workload.Request) {
 	if ca == nil {
 		ca = r.newClass(req.Class.Name) //lint:allow allocs first request of a class; the class mix is fixed
 	}
-	ca.count++
-	ca.sum += rt
 	ca.hdr.Observe(rt)
 	if req.VLRT() {
 		ca.vlrt++
@@ -137,10 +128,9 @@ func (r *Recorder) Record(req *workload.Request) {
 	}
 }
 
-// initBounded creates the bounded-mode aggregates on the first record:
-// the only per-run allocations of the bounded retention path.
-func (r *Recorder) initBounded() {
-	r.hdr = NewHDRHistogram(r.HDR)
+// initAggregates creates the aggregates on the first record.
+func (r *Recorder) initAggregates() {
+	r.hdr = NewHDRHistogram(r.Retention.hdrConfig())
 	r.drops = make(map[string]int)
 	r.classes = make(map[string]*classAccum)
 	r.vlrtByServer = make(map[string][]int)
@@ -149,7 +139,7 @@ func (r *Recorder) initBounded() {
 // newClass creates and registers the accumulator for one interaction
 // class, once per class name.
 func (r *Recorder) newClass(name string) *classAccum {
-	ca := &classAccum{hdr: NewHDRHistogram(r.HDR)}
+	ca := &classAccum{hdr: NewHDRHistogram(r.Retention.hdrConfig())}
 	r.classes[name] = ca
 	return ca
 }
@@ -169,27 +159,20 @@ func growCount(s []int, idx int) []int {
 
 // Len returns the number of recorded requests.
 func (r *Recorder) Len() int {
-	if r.bounded() {
-		return r.count
+	if r.hdr == nil {
+		return 0
 	}
-	return len(r.requests)
+	return int(r.hdr.Count())
 }
 
-// Requests returns the recorded requests (shared slice; callers must not
-// mutate). Nil in bounded mode — requests are not retained there.
-func (r *Recorder) Requests() []*workload.Request { return r.requests }
-
-// ResponseTimes returns a new slice of all recorded response times, or
-// nil in bounded mode.
+// ResponseTimes returns a new slice of the recorded response times in
+// record order, or nil once the histogram has spilled (bounded retention
+// past DefaultHDRExactCap requests).
 func (r *Recorder) ResponseTimes() []time.Duration {
-	if r.bounded() {
+	if r.hdr == nil || !r.hdr.Exact() {
 		return nil
 	}
-	out := make([]time.Duration, 0, len(r.requests))
-	for _, req := range r.requests {
-		out = append(out, req.ResponseTime())
-	}
-	return out
+	return append([]time.Duration(nil), r.hdr.exact...)
 }
 
 // Throughput returns completed requests per second over the window
@@ -205,30 +188,10 @@ func (r *Recorder) Throughput(until time.Duration) float64 {
 // Mean returns the mean response time (exact in both retention modes:
 // sums never degrade under bucketing).
 func (r *Recorder) Mean() time.Duration {
-	if r.bounded() {
-		if r.count == 0 {
-			return 0
-		}
-		return r.sumRT / time.Duration(r.count)
-	}
-	if len(r.requests) == 0 {
+	if r.hdr == nil {
 		return 0
 	}
-	var sum time.Duration
-	for _, req := range r.requests {
-		sum += req.ResponseTime()
-	}
-	return sum / time.Duration(len(r.requests))
-}
-
-// sortedResponseTimes returns the cached ascending response times,
-// rebuilding the cache after new records.
-func (r *Recorder) sortedResponseTimes() []time.Duration {
-	if r.sorted == nil && len(r.requests) > 0 {
-		r.sorted = r.ResponseTimes()
-		sort.Slice(r.sorted, func(i, j int) bool { return r.sorted[i] < r.sorted[j] })
-	}
-	return r.sorted
+	return r.hdr.Mean()
 }
 
 // NearestRank returns the 0-based index of the p-quantile of n ascending
@@ -249,57 +212,22 @@ func NearestRank(p float64, n int) int {
 }
 
 // Percentile returns the p-quantile (0 < p <= 1) of response times using
-// the nearest-rank method (rank ceil(p*n)). The sorted order is cached
-// across calls and invalidated on Record.
+// the nearest-rank method (rank ceil(p*n)): exact while the histogram
+// keeps every value, within its RelativeError once spilled.
 func (r *Recorder) Percentile(p float64) time.Duration {
-	if r.bounded() {
-		if r.hdr == nil {
-			return 0
-		}
-		return r.hdr.Quantile(p)
-	}
-	if len(r.requests) == 0 {
+	if r.hdr == nil {
 		return 0
 	}
-	rts := r.sortedResponseTimes()
-	if p <= 0 {
-		return rts[0]
-	}
-	if p >= 1 {
-		return rts[len(rts)-1]
-	}
-	return rts[NearestRank(p, len(rts))]
+	return r.hdr.Quantile(p)
 }
 
 // VLRTCount returns the number of recorded requests slower than the
 // 3-second threshold.
-func (r *Recorder) VLRTCount() int {
-	if r.bounded() {
-		return r.vlrt
-	}
-	n := 0
-	for _, req := range r.requests {
-		if req.VLRT() {
-			n++
-		}
-	}
-	return n
-}
+func (r *Recorder) VLRTCount() int { return r.vlrt }
 
 // FailedCount returns the number of requests that never completed
 // successfully.
-func (r *Recorder) FailedCount() int {
-	if r.bounded() {
-		return r.failed
-	}
-	n := 0
-	for _, req := range r.requests {
-		if req.Failed {
-			n++
-		}
-	}
-	return n
-}
+func (r *Recorder) FailedCount() int { return r.failed }
 
 // ServerDrops is one server's recorded drop count.
 type ServerDrops struct {
@@ -313,62 +241,32 @@ type ServerDrops struct {
 // recorded requests, sorted by server name so renderings are
 // deterministic end-to-end.
 func (r *Recorder) DropsByServer() []ServerDrops {
-	counts := r.drops
-	if !r.bounded() {
-		counts = make(map[string]int)
-		for _, req := range r.requests {
-			for _, s := range req.Drops {
-				counts[s]++
-			}
-		}
-	}
-	names := make([]string, 0, len(counts))
-	for s := range counts {
+	names := make([]string, 0, len(r.drops))
+	for s := range r.drops {
 		names = append(names, s)
 	}
 	sort.Strings(names)
 	out := make([]ServerDrops, 0, len(names))
 	for _, s := range names {
-		out = append(out, ServerDrops{Server: s, Drops: counts[s]})
+		out = append(out, ServerDrops{Server: s, Drops: r.drops[s]})
 	}
 	return out
 }
 
-// VLRTSeries counts VLRT requests per window of the given width, bucketed
-// by submission time (the paper's Figs. 3c/5c/7c). If server is non-empty,
-// only requests whose first drop happened at that server are counted.
-// In bounded mode only the SeriesWindow width is retained; other widths
-// return nil.
-func (r *Recorder) VLRTSeries(window, until time.Duration, serverName string) []int {
-	if window <= 0 || until <= r.WarmUp {
+// VLRTSeries counts VLRT requests per SeriesWindow up to until, bucketed
+// by submission time (the paper's Figs. 3c/5c/7c). If server is
+// non-empty, only requests whose first drop happened at that server are
+// counted. Nil when SeriesWindow is zero.
+func (r *Recorder) VLRTSeries(until time.Duration, serverName string) []int {
+	if r.SeriesWindow <= 0 || until <= r.WarmUp {
 		return nil
 	}
-	n := int((until-r.WarmUp)/window) + 1
-	if r.bounded() {
-		if window != r.SeriesWindow {
-			return nil
-		}
-		stored := r.vlrtAll
-		if serverName != "" {
-			stored = r.vlrtByServer[serverName]
-		}
-		out := make([]int, n)
-		copy(out, stored) // clip past-horizon windows, zero-pad short runs
-		return out
+	stored := r.vlrtAll
+	if serverName != "" {
+		stored = r.vlrtByServer[serverName]
 	}
-	out := make([]int, n)
-	for _, req := range r.requests {
-		if !req.VLRT() {
-			continue
-		}
-		if serverName != "" && req.DroppedBy() != serverName {
-			continue
-		}
-		idx := int((req.Submitted - r.WarmUp) / window)
-		if idx >= 0 && idx < n {
-			out[idx]++
-		}
-	}
+	out := make([]int, int((until-r.WarmUp)/r.SeriesWindow)+1)
+	copy(out, stored) // clip past-horizon windows, zero-pad short runs
 	return out
 }
 
@@ -392,57 +290,22 @@ type ClassStats struct {
 // by class name. Useful for verifying that the long tail is class-blind —
 // the paper's point that VLRT requests are not the "expensive" requests.
 func (r *Recorder) ByClass() []ClassStats {
-	if r.bounded() {
-		names := make([]string, 0, len(r.classes))
-		for name := range r.classes {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		out := make([]ClassStats, 0, len(names))
-		for _, name := range names {
-			ca := r.classes[name]
-			out = append(out, ClassStats{
-				Class:  name,
-				Count:  ca.count,
-				Mean:   ca.sum / time.Duration(ca.count),
-				P99:    ca.hdr.Quantile(0.99),
-				VLRT:   ca.vlrt,
-				Failed: ca.failed,
-			})
-		}
-		return out
-	}
-	group := make(map[string][]*workload.Request)
-	for _, req := range r.requests {
-		group[req.Class.Name] = append(group[req.Class.Name], req)
-	}
-	names := make([]string, 0, len(group))
-	for name := range group {
+	names := make([]string, 0, len(r.classes))
+	for name := range r.classes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-
 	out := make([]ClassStats, 0, len(names))
 	for _, name := range names {
-		reqs := group[name]
-		cs := ClassStats{Class: name, Count: len(reqs)}
-		rts := make([]time.Duration, 0, len(reqs))
-		var sum time.Duration
-		for _, req := range reqs {
-			rt := req.ResponseTime()
-			rts = append(rts, rt)
-			sum += rt
-			if req.VLRT() {
-				cs.VLRT++
-			}
-			if req.Failed {
-				cs.Failed++
-			}
-		}
-		cs.Mean = sum / time.Duration(len(reqs))
-		sort.Slice(rts, func(i, j int) bool { return rts[i] < rts[j] })
-		cs.P99 = rts[NearestRank(0.99, len(rts))]
-		out = append(out, cs)
+		ca := r.classes[name]
+		out = append(out, ClassStats{
+			Class:  name,
+			Count:  int(ca.hdr.Count()),
+			Mean:   ca.hdr.Mean(),
+			P99:    ca.hdr.Quantile(0.99),
+			VLRT:   ca.vlrt,
+			Failed: ca.failed,
+		})
 	}
 	return out
 }
@@ -465,53 +328,35 @@ func (r *Recorder) CDF(thresholds []time.Duration) []CDFPoint {
 		}
 		return out
 	}
-	if r.bounded() {
-		total := float64(r.hdr.Count())
-		for _, t := range thresholds {
-			frac := float64(r.hdr.CumulativeCount(t)) / total
-			out = append(out, CDFPoint{RT: t, Fraction: frac})
-		}
-		return out
-	}
-	rts := r.sortedResponseTimes()
+	total := float64(r.hdr.Count())
 	for _, t := range thresholds {
-		idx := sort.Search(len(rts), func(i int) bool { return rts[i] > t })
-		out = append(out, CDFPoint{RT: t, Fraction: float64(idx) / float64(len(rts))})
+		frac := float64(r.hdr.CumulativeCount(t)) / total
+		out = append(out, CDFPoint{RT: t, Fraction: frac})
 	}
 	return out
 }
 
 // Histogram builds a response-time frequency histogram with the given bin
 // width, covering [0, maxRT); slower requests land in the final overflow
-// bin. This regenerates the paper's Fig. 1 semi-log plots. In bounded
-// mode the bins are reconstructed from the HDR buckets, so counts near a
-// bin edge can shift by the histogram's RelativeError of the edge.
+// bin. This regenerates the paper's Fig. 1 semi-log plots. Once the HDR
+// histogram has spilled (bounded retention) the bins are reconstructed
+// from its buckets, so counts near a bin edge can shift by the
+// histogram's RelativeError of the edge.
 func (r *Recorder) Histogram(binWidth, maxRT time.Duration) *Histogram {
 	h := NewHistogram(binWidth, maxRT)
-	if r.bounded() {
-		if r.hdr != nil {
-			r.hdr.Each(func(v time.Duration, c int64) { h.ObserveN(v, c) })
-		}
-		return h
-	}
-	for _, req := range r.requests {
-		h.Observe(req.ResponseTime())
+	if r.hdr != nil {
+		r.hdr.Each(func(v time.Duration, c int64) { h.ObserveN(v, c) })
 	}
 	return h
 }
 
 // MemoryFootprint returns a deterministic accounting (in bytes) of the
-// recorder's retained telemetry: request pointers under RetainAll, the
-// fixed histograms, counters and horizon-bounded VLRT series under
-// RetainBounded. It is the quantity the flat-memory acceptance test pins:
-// in bounded mode it depends on the class mix and horizon, never on the
-// request count.
+// recorder's retained telemetry: the histograms (their exact values and,
+// once spilled, their bucket arrays), the per-class accumulators, the
+// horizon-bounded VLRT series and the drop counters. Under RetainBounded
+// it depends on the class mix and horizon, never on the request count —
+// the quantity the flat-memory acceptance test pins.
 func (r *Recorder) MemoryFootprint() int64 {
-	if !r.bounded() {
-		// Pointer slice plus the retained request structs themselves.
-		const requestBytes = 8 + 96 // pointer + approximate struct size
-		return int64(cap(r.requests))*requestBytes + int64(cap(r.sorted))*8
-	}
 	var total int64
 	if r.hdr != nil {
 		total += r.hdr.FootprintBytes()

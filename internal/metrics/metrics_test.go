@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -157,6 +158,41 @@ func TestRecorderEmpty(t *testing.T) {
 	}
 }
 
+// TestRecordReleasesRequest pins that the recorder keeps aggregates, not
+// requests: in both retention modes a recorded request, with the span
+// tree it may carry, is garbage once its producer lets go of it.
+func TestRecordReleasesRequest(t *testing.T) {
+	for _, ret := range []Retention{RetainAll, RetainBounded} {
+		r := NewRecorder()
+		r.Retention = ret
+		r.SeriesWindow = 50 * time.Millisecond
+		released := make(chan struct{})
+		recordFinalized(r, released)
+		runtime.GC()
+		select {
+		case <-released:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("retention %d: the recorder still references a recorded request after GC", ret)
+		}
+		runtime.KeepAlive(r)
+	}
+}
+
+// recordFinalized records a dropped VLRT request whose finalizer closes
+// released, and returns without holding a reference to it.
+//
+//go:noinline
+func recordFinalized(r *Recorder, released chan struct{}) {
+	rq := &workload.Request{
+		Class:     workload.Class{Name: "ViewStory"},
+		Submitted: time.Second,
+		Completed: 5 * time.Second,
+		Drops:     []string{"apache"},
+	}
+	runtime.SetFinalizer(rq, func(*workload.Request) { close(released) })
+	r.Record(rq)
+}
+
 func TestDropsByServer(t *testing.T) {
 	r := NewRecorder()
 	// Record in an order that differs from the sorted output to pin the
@@ -172,6 +208,7 @@ func TestDropsByServer(t *testing.T) {
 
 func TestVLRTSeries(t *testing.T) {
 	r := NewRecorder()
+	r.SeriesWindow = 50 * time.Millisecond
 	// Two VLRTs dropped by apache in window 0, one by tomcat in window 2,
 	// plus a fast request that must not count.
 	r.Record(req(10*time.Millisecond, 4*time.Second, "apache"))
@@ -179,11 +216,11 @@ func TestVLRTSeries(t *testing.T) {
 	r.Record(req(110*time.Millisecond, 5*time.Second, "tomcat"))
 	r.Record(req(10*time.Millisecond, 20*time.Millisecond))
 
-	all := r.VLRTSeries(50*time.Millisecond, time.Second, "")
+	all := r.VLRTSeries(time.Second, "")
 	if all[0] != 2 || all[2] != 1 {
 		t.Fatalf("all series = %v", all)
 	}
-	apache := r.VLRTSeries(50*time.Millisecond, time.Second, "apache")
+	apache := r.VLRTSeries(time.Second, "apache")
 	if apache[0] != 2 || apache[2] != 0 {
 		t.Fatalf("apache series = %v", apache)
 	}
@@ -191,10 +228,11 @@ func TestVLRTSeries(t *testing.T) {
 
 func TestVLRTSeriesInvalidArgs(t *testing.T) {
 	r := NewRecorder()
-	if got := r.VLRTSeries(0, time.Second, ""); got != nil {
+	if got := r.VLRTSeries(time.Second, ""); got != nil {
 		t.Fatalf("zero window = %v, want nil", got)
 	}
-	if got := r.VLRTSeries(time.Millisecond, 0, ""); got != nil {
+	r.SeriesWindow = time.Millisecond
+	if got := r.VLRTSeries(0, ""); got != nil {
 		t.Fatalf("zero horizon = %v, want nil", got)
 	}
 }

@@ -19,92 +19,15 @@ type DepthSampler interface {
 
 // Series is a fixed-interval time series of float64 samples. Sample i was
 // taken at (i+1) × Interval.
-//
-// With MaxSamples set, the series is a bounded ring window: whenever the
-// stored length would exceed the cap, adjacent pairs are folded into
-// their mean and Interval doubles, so arbitrarily long horizons fit in a
-// fixed number of stored samples at a deterministically coarsening
-// resolution. Set MaxSamples before the first Append.
 type Series struct {
-	// Interval is the (current) sampling period; it doubles on each fold
-	// when MaxSamples bounds the series.
+	// Interval is the sampling period.
 	Interval time.Duration
 	// Values holds one sample per interval.
 	Values []float64
-	// MaxSamples, when positive, bounds len(Values); it is normalized up
-	// to an even minimum of 2. Zero keeps the series unbounded (the
-	// historical behavior, byte-identical for existing runs).
-	MaxSamples int
-
-	// factor is how many raw samples each stored value summarizes
-	// (1, 2, 4, ... as folds happen); carrySum/carryN accumulate raw
-	// samples of a not-yet-complete window.
-	factor   int
-	carrySum float64
-	carryN   int
 }
 
-// sampleCap returns the normalized bound (even, at least 2).
-func (s *Series) sampleCap() int {
-	c := s.MaxSamples
-	if c < 2 {
-		c = 2
-	}
-	if c%2 == 1 {
-		c++
-	}
-	return c
-}
-
-// Append adds one raw sample taken at the base sampling period,
-// downsampling deterministically when MaxSamples is exceeded.
-func (s *Series) Append(v float64) {
-	if s.MaxSamples <= 0 {
-		s.Values = append(s.Values, v)
-		return
-	}
-	if s.factor == 0 {
-		s.factor = 1
-	}
-	s.carrySum += v
-	s.carryN++
-	if s.carryN < s.factor {
-		return
-	}
-	s.Values = append(s.Values, s.carrySum/float64(s.carryN))
-	s.carrySum, s.carryN = 0, 0
-	if len(s.Values) >= s.sampleCap() {
-		s.fold()
-	}
-}
-
-// fold halves the stored resolution: adjacent pairs merge into their
-// mean, the interval doubles, and future raw samples aggregate in the
-// carry until a full coarser window completes.
-func (s *Series) fold() {
-	half := len(s.Values) / 2
-	for i := 0; i < half; i++ {
-		s.Values[i] = (s.Values[2*i] + s.Values[2*i+1]) / 2
-	}
-	if len(s.Values)%2 == 1 {
-		// Defensive: a trailing unpaired value (cap lowered mid-run)
-		// folds back into the carry as the raw samples it summarizes.
-		s.carrySum += s.Values[len(s.Values)-1] * float64(s.factor)
-		s.carryN += s.factor
-	}
-	s.Values = s.Values[:half]
-	s.factor *= 2
-	s.Interval *= 2
-}
-
-// Factor returns how many base-interval samples each stored value
-// currently summarizes (1 while unbounded or before the first fold).
-func (s *Series) Factor() int {
-	if s.factor == 0 {
-		return 1
-	}
-	return s.factor
-}
+// Append adds one sample.
+func (s *Series) Append(v float64) { s.Values = append(s.Values, v) }
 
 // At returns the sample nearest to simulated time t (clamped to range), or
 // 0 for an empty series.
@@ -173,9 +96,8 @@ func (s *Series) MeanOver(from, to time.Duration) float64 {
 // the timeline series plotted throughout the paper: per-server queued
 // requests, per-VM utilization (run-queue busy fraction) and I/O wait.
 type Monitor struct {
-	sim        *des.Simulator
-	interval   time.Duration
-	maxSamples int
+	sim      *des.Simulator
+	interval time.Duration
 
 	servers []DepthSampler
 	vms     []*watchedVM
@@ -211,29 +133,8 @@ func NewMonitor(sim *des.Simulator, interval time.Duration) *Monitor {
 // Interval returns the sampling period.
 func (m *Monitor) Interval() time.Duration { return m.interval }
 
-// LimitSamples bounds every watched series (existing and future) to at
-// most n stored samples via deterministic ring-window downsampling; call
-// it before Start. Zero or negative keeps series unbounded.
-func (m *Monitor) LimitSamples(n int) {
-	if n < 0 {
-		n = 0
-	}
-	m.maxSamples = n
-	for _, s := range m.queues {
-		s.MaxSamples = n
-	}
-	for _, s := range m.utils {
-		s.MaxSamples = n
-	}
-	for _, s := range m.iowait {
-		s.MaxSamples = n
-	}
-}
-
-// newSeries creates a series honoring the monitor's sample bound.
-func (m *Monitor) newSeries() *Series {
-	return &Series{Interval: m.interval, MaxSamples: m.maxSamples}
-}
+// newSeries creates an empty series at the monitor's interval.
+func (m *Monitor) newSeries() *Series { return &Series{Interval: m.interval} }
 
 // WatchServer samples s.Depth() every interval into the queue series named
 // after the server.

@@ -13,7 +13,7 @@ func (l *Log) WriteCSV(w io.Writer) error {
 	if err := cw.Write([]string{"time_s", "kind", "server", "request_id", "attempt"}); err != nil {
 		return err
 	}
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		row := []string{
 			strconv.FormatFloat(e.At.Seconds(), 'f', 6, 64),
 			e.Kind.String(),
@@ -38,7 +38,7 @@ func (l *Log) DropsPerWindow(window, horizon int64) map[string][]int {
 	}
 	n := int(horizon / window)
 	out := make(map[string][]int)
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		if e.Kind != KindDropped {
 			continue
 		}

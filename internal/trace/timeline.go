@@ -13,7 +13,7 @@ import (
 // are excluded.
 func (l *Log) Timeline(requestID uint64) []Event {
 	var out []Event
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		if e.RequestID == requestID {
 			out = append(out, e)
 		}
@@ -26,7 +26,7 @@ func (l *Log) Timeline(requestID uint64) []Event {
 func (l *Log) RequestsWithDrops() []uint64 {
 	seen := make(map[uint64]bool)
 	var out []uint64
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		if e.Kind != KindDropped || seen[e.RequestID] {
 			continue
 		}
@@ -41,7 +41,7 @@ func (l *Log) RequestsWithDrops() []uint64 {
 // retransmission.
 func (l *Log) SlowestByAttempts(n int) []uint64 {
 	attempts := make(map[uint64]int)
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		if e.Attempt > attempts[e.RequestID] {
 			attempts[e.RequestID] = e.Attempt
 		}

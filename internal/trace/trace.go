@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"time"
@@ -62,61 +61,16 @@ type Event struct {
 }
 
 // Log records transport events; it implements simnet.Listener, so it plugs
-// directly into a Transport.
-//
-// The default log retains every event. A capped log (NewCappedLog) bounds
-// memory the way span.Sampler bounds trace memory: the tail-relevant
-// events — drops, retransmissions, give-ups, the ones the CTQO analysis
-// must explain — are kept exactly, while the high-volume delivered events
-// flow through a seeded fixed-capacity reservoir of exemplars. Exact
-// per-kind/per-server counters are maintained in both modes, so counts
-// never degrade even when the delivered events themselves are sampled.
+// directly into a Transport. It retains every event.
 type Log struct {
 	sim    *des.Simulator
 	events []Event
-
-	// Capped-mode state: exact holds every non-delivered event, reservoir
-	// a seeded Algorithm R sample of delivered ones; seq is the insertion
-	// counter that keeps merged output in original FIFO order.
-	capacity      int
-	rng           *rand.Rand
-	exact         []sampledEvent
-	reservoir     []sampledEvent
-	seenDelivered int64
-	seq           uint64
-
-	// counts is the always-exact per-kind/per-server event tally.
-	counts map[Kind]map[string]int64
-}
-
-// sampledEvent tags an event with its insertion sequence so capped-mode
-// merges reproduce the original interleaving.
-type sampledEvent struct {
-	ev  Event
-	seq uint64
 }
 
 var _ simnet.Listener = (*Log)(nil)
 
-// NewLog creates an event log bound to the simulator's clock, retaining
-// every event.
-func NewLog(sim *des.Simulator) *Log {
-	return &Log{sim: sim, counts: make(map[Kind]map[string]int64)}
-}
-
-// NewCappedLog creates a bounded event log: non-delivered events are kept
-// exactly (their volume is O(drops), the quantity under study), delivered
-// events are reservoir-sampled to at most capacity exemplars using an
-// independent RNG seeded with seed. Per-kind/per-server counters stay
-// exact. capacity <= 0 falls back to an uncapped log.
-func NewCappedLog(sim *des.Simulator, seed int64, capacity int) *Log {
-	l := NewLog(sim)
-	if capacity > 0 {
-		l.capacity = capacity
-		l.rng = rand.New(rand.NewSource(seed))
-	}
-	return l
-}
+// NewLog creates an event log bound to the simulator's clock.
+func NewLog(sim *des.Simulator) *Log { return &Log{sim: sim} }
 
 // Dropped implements simnet.Listener.
 func (l *Log) Dropped(dst string, call *simnet.Call) { l.add(KindDropped, dst, call) }
@@ -130,43 +84,16 @@ func (l *Log) Delivered(dst string, call *simnet.Call) { l.add(KindDelivered, ds
 // GaveUp implements simnet.Listener.
 func (l *Log) GaveUp(dst string, call *simnet.Call) { l.add(KindGaveUp, dst, call) }
 
-// Capped reports whether delivered events are reservoir-sampled.
-func (l *Log) Capped() bool { return l.capacity > 0 }
+// Events returns the recorded events in time order.
+func (l *Log) Events() []Event { return l.events }
 
-// Events returns the retained events in time order. For a capped log
-// that is every non-delivered event plus the delivered exemplars.
-func (l *Log) Events() []Event { return l.all() }
-
-// EventsOfKind filters the log by kind. Non-delivered kinds are complete
-// even on a capped log.
+// EventsOfKind filters the log by kind.
 func (l *Log) EventsOfKind(k Kind) []Event {
 	var out []Event
-	for _, e := range l.all() {
+	for _, e := range l.events {
 		if e.Kind == k {
 			out = append(out, e)
 		}
-	}
-	return out
-}
-
-// all returns the retained events in (time, insertion) order. Uncapped
-// logs return the append-order slice unchanged — zero cost, byte-stable.
-func (l *Log) all() []Event {
-	if !l.Capped() {
-		return l.events
-	}
-	merged := make([]sampledEvent, 0, len(l.exact)+len(l.reservoir))
-	merged = append(merged, l.exact...)
-	merged = append(merged, l.reservoir...)
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].ev.At != merged[j].ev.At {
-			return merged[i].ev.At < merged[j].ev.At
-		}
-		return merged[i].seq < merged[j].seq
-	})
-	out := make([]Event, len(merged))
-	for i, se := range merged {
-		out[i] = se.ev
 	}
 	return out
 }
@@ -176,64 +103,8 @@ func (l *Log) add(k Kind, dst string, call *simnet.Call) {
 	if req, ok := call.Payload.(*workload.Request); ok {
 		ev.RequestID = req.ID
 	}
-	byServer := l.counts[k]
-	if byServer == nil {
-		byServer = make(map[string]int64)
-		l.counts[k] = byServer
-	}
-	byServer[dst]++
-	if !l.Capped() {
-		l.events = append(l.events, ev)
-		return
-	}
-	se := sampledEvent{ev: ev, seq: l.seq}
-	l.seq++
-	if k != KindDelivered {
-		l.exact = append(l.exact, se)
-		return
-	}
-	l.seenDelivered++
-	if len(l.reservoir) < l.capacity {
-		l.reservoir = append(l.reservoir, se)
-		return
-	}
-	// Algorithm R, as in span.Sampler: replace a random slot with
-	// probability capacity/seen.
-	if j := l.rng.Int63n(l.seenDelivered); j < int64(l.capacity) {
-		l.reservoir[j] = se
-	}
+	l.events = append(l.events, ev)
 }
-
-// EventCount is one (kind, server) cell of the exact event tally.
-type EventCount struct {
-	// Kind is the event kind.
-	Kind Kind
-	// Server is the destination server.
-	Server string
-	// Count is how many such events occurred (exact in both modes).
-	Count int64
-}
-
-// Counters returns the exact per-kind/per-server event tally, ordered by
-// kind then server name.
-func (l *Log) Counters() []EventCount {
-	var out []EventCount
-	for _, k := range []Kind{KindDelivered, KindDropped, KindRetransmitted, KindGaveUp} {
-		byServer := l.counts[k]
-		names := make([]string, 0, len(byServer))
-		for s := range byServer {
-			names = append(names, s)
-		}
-		sort.Strings(names)
-		for _, s := range names {
-			out = append(out, EventCount{Kind: k, Server: s, Count: byServer[s]})
-		}
-	}
-	return out
-}
-
-// CountOf returns the exact number of events of one kind at one server.
-func (l *Log) CountOf(k Kind, server string) int64 { return l.counts[k][server] }
 
 // Bottleneck is a detected millibottleneck: a sub-second (or slightly
 // longer) interval during which a VM was saturated or stalled.
