@@ -336,12 +336,11 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			tr := simnet.NewTransport(sim)
 			dst := &dropOnce{}
 			call := &simnet.Call{}
-			dst.armed = true // warm: one drop grows DroppedBy's backing array
+			dst.armed = true // warm: the hop's counters and the call's bound callback
 			tr.Send(dst, call)
 			sim.Run(sim.Now() + time.Minute)
 			return testing.AllocsPerRun(200, func() {
 				call.Attempts = 0
-				call.DroppedBy = call.DroppedBy[:0]
 				dst.armed = true
 				tr.Send(dst, call)
 				sim.Run(sim.Now() + time.Minute)
@@ -383,8 +382,8 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				Class:     workload.ClassStatic,
 				Submitted: time.Second,
 				Completed: 5 * time.Second,
-				Drops:     []string{"db"},
 			}
+			vlrt.DroppedAt("db")
 			// Warm: aggregates, class accumulator, VLRT window, and past
 			// DefaultHDRExactCap so both histograms have spilled into
 			// their steady-state buckets.

@@ -246,7 +246,8 @@ type Config struct {
 	// paper's LAN as instantaneous.
 	NetLatency time.Duration
 
-	// Trace enables the micro-level event log and CTQO analysis.
+	// Trace keeps the steady transport's drop records and runs the CTQO
+	// analysis over them.
 	Trace bool
 
 	// Retention selects the recorder's memory policy: metrics.RetainAll
@@ -314,7 +315,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Result carries everything an experiment produced. The raw recorder,
-// monitor and trace stay accessible so callers can regenerate any figure.
+// monitor and systems stay accessible so callers can regenerate any figure.
 type Result struct {
 	// Config echoes the (defaulted) input.
 	Config Config
@@ -326,8 +327,6 @@ type Result struct {
 	Recorder *metrics.Recorder
 	// Monitor holds the 50ms timelines.
 	Monitor *metrics.Monitor
-	// TraceLog is the transport event log, nil unless Config.Trace.
-	TraceLog *trace.Log
 	// Report is the CTQO causal analysis, nil unless Config.Trace.
 	Report *trace.Report
 	// Spans is the per-request span tracer, nil unless Config.Spans.

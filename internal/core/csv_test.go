@@ -98,11 +98,9 @@ func TestEndToEndInvariants(t *testing.T) {
 	// Every VLRT request is attributed to the tier that first dropped one
 	// of its packets: in every window the per-tier series sum to the whole
 	// series, so no VLRT request lacks a drop or blames an unknown server.
-	tierSet := make(map[string]bool)
 	all := res.VLRTSeries("")
 	perTier := make([]int, len(all))
 	for _, tier := range res.System.TierNames() {
-		tierSet[tier] = true
 		for i, n := range res.VLRTSeries(tier) {
 			perTier[i] += n
 		}
@@ -116,20 +114,6 @@ func TestEndToEndInvariants(t *testing.T) {
 	}
 	if total == 0 {
 		t.Fatal("no VLRT requests: the invariants above checked nothing")
-	}
-	for _, sd := range res.Recorder.DropsByServer() {
-		if !tierSet[sd.Server] {
-			t.Fatalf("recorder attributes %d drops to unknown server %q", sd.Drops, sd.Server)
-		}
-	}
-
-	// Per-server transport drops are an upper bound for the recorder's
-	// per-request attribution (warm-up requests are excluded there).
-	for _, sd := range res.Recorder.DropsByServer() {
-		if int64(sd.Drops) > res.DropsPerServer[sd.Server] {
-			t.Fatalf("%s: recorder sees %d drops, transport only %d",
-				sd.Server, sd.Drops, res.DropsPerServer[sd.Server])
-		}
 	}
 
 	// Server accounting balances at quiescence is not guaranteed mid-run,

@@ -107,11 +107,7 @@ func (e *Experiment) Run() (*Result, error) {
 		mon.WatchVM(steady.TierNames()[i], vm)
 	}
 
-	var log *trace.Log
-	if cfg.Trace {
-		log = trace.NewLog(sim)
-		steady.Transport.Listener = log
-	}
+	steady.Transport.KeepDrops = cfg.Trace
 
 	var tracer *span.Tracer
 	if cfg.Spans {
@@ -236,7 +232,6 @@ func (e *Experiment) Run() (*Result, error) {
 		Bursty:         bursty,
 		Recorder:       rec,
 		Monitor:        mon,
-		TraceLog:       log,
 		End:            end,
 		Throughput:     rec.Throughput(end),
 		TotalDrops:     steady.TotalDrops(),
@@ -257,7 +252,7 @@ func (e *Experiment) Run() (*Result, error) {
 			Tiers:    steady.TierNames(),
 			TierOfVM: tierOfVM(steady),
 		}
-		res.Report = analyzer.Analyze(mon, steady.TierNames(), log)
+		res.Report = analyzer.Analyze(mon, steady.TierNames(), steady.Transport.Drops())
 	}
 	if tracer != nil {
 		res.Spans = tracer

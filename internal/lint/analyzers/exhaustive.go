@@ -11,7 +11,7 @@ import (
 
 // EnumFact is exported on the *types.TypeName of every named basic type
 // that has two or more declared constants in its own package — the
-// repo's enum idiom (ntier.NX, trace.Kind, core.Tier, ...). Members
+// repo's enum idiom (ntier.NX, trace.Direction, core.Tier, ...). Members
 // holds the declared constant names grouped by value, so a switch need
 // only mention one alias per value.
 type EnumFact struct {

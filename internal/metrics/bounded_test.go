@@ -60,16 +60,6 @@ func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 		}
 	}
 
-	eDrops, bDrops := exact.DropsByServer(), bounded.DropsByServer()
-	if len(eDrops) != len(bDrops) {
-		t.Fatalf("DropsByServer: exact %v, bounded %v", eDrops, bDrops)
-	}
-	for i := range eDrops {
-		if eDrops[i] != bDrops[i] {
-			t.Fatalf("DropsByServer[%d]: exact %v, bounded %v", i, eDrops[i], bDrops[i])
-		}
-	}
-
 	eSeries := exact.VLRTSeries(time.Second, "")
 	bSeries := bounded.VLRTSeries(time.Second, "")
 	if len(eSeries) != len(bSeries) {
@@ -157,27 +147,26 @@ func TestBoundedRecorderLargeRunAccuracy(t *testing.T) {
 // TestBoundedTelemetryFlatMemory is the acceptance test of the tentpole:
 // over the same simulated horizon, a bounded recorder's telemetry bytes
 // after 1M requests equal its bytes after 100k — memory is O(1) in the
-// request count. One request struct is reused throughout so the test
-// itself stays cheap.
+// request count. Two request structs, one fast and one VLRT with a drop,
+// are reused throughout so the test itself stays cheap.
 func TestBoundedTelemetryFlatMemory(t *testing.T) {
 	const horizon = 60 * time.Second
 	footprint := func(n int) int64 {
 		r := NewRecorder()
 		r.Retention = RetainBounded
 		r.SeriesWindow = 50 * time.Millisecond
-		rq := &workload.Request{Class: workload.Class{Name: "ViewStory"}}
+		fast := &workload.Request{Class: workload.Class{Name: "ViewStory"}}
+		vlrt := &workload.Request{Class: workload.Class{Name: "ViewStory"}}
+		vlrt.DroppedAt("apache")
 		for i := 0; i < n; i++ {
 			// Submissions cycle over the full horizon; every 1000th request
-			// is a VLRT with a drop so the windowed series and drop counters
-			// see traffic too.
-			rq.Submitted = time.Duration(i%1000) * (horizon / 1000)
-			rq.Completed = rq.Submitted + 100*time.Millisecond
-			rq.Drops = nil
-			rq.Failed = false
+			// is a VLRT with a drop so the windowed series see traffic too.
+			rq, rt := fast, 100*time.Millisecond
 			if i%1000 == 999 {
-				rq.Completed = rq.Submitted + 5*time.Second
-				rq.Drops = []string{"apache"}
+				rq, rt = vlrt, 5*time.Second
 			}
+			rq.Submitted = time.Duration(i%1000) * (horizon / 1000)
+			rq.Completed = rq.Submitted + rt
 			r.Record(rq)
 		}
 		if r.Len() != n {

@@ -66,7 +66,6 @@ type Recorder struct {
 	hdr          *HDRHistogram
 	vlrt         int
 	failed       int
-	drops        map[string]int
 	classes      map[string]*classAccum
 	vlrtAll      []int
 	vlrtByServer map[string][]int
@@ -102,9 +101,6 @@ func (r *Recorder) Record(req *workload.Request) {
 	if req.Failed {
 		r.failed++
 	}
-	for _, s := range req.Drops {
-		r.drops[s]++
-	}
 	if req.VLRT() {
 		r.vlrt++
 		if r.SeriesWindow > 0 {
@@ -131,7 +127,6 @@ func (r *Recorder) Record(req *workload.Request) {
 // initAggregates creates the aggregates on the first record.
 func (r *Recorder) initAggregates() {
 	r.hdr = NewHDRHistogram(r.Retention.hdrConfig())
-	r.drops = make(map[string]int)
 	r.classes = make(map[string]*classAccum)
 	r.vlrtByServer = make(map[string][]int)
 }
@@ -228,30 +223,6 @@ func (r *Recorder) VLRTCount() int { return r.vlrt }
 // FailedCount returns the number of requests that never completed
 // successfully.
 func (r *Recorder) FailedCount() int { return r.failed }
-
-// ServerDrops is one server's recorded drop count.
-type ServerDrops struct {
-	// Server is the dropping server's name.
-	Server string
-	// Drops is how many packets it dropped.
-	Drops int
-}
-
-// DropsByServer aggregates packet drops per responsible server across all
-// recorded requests, sorted by server name so renderings are
-// deterministic end-to-end.
-func (r *Recorder) DropsByServer() []ServerDrops {
-	names := make([]string, 0, len(r.drops))
-	for s := range r.drops {
-		names = append(names, s)
-	}
-	sort.Strings(names)
-	out := make([]ServerDrops, 0, len(names))
-	for _, s := range names {
-		out = append(out, ServerDrops{Server: s, Drops: r.drops[s]})
-	}
-	return out
-}
 
 // VLRTSeries counts VLRT requests per SeriesWindow up to until, bucketed
 // by submission time (the paper's Figs. 3c/5c/7c). If server is
@@ -352,8 +323,8 @@ func (r *Recorder) Histogram(binWidth, maxRT time.Duration) *Histogram {
 
 // MemoryFootprint returns a deterministic accounting (in bytes) of the
 // recorder's retained telemetry: the histograms (their exact values and,
-// once spilled, their bucket arrays), the per-class accumulators, the
-// horizon-bounded VLRT series and the drop counters. Under RetainBounded
+// once spilled, their bucket arrays), the per-class accumulators and the
+// horizon-bounded VLRT series. Under RetainBounded
 // it depends on the class mix and horizon, never on the request count —
 // the quantity the flat-memory acceptance test pins.
 func (r *Recorder) MemoryFootprint() int64 {
@@ -368,7 +339,6 @@ func (r *Recorder) MemoryFootprint() int64 {
 	for _, s := range r.vlrtByServer {
 		total += int64(cap(s)) * 8
 	}
-	total += int64(len(r.drops)) * 24
 	return total
 }
 

@@ -12,7 +12,11 @@ import (
 )
 
 func req(submitted, completed time.Duration, drops ...string) *workload.Request {
-	return &workload.Request{Submitted: submitted, Completed: completed, Drops: drops}
+	r := &workload.Request{Submitted: submitted, Completed: completed}
+	for _, s := range drops {
+		r.DroppedAt(s)
+	}
+	return r
 }
 
 func TestRecorderBasics(t *testing.T) {
@@ -187,23 +191,10 @@ func recordFinalized(r *Recorder, released chan struct{}) {
 		Class:     workload.Class{Name: "ViewStory"},
 		Submitted: time.Second,
 		Completed: 5 * time.Second,
-		Drops:     []string{"apache"},
 	}
+	rq.DroppedAt("apache")
 	runtime.SetFinalizer(rq, func(*workload.Request) { close(released) })
 	r.Record(rq)
-}
-
-func TestDropsByServer(t *testing.T) {
-	r := NewRecorder()
-	// Record in an order that differs from the sorted output to pin the
-	// deterministic server-name ordering.
-	r.Record(req(0, time.Second, "tomcat"))
-	r.Record(req(0, time.Second, "apache", "apache"))
-	got := r.DropsByServer()
-	want := []ServerDrops{{Server: "apache", Drops: 2}, {Server: "tomcat", Drops: 1}}
-	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("DropsByServer = %v, want %v", got, want)
-	}
 }
 
 func TestVLRTSeries(t *testing.T) {

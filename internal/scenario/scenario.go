@@ -82,7 +82,7 @@ type Document struct {
 	Duration Duration `json:"duration,omitempty"`
 	// SampleInterval is the monitor period; zero takes the engine default.
 	SampleInterval Duration `json:"sample_interval,omitempty"`
-	// Trace enables the micro-level transport event log and CTQO analysis.
+	// Trace enables the CTQO analysis over the transport's drop records.
 	Trace bool `json:"trace,omitempty"`
 	// Spans enables per-request span-tree tracing.
 	Spans bool `json:"spans,omitempty"`

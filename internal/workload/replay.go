@@ -20,9 +20,8 @@ type Arrival struct {
 	Class string
 }
 
-// Replay re-issues a recorded arrival trace against a system — the
-// counterpart of trace.Log.WriteCSV for closing the loop: record a run,
-// replay it against a different configuration, compare.
+// Replay re-issues a recorded arrival trace against a system: record a
+// run's arrivals, replay them against a different configuration, compare.
 type Replay struct {
 	sim      *des.Simulator
 	front    Frontend

@@ -52,20 +52,24 @@ type Request struct {
 	// Completed is when the reply (or give-up) arrived; zero while in
 	// flight.
 	Completed time.Duration
-	// Drops lists, in order, each server that dropped a packet of this
-	// request on any hop of the chain.
-	Drops []string
 	// Failed marks requests that never completed (retransmissions
 	// exhausted somewhere in the chain).
 	Failed bool
 	// Trace is the request's span tree; nil unless the experiment runs
 	// with span tracing enabled.
 	Trace *span.Trace
+
+	// droppedBy is the server that dropped the request's first packet on
+	// any hop of the chain; "" while none has.
+	droppedBy string
 }
 
-// DroppedAt implements simnet.DropRecorder.
+// DroppedAt implements simnet.DropRecorder. Only the first drop is kept:
+// it names the server the request is attributed to.
 func (r *Request) DroppedAt(server string) {
-	r.Drops = append(r.Drops, server)
+	if r.droppedBy == "" {
+		r.droppedBy = server
+	}
 }
 
 // ResponseTime returns the end-to-end latency, or zero if still in flight.
@@ -85,12 +89,7 @@ func (r *Request) VLRT() bool {
 // DroppedBy returns the server responsible for this request's first drop,
 // or "" if it was never dropped. The paper attributes each VLRT request to
 // the server that dropped its packets.
-func (r *Request) DroppedBy() string {
-	if len(r.Drops) == 0 {
-		return ""
-	}
-	return r.Drops[0]
-}
+func (r *Request) DroppedBy() string { return r.droppedBy }
 
 // Sink receives completed requests; implemented by the metrics recorder.
 type Sink interface {
