@@ -9,8 +9,6 @@ type ConnPool struct {
 	size    int
 	inUse   int
 	waiters []func() // unbounded, as in the paper: the thread pool above bounds them
-
-	peakWaiting int
 }
 
 // NewConnPool creates a pool with the given number of connections.
@@ -31,9 +29,6 @@ func (p *ConnPool) Acquire(fn func()) {
 		return
 	}
 	p.waiters = append(p.waiters, fn)
-	if len(p.waiters) > p.peakWaiting {
-		p.peakWaiting = len(p.waiters)
-	}
 }
 
 // Release returns a connection to the pool, handing it to the oldest waiter
@@ -81,6 +76,3 @@ func (p *ConnPool) InUse() int { return p.inUse }
 
 // Waiting returns the number of callers queued for a connection.
 func (p *ConnPool) Waiting() int { return len(p.waiters) }
-
-// PeakWaiting returns the maximum wait-queue length observed.
-func (p *ConnPool) PeakWaiting() int { return p.peakWaiting }

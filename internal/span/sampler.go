@@ -75,9 +75,3 @@ func (s *Sampler) TailExemplars() []*Trace {
 // Reservoir returns the current normal-trace sample (shared slice; callers
 // must not mutate).
 func (s *Sampler) Reservoir() []*Trace { return s.reservoir }
-
-// SeenNormal returns how many sub-threshold traces were offered.
-func (s *Sampler) SeenNormal() int64 { return s.seenNormal }
-
-// Threshold returns the tail-exemplar latency bound.
-func (s *Sampler) Threshold() time.Duration { return s.threshold }

@@ -39,7 +39,6 @@ type Tracer struct {
 	now     func() time.Duration
 	sampler *Sampler
 	records []Record
-	started int64
 }
 
 // Record is the compact critical-path summary of one finished request:
@@ -74,7 +73,6 @@ func (tr *Tracer) StartRequest(reqID uint64, class string) *Trace {
 	if tr == nil {
 		return nil
 	}
-	tr.started++
 	return newTrace(tr.now, reqID, class) //lint:allow allocs enabled tracer; a nil tracer returns before this
 }
 
@@ -97,14 +95,6 @@ func (tr *Tracer) Finish(t *Trace) {
 	}
 	tr.records = append(tr.records, rec) //lint:allow allocs enabled-tracer record, one per finished request
 	tr.sampler.Offer(t)                  //lint:allow allocs enabled-tracer sampling
-}
-
-// Started returns the number of traces handed out.
-func (tr *Tracer) Started() int64 {
-	if tr == nil {
-		return 0
-	}
-	return tr.started
 }
 
 // Finished returns the number of traces folded into the breakdown.
