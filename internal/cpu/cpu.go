@@ -55,6 +55,15 @@ type Node struct {
 	lastUpdate time.Duration
 	completion des.Timer // the armed next-completion event
 	onComplete func()    // n.complete, bound once so re-arming allocates no closure
+
+	// alloc is the allocation in effect, one entry per VM, and active the
+	// water-filling's scratch list; both are refilled by allocations.
+	alloc  []float64
+	active []int
+	// finished holds the done callbacks of the jobs one reschedule
+	// completes; reschedule takes it for the call, since a callback may
+	// submit work and re-enter.
+	finished []func()
 }
 
 // NewNode creates a node with the given core capacity (1.0 = one core).
@@ -95,6 +104,7 @@ func (n *Node) AddVM(name string, weight, vcpus float64) *VM {
 	}
 	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus}
 	n.vms = append(n.vms, vm)
+	n.alloc = append(n.alloc, 0) // a VM without jobs is allocated nothing
 	return vm
 }
 
@@ -106,8 +116,10 @@ type VM struct {
 	weight float64
 	vcpus  float64
 
-	jobs    []*job
+	jobs    []job
 	blocked int // nesting depth of active Block intervals
+
+	minRemaining float64 // smallest remaining demand in jobs, set by reschedule
 
 	// Accumulators, updated lazily by node.advance. All are integrals over
 	// simulated time and are sampled by the metrics monitor.
@@ -159,15 +171,17 @@ type job struct {
 // Submit queues demand seconds of CPU work on the VM; done fires when the
 // work completes. Zero or negative demand completes on the next event
 // (still asynchronously, never re-entrantly).
+//
+//lint:hotpath
 func (v *VM) Submit(demand time.Duration, done func()) {
 	v.node.advance()
-	j := &job{remaining: demand.Seconds(), done: done}
+	j := job{remaining: demand.Seconds(), done: done}
 	if j.remaining <= doneEpsilon {
 		// Keep even zero-demand jobs asynchronous: a sliver of demand makes
 		// the completion fire from the event loop, never inside Submit.
 		j.remaining = 2 * doneEpsilon
 	}
-	v.jobs = append(v.jobs, j)
+	v.jobs = append(v.jobs, j) //lint:allow allocs amortized: the job slice grows to the VM's peak run queue, then is reused
 	v.node.reschedule()
 }
 
@@ -213,7 +227,10 @@ func (v *VM) Resume() {
 
 // advance integrates all job progress and accounting from lastUpdate to the
 // current simulated time, using the allocation that has been in effect over
-// that interval.
+// that interval. Every state change runs advance, then the change, then
+// reschedule, so the allocation reschedule last stored is that one.
+//
+//lint:hotpath
 func (n *Node) advance() {
 	now := n.sim.Now()
 	elapsed := (now - n.lastUpdate).Seconds()
@@ -221,7 +238,6 @@ func (n *Node) advance() {
 		n.lastUpdate = now
 		return
 	}
-	alloc := n.allocations()
 	for i, vm := range n.vms {
 		if vm.blocked > 0 {
 			vm.blockedTime += now - n.lastUpdate
@@ -231,113 +247,125 @@ func (n *Node) advance() {
 			continue
 		}
 		vm.runnableTime += now - n.lastUpdate
-		rate := alloc[i] / float64(len(vm.jobs))
-		for _, j := range vm.jobs {
-			j.remaining -= rate * elapsed
+		rate := n.alloc[i] / float64(len(vm.jobs))
+		for k := range vm.jobs {
+			vm.jobs[k].remaining -= rate * elapsed
 		}
-		vm.cpuSeconds += alloc[i] * elapsed
+		vm.cpuSeconds += n.alloc[i] * elapsed
 	}
 	n.lastUpdate = now
 }
 
-// reschedule completes any finished jobs and arms the next completion event.
-// Done callbacks run after internal state is consistent; they may submit new
-// work re-entrantly.
+// reschedule completes any finished jobs, stores the new allocation and
+// arms the next completion event. Done callbacks run after internal state
+// is consistent; they may submit new work re-entrantly.
+//
+//lint:hotpath
 func (n *Node) reschedule() {
-	var completed []*job
+	completed := n.finished
+	n.finished = nil
 	for _, vm := range n.vms {
 		if vm.blocked > 0 {
 			continue
 		}
 		kept := vm.jobs[:0]
+		vm.minRemaining = math.Inf(1)
 		for _, j := range vm.jobs {
 			if j.remaining <= doneEpsilon {
-				completed = append(completed, j)
-			} else {
-				kept = append(kept, j)
+				if j.done != nil {
+					completed = append(completed, j.done) //lint:allow allocs amortized: the buffer grows to the most jobs one event completes, then is reused
+				}
+				continue
 			}
+			kept = append(kept, j) //lint:allow allocs in place: compacts jobs within its own backing array
+			vm.minRemaining = min(vm.minRemaining, j.remaining)
 		}
-		// Clear the tail so finished jobs are collectable.
-		for i := len(kept); i < len(vm.jobs); i++ {
-			vm.jobs[i] = nil
-		}
+		// Clear the tail so finished jobs' callbacks are collectable.
+		clear(vm.jobs[len(kept):])
 		vm.jobs = kept
 	}
 
 	n.sim.Cancel(n.completion)
-	alloc := n.allocations()
+	n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
-		if vm.blocked > 0 || len(vm.jobs) == 0 || alloc[i] <= 0 {
+		if vm.blocked > 0 || len(vm.jobs) == 0 || n.alloc[i] <= 0 {
 			continue
 		}
-		rate := alloc[i] / float64(len(vm.jobs))
-		for _, j := range vm.jobs {
-			t := j.remaining / rate
-			if next < 0 || t < next {
-				next = t
-			}
+		// Division by a positive rate is monotone, so the VM's first
+		// completion is its smallest remaining demand over the rate.
+		t := vm.minRemaining / (n.alloc[i] / float64(len(vm.jobs)))
+		if next < 0 || t < next {
+			next = t
 		}
 	}
 	if next >= 0 {
 		n.completion = n.sim.Schedule(durationFromSeconds(next), n.onComplete)
 	}
 
-	for _, j := range completed {
-		if j.done != nil {
-			j.done()
-		}
+	for _, done := range completed {
+		done()
 	}
+	clear(completed)
+	n.finished = completed[:0]
 }
 
 // complete is the armed completion event's callback: the earliest job
 // has just run out of demand.
+//
+//lint:hotpath
 func (n *Node) complete() {
 	n.advance()
 	n.reschedule()
 }
 
-// allocations computes the core allocation per VM: proportional to weight
-// among runnable VMs, capped at vcpus, with excess redistributed.
-func (n *Node) allocations() []float64 {
-	alloc := make([]float64, len(n.vms))
+// effWeight is the VM's share under the node's policy.
+func (n *Node) effWeight(vm *VM) float64 {
+	if n.policy == JobProportional {
+		return vm.weight * float64(len(vm.jobs))
+	}
+	return vm.weight
+}
+
+// allocations stores in n.alloc the core allocation per VM: proportional
+// to weight among runnable VMs, capped at vcpus, with excess
+// redistributed.
+//
+//lint:hotpath
+func (n *Node) allocations() {
+	alloc := n.alloc
+	clear(alloc)
 	remaining := n.cores
-	active := make([]int, 0, len(n.vms))
+	active := n.active[:0]
 	for i, vm := range n.vms {
 		if vm.blocked == 0 && len(vm.jobs) > 0 {
-			active = append(active, i)
+			active = append(active, i) //lint:allow allocs amortized: grows to one entry per VM, then is reused
 		}
 	}
-	// effWeight is the VM's share under the active policy.
-	effWeight := func(vm *VM) float64 {
-		if n.policy == JobProportional {
-			return vm.weight * float64(len(vm.jobs))
-		}
-		return vm.weight
-	}
+	n.active = active
 	// Water-filling: repeatedly grant proportional shares; VMs that hit
 	// their vCPU cap are fixed and their surplus redistributed.
 	for len(active) > 0 && remaining > 1e-12 {
 		var totalWeight float64
 		for _, i := range active {
-			totalWeight += effWeight(n.vms[i])
+			totalWeight += n.effWeight(n.vms[i])
 		}
 		capped := false
 		stillActive := active[:0]
 		for _, i := range active {
 			vm := n.vms[i]
-			share := remaining * effWeight(vm) / totalWeight
+			share := remaining * n.effWeight(vm) / totalWeight
 			if alloc[i]+share >= vm.vcpus {
 				capped = true
 				alloc[i] = vm.vcpus
 			} else {
-				stillActive = append(stillActive, i)
+				stillActive = append(stillActive, i) //lint:allow allocs in place: filters active within its own backing array
 			}
 		}
 		if !capped {
 			for _, i := range stillActive {
 				vm := n.vms[i]
-				alloc[i] += remaining * effWeight(vm) / totalWeight
+				alloc[i] += remaining * n.effWeight(vm) / totalWeight
 			}
 			break
 		}
@@ -360,7 +388,6 @@ func (n *Node) allocations() []float64 {
 		remaining = n.cores - used
 		active = stillActive
 	}
-	return alloc
 }
 
 // durationFromSeconds converts to a Duration, rounding up so a positive
