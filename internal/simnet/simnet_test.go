@@ -93,6 +93,46 @@ func TestDropRetransmitsAfterRTO(t *testing.T) {
 	}
 }
 
+// A reused Call retries on the transport it was last sent on, not on
+// the one where its retry callback was first bound.
+func TestReusedCallRetriesOnItsLastTransport(t *testing.T) {
+	sim := des.NewSimulator(1)
+	a, b := NewTransport(sim), NewTransport(sim)
+	srvA := &fakeServer{sim: sim, name: "a", capacity: 1, service: time.Millisecond}
+	srvB := &fakeServer{sim: sim, name: "b", capacity: 1, service: time.Millisecond}
+	dropOnce := func(srv *fakeServer) {
+		srv.refuse = true
+		sim.Schedule(time.Second, func() { srv.refuse = false })
+	}
+
+	replies := 0
+	call := &Call{OnReply: func(any) { replies++ }}
+	dropOnce(srvA)
+	a.Send(srvA, call)
+	if err := sim.Run(time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	call.Attempts = 0
+	dropOnce(srvB)
+	b.Send(srvB, call)
+	if err := sim.Run(2 * time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	if replies != 2 {
+		t.Fatalf("replies = %d, want 2", replies)
+	}
+	if s := b.Stats("b"); s.Attempts != 2 || s.Dropped != 1 || s.Delivered != 1 {
+		t.Fatalf("transport B stats for b = %+v, want 2 attempts, 1 drop, 1 delivery", s)
+	}
+	if s := a.Stats("b"); s != (HopStats{}) {
+		t.Fatalf("transport A stats for b = %+v, want none: the retry went through A", s)
+	}
+	if s := a.Stats("a"); s.Attempts != 2 || s.Delivered != 1 {
+		t.Fatalf("transport A stats for a = %+v, want 2 attempts, 1 delivery", s)
+	}
+}
+
 func TestGiveUpAfterMaxAttempts(t *testing.T) {
 	sim := des.NewSimulator(1)
 	tr := NewTransport(sim)
