@@ -38,7 +38,7 @@ type AsyncServer struct {
 
 	busy     int // workers executing a CPU burst
 	inFlight int // admitted requests not yet replied
-	ready    []func()
+	ready    fifo[func()]
 	stats    Stats
 
 	deferredDispatch func() // a.dispatch, bound once so release allocates no closure
@@ -79,7 +79,7 @@ func (a *AsyncServer) InService() int { return a.busy }
 func (a *AsyncServer) MaxSysQDepth() int { return a.cfg.LiteQDepth }
 
 // Ready returns the number of runnable work items waiting for a worker.
-func (a *AsyncServer) Ready() int { return len(a.ready) }
+func (a *AsyncServer) Ready() int { return a.ready.len() }
 
 // TryAccept implements simnet.Admission: admit unless the lightweight
 // queue is exhausted.
@@ -89,7 +89,7 @@ func (a *AsyncServer) TryAccept(call *simnet.Call) bool {
 	}
 	a.inFlight++
 	a.stats.Accepted++
-	prog := a.plan(call.Payload)
+	prog := a.plan(call.Payload, nil)
 	a.enqueueWait(call, func() { a.runStage(call, prog, 0) })
 	return true
 }
@@ -115,16 +115,13 @@ func (a *AsyncServer) enqueueWait(call *simnet.Call, item func()) {
 // Continuations (downstream replies) re-enter through here as well; they
 // are never dropped — LiteQDepth bounds admissions, not continuations.
 func (a *AsyncServer) enqueue(item func()) {
-	a.ready = append(a.ready, item)
+	a.ready.push(item)
 	a.dispatch()
 }
 
 func (a *AsyncServer) dispatch() {
-	for a.busy < a.cfg.Workers && len(a.ready) > 0 {
-		item := a.ready[0]
-		copy(a.ready, a.ready[1:])
-		a.ready[len(a.ready)-1] = nil
-		a.ready = a.ready[:len(a.ready)-1]
+	for a.busy < a.cfg.Workers && a.ready.len() > 0 {
+		item := a.ready.pop()
 		a.busy++
 		item()
 	}

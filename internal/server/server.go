@@ -45,9 +45,11 @@ type Downstream struct {
 // Program is the processing recipe for one request at one server.
 type Program []Stage
 
-// PlanFunc derives a Program from a request payload; the ntier package
-// supplies one per tier, encoding the RUBBoS interaction mix.
-type PlanFunc func(payload any) Program
+// PlanFunc derives a Program from a request payload, appending its stages
+// to buf and returning the result; a nil buf plans into a fresh slice.
+// The ntier package supplies one per tier, encoding the RUBBoS
+// interaction mix.
+type PlanFunc func(payload any, buf Program) Program
 
 // Stats counts a server's request outcomes.
 type Stats struct {
@@ -87,4 +89,33 @@ func replyNow(call *simnet.Call, payload any) {
 	if call.OnReply != nil {
 		call.OnReply(payload)
 	}
+}
+
+// fifo is a first-in, first-out queue on a slice: items[head:] are
+// queued, oldest first. pop advances the head instead of shifting the
+// slice, and compacts once the head passes half the slice, so a queue
+// that never empties stays bounded.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(x T) {
+	q.items = append(q.items, x) //lint:allow allocs amortized: the queue grows to its peak length, then is reused
+}
+
+func (q *fifo[T]) pop() T {
+	x := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	q.head++
+	if q.head > len(q.items)/2 {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items = q.items[:n]
+		q.head = 0
+	}
+	return x
 }

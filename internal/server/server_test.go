@@ -27,16 +27,14 @@ func (r *rig) vm(name string) *cpu.VM {
 
 // cpuOnly returns a plan of a single CPU stage.
 func cpuOnly(d time.Duration) PlanFunc {
-	return func(any) Program { return Program{{CPU: d}} }
+	return func(_ any, buf Program) Program { return append(buf, Stage{CPU: d}) }
 }
 
 // callThrough returns a plan with CPU, a downstream call, then more CPU.
 func callThrough(pre time.Duration, dest simnet.Admission, pool *simnet.ConnPool, post time.Duration) PlanFunc {
-	return func(any) Program {
-		return Program{
-			{CPU: pre, Call: &Downstream{Dest: dest, Pool: pool}},
-			{CPU: post},
-		}
+	down := &Downstream{Dest: dest, Pool: pool}
+	return func(_ any, buf Program) Program {
+		return append(buf, Stage{CPU: pre, Call: down}, Stage{CPU: post})
 	}
 }
 
@@ -473,12 +471,12 @@ func TestSyncMultiStageProgram(t *testing.T) {
 	r := newRig(1)
 	db := NewSync(r.sim, r.vm("db"), r.tr, cpuOnly(2*time.Millisecond),
 		SyncConfig{Name: "db", Threads: 10, Backlog: 10})
-	plan := func(any) Program {
-		return Program{
-			{CPU: time.Millisecond, Call: &Downstream{Dest: db}},
-			{CPU: time.Millisecond, Call: &Downstream{Dest: db}},
-			{CPU: 3 * time.Millisecond},
-		}
+	down := &Downstream{Dest: db}
+	plan := func(_ any, buf Program) Program {
+		return append(buf,
+			Stage{CPU: time.Millisecond, Call: down},
+			Stage{CPU: time.Millisecond, Call: down},
+			Stage{CPU: 3 * time.Millisecond})
 	}
 	app := NewSync(r.sim, r.vm("app"), r.tr, plan,
 		SyncConfig{Name: "app", Threads: 4, Backlog: 4})
@@ -499,7 +497,7 @@ func TestSyncMultiStageProgram(t *testing.T) {
 
 func TestSyncEmptyProgram(t *testing.T) {
 	r := newRig(1)
-	srv := NewSync(r.sim, r.vm("s"), r.tr, func(any) Program { return nil },
+	srv := NewSync(r.sim, r.vm("s"), r.tr, func(_ any, buf Program) Program { return buf },
 		SyncConfig{Name: "s", Threads: 1, Backlog: 0})
 	done := false
 	r.tr.Send(srv, &simnet.Call{OnReply: func(any) { done = true }})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"ctqosim/internal/cpu"
@@ -52,7 +53,7 @@ type SyncServer struct {
 	busy       int
 	spareAdded bool
 	spareArmed bool
-	queue      []*queuedCall
+	queue      fifo[queuedCall]
 	stats      Stats
 	shed       int64
 }
@@ -92,7 +93,7 @@ func (s *SyncServer) VM() *cpu.VM { return s.vm }
 func (s *SyncServer) Stats() Stats { return s.stats }
 
 // Depth implements Server.
-func (s *SyncServer) Depth() int { return s.busy + len(s.queue) }
+func (s *SyncServer) Depth() int { return s.busy + s.queue.len() }
 
 // InService implements Server.
 func (s *SyncServer) InService() int { return s.busy }
@@ -102,7 +103,7 @@ func (s *SyncServer) InService() int { return s.busy }
 func (s *SyncServer) MaxSysQDepth() int { return s.threadCap() + s.cfg.Backlog }
 
 // Queued returns the number of requests waiting in the accept queue.
-func (s *SyncServer) Queued() int { return len(s.queue) }
+func (s *SyncServer) Queued() int { return s.queue.len() }
 
 // TryAccept implements simnet.Admission: admit to a free thread, else to
 // the accept queue, else drop.
@@ -113,18 +114,18 @@ func (s *SyncServer) TryAccept(call *simnet.Call) bool {
 		return true
 	}
 	s.maybeArmSpare()
-	if len(s.queue) < s.cfg.Backlog {
+	if s.queue.len() < s.cfg.Backlog {
 		s.stats.Accepted++
-		entry := &queuedCall{
+		entry := queuedCall{
 			call: call,
 			wait: call.Trace.Start(span.KindQueueWait, s.cfg.Name, call.SpanID),
 		}
 		if s.cfg.QueueTimeout > 0 {
 			entry.timer = s.sim.Schedule(s.cfg.QueueTimeout, func() {
-				s.shedEntry(entry)
+				s.shedEntry(call)
 			})
 		}
-		s.queue = append(s.queue, entry)
+		s.queue.push(entry)
 		return true
 	}
 	return false
@@ -134,20 +135,23 @@ func (s *SyncServer) TryAccept(call *simnet.Call) bool {
 // the QueueTimeout policy.
 func (s *SyncServer) Shed() int64 { return s.shed }
 
-// shedEntry removes a timed-out entry from the queue and fails it fast.
-func (s *SyncServer) shedEntry(entry *queuedCall) {
-	for i, q := range s.queue {
-		if q != entry {
+// shedEntry removes call's timed-out entry from the queue and fails it
+// fast.
+func (s *SyncServer) shedEntry(call *simnet.Call) {
+	q := &s.queue
+	for i := q.head; i < len(q.items); i++ {
+		entry := q.items[i]
+		if entry.call != call {
 			continue
 		}
-		copy(s.queue[i:], s.queue[i+1:])
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
+		copy(q.items[i:], q.items[i+1:])
+		q.items[len(q.items)-1] = queuedCall{}
+		q.items = q.items[:len(q.items)-1]
 		s.shed++
 		s.stats.Failed++
-		entry.call.Trace.End(entry.wait)
-		entry.call.Trace.Annotate(entry.wait, "shed by queue timeout")
-		replyNow(entry.call, Failure{Server: s.cfg.Name})
+		call.Trace.End(entry.wait)
+		call.Trace.Annotate(entry.wait, "shed by queue timeout")
+		replyNow(call, Failure{Server: s.cfg.Name})
 		return
 	}
 }
@@ -177,89 +181,170 @@ func (s *SyncServer) maybeArmSpare() {
 	})
 }
 
+// visits recycles visits across servers and runs. A visit is cleared
+// before it is put back, so the pool holds no request, span tree or
+// simulation state between uses.
+var visits sync.Pool
+
+// visit is one request's thread-held stay at a SyncServer, from taking a
+// thread to replying upstream. It runs the request's program stage by
+// stage: a CPU burst, then the optional downstream call, then the next
+// stage, holding the thread throughout, including downstream
+// retransmission waits. Its CPU-done, send, reply and give-up callbacks
+// are bound once, when the visit is created, so a stage allocates
+// nothing.
+type visit struct {
+	srv   *SyncServer
+	call  *simnet.Call // the upstream call being served
+	svc   span.ID      // the service span, covering the whole stay
+	prog  Program      // the request's program, planned into this buffer
+	stage int          // the stage running now
+
+	down     *Downstream // the current stage's downstream call
+	ds       span.ID     // its downstream span
+	poolWait span.ID     // its connection-pool wait span
+	sub      simnet.Call // the downstream call, reused stage after stage
+
+	cpuDone func() // v.onCPUDone
+	send    func() // v.sendDownstream
+}
+
+// newVisit creates a visit with its callbacks bound.
+func newVisit() *visit {
+	v := &visit{}
+	v.cpuDone = v.onCPUDone
+	v.send = v.sendDownstream
+	v.sub.OnReply = v.onReply
+	v.sub.OnGiveUp = v.onGiveUp
+	return v
+}
+
+// startOnThread takes a thread for call and starts its visit.
 func (s *SyncServer) startOnThread(call *simnet.Call) {
 	s.busy++
-	prog := s.plan(call.Payload)
+	v, ok := visits.Get().(*visit)
+	if !ok {
+		v = newVisit() //lint:allow allocs pool warm-up: one visit per concurrently held thread, recycled when it replies
+	}
+	v.srv, v.call = s, call
+	v.prog = s.plan(call.Payload, v.prog)
 	// The service span covers the whole thread-held visit; downstream and
 	// retransmission children subtract out of its exclusive time.
-	svc := call.Trace.Start(span.KindService, s.cfg.Name, call.SpanID)
-	s.runStage(call, svc, prog, 0)
+	v.svc = call.Trace.Start(span.KindService, s.cfg.Name, call.SpanID)
+	v.runStage()
 }
 
-// runStage executes stage i of the program: CPU burst, then the optional
-// downstream call, then the next stage. The thread (busy slot) is held
-// throughout, including downstream retransmission waits.
-func (s *SyncServer) runStage(call *simnet.Call, svc span.ID, prog Program, i int) {
-	if i >= len(prog) {
-		s.finish(call, svc, call.Payload, false)
+// runStage submits the current stage's CPU burst, or finishes the visit
+// after the last stage.
+//
+//lint:hotpath
+func (v *visit) runStage() {
+	if v.stage >= len(v.prog) {
+		v.finish(v.call.Payload, false)
 		return
 	}
-	stage := prog[i]
-	demand := s.inflate(stage.CPU)
-	s.vm.Submit(demand, func() {
-		if stage.Call == nil {
-			s.runStage(call, svc, prog, i+1)
-			return
-		}
-		s.callDownstream(call, svc, prog, i, stage.Call)
-	})
+	v.srv.vm.Submit(v.srv.inflate(v.prog[v.stage].CPU), v.cpuDone)
 }
 
-func (s *SyncServer) callDownstream(call *simnet.Call, svc span.ID, prog Program, i int, d *Downstream) {
-	ds := call.Trace.Start(span.KindDownstream, d.Dest.Name(), svc)
-	var poolWait span.ID
-	send := func() {
-		call.Trace.End(poolWait)
-		sub := &simnet.Call{Payload: call.Payload, Trace: call.Trace, SpanID: ds}
-		sub.OnReply = func(reply any) {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			if f, ok := reply.(Failure); ok {
-				s.finish(call, svc, f, true)
-				return
-			}
-			s.runStage(call, svc, prog, i+1)
-		}
-		sub.OnGiveUp = func() {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			s.finish(call, svc, Failure{Server: d.Dest.Name()}, true)
-		}
-		s.transport.Send(d.Dest, sub)
+// onCPUDone ends the stage's CPU burst: issue its downstream call, or
+// move on to the next stage.
+//
+//lint:hotpath
+func (v *visit) onCPUDone() {
+	d := v.prog[v.stage].Call
+	if d == nil {
+		v.stage++
+		v.runStage()
+		return
 	}
+	v.down = d
+	v.ds = v.call.Trace.Start(span.KindDownstream, d.Dest.Name(), v.svc)
+	v.poolWait = 0
 	if d.Pool != nil {
 		// The thread waits (still held) until a connection frees up.
-		poolWait = call.Trace.Start(span.KindPoolWait, d.Dest.Name(), ds)
-		d.Pool.Acquire(send)
+		v.poolWait = v.call.Trace.Start(span.KindPoolWait, d.Dest.Name(), v.ds)
+		d.Pool.Acquire(v.send)
 		return
 	}
-	send()
+	v.sendDownstream()
+}
+
+// sendDownstream sends the stage's downstream call in the visit's reused
+// sub-call.
+//
+//lint:hotpath
+func (v *visit) sendDownstream() {
+	v.call.Trace.End(v.poolWait)
+	v.sub.Payload, v.sub.Trace, v.sub.SpanID = v.call.Payload, v.call.Trace, v.ds
+	v.sub.Attempts = 0
+	v.srv.transport.Send(v.down.Dest, &v.sub)
+}
+
+// onReply takes the downstream reply: a Failure fails the visit,
+// anything else moves on to the next stage.
+//
+//lint:hotpath
+func (v *visit) onReply(reply any) {
+	if v.down.Pool != nil {
+		v.down.Pool.Release()
+	}
+	v.call.Trace.End(v.ds)
+	if _, ok := reply.(Failure); ok {
+		v.finish(reply, true)
+		return
+	}
+	v.stage++
+	v.runStage()
+}
+
+// onGiveUp fails the visit when the downstream call exhausted its
+// retransmissions. It is the cold end of the retransmission path and
+// boxes a Failure, so it stays outside the hot-path contract.
+func (v *visit) onGiveUp() {
+	if v.down.Pool != nil {
+		v.down.Pool.Release()
+	}
+	v.call.Trace.End(v.ds)
+	v.finish(Failure{Server: v.down.Dest.Name()}, true)
 }
 
 // finish replies upstream, releases the thread and pulls the next queued
-// request onto it.
-func (s *SyncServer) finish(call *simnet.Call, svc span.ID, payload any, failed bool) {
+// request onto it. The visit goes back to the pool first, so the next
+// request can reuse it.
+//
+//lint:hotpath
+func (v *visit) finish(payload any, failed bool) {
+	s, call := v.srv, v.call
 	if failed {
 		s.stats.Failed++
 	} else {
 		s.stats.Completed++
 	}
 	s.busy--
-	call.Trace.End(svc)
+	call.Trace.End(v.svc)
+	v.release()
 	s.drainQueue()
 	replyNow(call, payload)
 }
 
+// release clears everything the visit references, keeping its bound
+// callbacks and program buffer, and puts it back in the pool.
+//
+//lint:hotpath
+func (v *visit) release() {
+	clear(v.prog)
+	*v = visit{
+		prog:    v.prog[:0],
+		sub:     simnet.Call{OnReply: v.sub.OnReply, OnGiveUp: v.sub.OnGiveUp},
+		cpuDone: v.cpuDone,
+		send:    v.send,
+	}
+	visits.Put(v)
+}
+
 func (s *SyncServer) drainQueue() {
-	for s.busy < s.threadCap() && len(s.queue) > 0 {
-		next := s.queue[0]
-		copy(s.queue, s.queue[1:])
-		s.queue[len(s.queue)-1] = nil
-		s.queue = s.queue[:len(s.queue)-1]
+	for s.busy < s.threadCap() && s.queue.len() > 0 {
+		next := s.queue.pop()
 		s.sim.Cancel(next.timer)
 		next.call.Trace.End(next.wait)
 		s.startOnThread(next.call)

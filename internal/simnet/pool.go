@@ -6,9 +6,12 @@ package simnet
 // its server thread, which is how database-side congestion backs up into
 // the application tier (Section V-B).
 type ConnPool struct {
-	size    int
-	inUse   int
-	waiters []func() // unbounded, as in the paper: the thread pool above bounds them
+	size  int
+	inUse int
+	// waiters[head:] are the queued callers, oldest first; unbounded, as
+	// in the paper: the thread pool above bounds them.
+	waiters []func()
+	head    int
 }
 
 // NewConnPool creates a pool with the given number of connections.
@@ -28,19 +31,15 @@ func (p *ConnPool) Acquire(fn func()) {
 		fn()
 		return
 	}
-	p.waiters = append(p.waiters, fn)
+	p.waiters = append(p.waiters, fn) //lint:allow allocs amortized: the queue grows to the peak number of waiters, then is reused
 }
 
 // Release returns a connection to the pool, handing it to the oldest waiter
 // if any. After a shrinking Resize the freed connection is retired instead
 // of handed on, until the pool drains down to its new capacity.
 func (p *ConnPool) Release() {
-	if len(p.waiters) > 0 && p.inUse <= p.size {
-		next := p.waiters[0]
-		copy(p.waiters, p.waiters[1:])
-		p.waiters[len(p.waiters)-1] = nil
-		p.waiters = p.waiters[:len(p.waiters)-1]
-		next()
+	if p.Waiting() > 0 && p.inUse <= p.size {
+		p.popWaiter()()
 		return
 	}
 	if p.inUse > 0 {
@@ -58,14 +57,26 @@ func (p *ConnPool) Resize(size int) {
 		size = 1
 	}
 	p.size = size
-	for len(p.waiters) > 0 && p.inUse < p.size {
-		next := p.waiters[0]
-		copy(p.waiters, p.waiters[1:])
-		p.waiters[len(p.waiters)-1] = nil
-		p.waiters = p.waiters[:len(p.waiters)-1]
+	for p.Waiting() > 0 && p.inUse < p.size {
 		p.inUse++
-		next()
+		p.popWaiter()()
 	}
+}
+
+// popWaiter dequeues the oldest waiter. It advances the head instead of
+// shifting the queue, and compacts once the head passes half the slice,
+// so a queue that never empties stays bounded.
+func (p *ConnPool) popWaiter() func() {
+	fn := p.waiters[p.head]
+	p.waiters[p.head] = nil
+	p.head++
+	if p.head > len(p.waiters)/2 {
+		n := copy(p.waiters, p.waiters[p.head:])
+		clear(p.waiters[n:])
+		p.waiters = p.waiters[:n]
+		p.head = 0
+	}
+	return fn
 }
 
 // Size returns the pool capacity.
@@ -75,4 +86,4 @@ func (p *ConnPool) Size() int { return p.size }
 func (p *ConnPool) InUse() int { return p.inUse }
 
 // Waiting returns the number of callers queued for a connection.
-func (p *ConnPool) Waiting() int { return len(p.waiters) }
+func (p *ConnPool) Waiting() int { return len(p.waiters) - p.head }

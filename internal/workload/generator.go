@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"sync"
 	"time"
 
 	"ctqosim/internal/des"
@@ -145,6 +146,7 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 	if c.cfg.Session != nil {
 		class = c.cfg.Session.Class(st.current)
 	}
+	// The Request is the one allocation per request: sinks may keep it.
 	req := &Request{
 		ID:        c.nextID,
 		Class:     class,
@@ -153,35 +155,77 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 	req.Trace = c.cfg.Tracer.StartRequest(req.ID, class.Name)
 	c.nextID++
 	c.sent++
+	c.send(st, req)
+}
 
-	nextCycle := func() {
-		if c.cfg.Session != nil {
-			st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
-		}
-		c.sim.Schedule(c.think(), st.cycle)
+// clientCalls recycles clientCalls across loops and runs. A call is
+// cleared before it is put back, so the pool holds no request, span tree
+// or simulation state between uses.
+var clientCalls sync.Pool
+
+// clientCall is a closed-loop request on the wire: the call plus the
+// client waiting for its reply. Both callbacks are bound once, when the
+// call is created.
+type clientCall struct {
+	simnet.Call
+	loop  *ClosedLoop
+	state *clientState
+	req   *Request
+}
+
+// newClientCall creates a call with its callbacks bound.
+func newClientCall() *clientCall {
+	cc := &clientCall{}
+	cc.OnReply = cc.onReply
+	cc.OnGiveUp = cc.onGiveUp
+	return cc
+}
+
+// send issues req for the client in a recycled call.
+//
+//lint:hotpath
+func (c *ClosedLoop) send(st *clientState, req *Request) {
+	cc, ok := clientCalls.Get().(*clientCall)
+	if !ok {
+		cc = newClientCall() //lint:allow allocs pool warm-up: one call per concurrently outstanding request, recycled at its reply
 	}
-	call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
-	call.OnReply = func(reply any) {
-		req.Completed = c.sim.Now()
-		if _, ok := reply.(server.Failure); ok {
-			req.Failed = true
-			c.failed++
-		}
-		c.completed++
-		c.cfg.Tracer.Finish(req.Trace)
-		c.record(req)
-		nextCycle()
-	}
-	call.OnGiveUp = func() {
-		req.Completed = c.sim.Now()
+	cc.loop, cc.state, cc.req = c, st, req
+	cc.Payload, cc.Trace, cc.SpanID = req, req.Trace, span.RootID
+	c.front.Transport.Send(c.front.Target, &cc.Call)
+}
+
+// onReply completes the request; a Failure reply marks it failed.
+//
+//lint:hotpath
+func (cc *clientCall) onReply(reply any) {
+	_, failed := reply.(server.Failure)
+	cc.done(failed)
+}
+
+// onGiveUp completes a request whose retransmissions ran out.
+func (cc *clientCall) onGiveUp() { cc.done(true) }
+
+// done puts the call back in the pool, records the request and starts
+// the client's next think.
+//
+//lint:hotpath
+func (cc *clientCall) done(failed bool) {
+	c, st, req := cc.loop, cc.state, cc.req
+	*cc = clientCall{Call: simnet.Call{OnReply: cc.OnReply, OnGiveUp: cc.OnGiveUp}}
+	clientCalls.Put(cc)
+
+	req.Completed = c.sim.Now()
+	if failed {
 		req.Failed = true
 		c.failed++
-		c.completed++
-		c.cfg.Tracer.Finish(req.Trace)
-		c.record(req)
-		nextCycle()
 	}
-	c.front.Transport.Send(c.front.Target, call)
+	c.completed++
+	c.cfg.Tracer.Finish(req.Trace)
+	c.record(req)
+	if c.cfg.Session != nil {
+		st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
+	}
+	c.sim.Schedule(c.think(), st.cycle)
 }
 
 func (c *ClosedLoop) record(req *Request) {
