@@ -16,11 +16,15 @@ package ctqosim
 // tombstone, heap operations reach the heap4 methods), one clean
 // delivery and one retransmission drive cover the simnet path, the nil
 // tracer covers the span path, a warmed bounded Recorder covers the
-// metrics path, a two-VM churn covers processor sharing, and a warmed
-// web→app→db chain of sync servers covers the request path, driven once
-// by reused calls and once by a closed loop. The table keys make the
-// coverage explicit so adding a //lint:hotpath annotation without
-// deciding how to measure it fails this test.
+// metrics path, a two-VM churn covers processor sharing, and two warmed
+// web→app→db chains cover the request path: one of sync servers, driven
+// once by reused calls and once by a closed loop, and one of async
+// servers, driven by reused calls. The pooled groups — the two chains
+// and the closed loop, which recycle server visits, async tasks and
+// client calls through sync.Pool — are measured only without the race
+// detector. The table keys make the coverage explicit so adding a
+// //lint:hotpath annotation without deciding how to measure it fails
+// this test.
 
 import (
 	"go/ast"
@@ -48,7 +52,8 @@ import (
 // hotpathKernelDirs are the packages whose //lint:hotpath annotations the
 // contract covers: the DES kernel, the simnet delivery path, the HDR
 // record path, the disabled-tracer path, processor sharing, the sync
-// server's visits and the closed loop's call recycling.
+// server's visits, the async server's tasks and the closed loop's call
+// recycling.
 var hotpathKernelDirs = []string{
 	"internal/des",
 	"internal/simnet",
@@ -122,14 +127,24 @@ var hotpathExercisers = map[string]string{
 	"cpu.Node.allocations": "cpu-churn",
 	"cpu.Node.complete":    "cpu-churn",
 
-	// server: requests through a web→app→db chain of sync servers whose
-	// single database connection makes them queue for the pool.
-	"server.visit.runStage":       "server-sync-chain",
-	"server.visit.onCPUDone":      "server-sync-chain",
-	"server.visit.sendDownstream": "server-sync-chain",
-	"server.visit.onReply":        "server-sync-chain",
-	"server.visit.finish":         "server-sync-chain",
-	"server.visit.release":        "server-sync-chain",
+	// server: requests through a web→app→db chain of sync servers, and
+	// through one of async servers, whose single database connection
+	// makes them queue for the pool. Both chains send through the
+	// shared downstream half.
+	"server.visit.runStage":          "server-sync-chain",
+	"server.visit.onCPUDone":         "server-sync-chain",
+	"server.visit.onReply":           "server-sync-chain",
+	"server.visit.finish":            "server-sync-chain",
+	"server.visit.release":           "server-sync-chain",
+	"server.downcall.sendDownstream": "server-sync-chain",
+	"server.AsyncServer.dispatch":    "server-async-chain",
+	"server.AsyncServer.release":     "server-async-chain",
+	"server.task.enqueue":            "server-async-chain",
+	"server.task.runStage":           "server-async-chain",
+	"server.task.onCPUDone":          "server-async-chain",
+	"server.task.onReply":            "server-async-chain",
+	"server.task.finish":             "server-async-chain",
+	"server.task.release":            "server-async-chain",
 
 	// workload: a closed loop over the same chain.
 	"workload.ClosedLoop.send":    "workload-closed-loop",
@@ -143,15 +158,42 @@ var hotpathExercisers = map[string]string{
 // once without -race for them.
 var pooledExercisers = map[string]bool{
 	"server-sync-chain":    true,
+	"server-async-chain":   true,
 	"workload-closed-loop": true,
 }
 
-// syncChain builds the NX=0 web→app→db system with its JDBC pool cut to
-// one connection, so concurrent requests wait for it.
-func syncChain(sim *des.Simulator) *ntier.System {
-	spec := ntier.Spec("x", ntier.NX0)
+// chain builds the web→app→db system at level with its JDBC pool cut to
+// one connection, so concurrent requests wait for it. At NX=3 the pool
+// is added, so the async app waits for it as well.
+func chain(sim *des.Simulator, level ntier.NX) *ntier.System {
+	spec := ntier.Spec("x", level)
 	spec.DBConnPool = 1
 	return ntier.NewCluster(sim).Build(spec)
+}
+
+// driveChain measures four ViewStory calls at once through sys, each
+// making two DB queries through the one connection, so requests wait in
+// the pool's queue. The calls are reused run after run.
+func driveChain(t *testing.T, name string, sim *des.Simulator, sys *ntier.System) float64 {
+	req := &workload.Request{Class: workload.ClassViewStory}
+	replies := 0
+	calls := make([]*simnet.Call, 4)
+	for i := range calls {
+		calls[i] = &simnet.Call{Payload: req, OnReply: func(any) { replies++ }}
+	}
+	drive := func() {
+		for _, call := range calls {
+			call.Attempts = 0
+			sys.Transport.Send(sys.Web, call)
+		}
+		sim.Run(sim.Now() + time.Second)
+	}
+	drive() // warm the server pools, the queues and the job slices
+	allocs := testing.AllocsPerRun(200, drive)
+	if want := 202 * len(calls); replies != want {
+		t.Fatalf("%s: %d replies, want %d", name, replies, want)
+	}
+	return allocs
 }
 
 // scanHotpathAnnotations parses the kernel packages' sources and returns
@@ -459,36 +501,19 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			return testing.AllocsPerRun(200, drive)
 		},
 		"server-sync-chain": func() float64 {
-			// Four ViewStory calls at once: two DB queries each through
-			// one connection, so visits wait in the pool's queue.
 			sim := des.NewSimulator(1)
-			sys := syncChain(sim)
-			req := &workload.Request{Class: workload.ClassViewStory}
-			replies := 0
-			calls := make([]*simnet.Call, 4)
-			for i := range calls {
-				calls[i] = &simnet.Call{Payload: req, OnReply: func(any) { replies++ }}
-			}
-			drive := func() {
-				for _, call := range calls {
-					call.Attempts = 0
-					sys.Transport.Send(sys.Web, call)
-				}
-				sim.Run(sim.Now() + time.Second)
-			}
-			drive() // warm the visit pool, the queues and the job slices
-			allocs := testing.AllocsPerRun(200, drive)
-			if want := 202 * len(calls); replies != want {
-				t.Fatalf("server-sync-chain: %d replies, want %d", replies, want)
-			}
-			return allocs
+			return driveChain(t, "server-sync-chain", sim, chain(sim, ntier.NX0))
+		},
+		"server-async-chain": func() float64 {
+			sim := des.NewSimulator(1)
+			return driveChain(t, "server-async-chain", sim, chain(sim, ntier.NX3))
 		},
 		"workload-closed-loop": func() float64 {
 			// Each run steps the loop until one more request is sent.
 			// That request's Request is the one allocation a request
 			// makes by design (sinks may keep it), so it is subtracted.
 			sim := des.NewSimulator(1)
-			sys := syncChain(sim)
+			sys := chain(sim, ntier.NX0)
 			loop := workload.NewClosedLoop(sim, sys.Frontend(), workload.ClosedLoopConfig{
 				Clients:   8,
 				ThinkTime: 5 * time.Millisecond,

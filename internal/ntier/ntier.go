@@ -272,7 +272,7 @@ func appPlan(db server.Server, pool *simnet.ConnPool) server.PlanFunc {
 			return append(buf, server.Stage{CPU: c.AppCPU})
 		}
 		chunk := c.AppCPU * 15 / 100
-		buf = slices.Grow(buf, c.DBQueries+1) // one allocation when buf is nil, as the async server plans
+		buf = slices.Grow(buf, c.DBQueries+1) // allocates only while the pooled visit's or task's buffer is too short
 		for q := 0; q < c.DBQueries; q++ {
 			buf = append(buf, server.Stage{CPU: chunk, Call: down})
 		}

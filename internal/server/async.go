@@ -1,6 +1,7 @@
 package server
 
 import (
+	"sync"
 	"time"
 
 	"ctqosim/internal/cpu"
@@ -38,7 +39,7 @@ type AsyncServer struct {
 
 	busy     int // workers executing a CPU burst
 	inFlight int // admitted requests not yet replied
-	ready    fifo[func()]
+	ready    fifo[*task]
 	stats    Stats
 
 	deferredDispatch func() // a.dispatch, bound once so release allocates no closure
@@ -89,106 +90,32 @@ func (a *AsyncServer) TryAccept(call *simnet.Call) bool {
 	}
 	a.inFlight++
 	a.stats.Accepted++
-	prog := a.plan(call.Payload, nil)
-	a.enqueueWait(call, func() { a.runStage(call, prog, 0) })
+	t, ok := tasks.Get().(*task)
+	if !ok {
+		t = newTask() //lint:allow allocs pool warm-up: one task per admitted, unfinished request, recycled when it replies
+	}
+	t.srv, t.call, t.transport = a, call, a.transport
+	t.prog = a.plan(call.Payload, t.prog)
+	t.enqueue()
 	return true
 }
 
-// enqueueWait is enqueue plus a queue-wait span covering the time the work
-// item sits in the ready queue before a worker picks it up. Continuation
-// hand-offs go through here too, so a request that bounces between bursts
-// accumulates every wait. With tracing off the span ID is zero and the
-// item is enqueued untouched — identical dynamics either way.
-func (a *AsyncServer) enqueueWait(call *simnet.Call, item func()) {
-	wait := call.Trace.Start(span.KindQueueWait, a.cfg.Name, call.SpanID)
-	if wait == 0 {
-		a.enqueue(item)
-		return
-	}
-	a.enqueue(func() {
-		call.Trace.End(wait)
-		item()
-	})
-}
-
-// enqueue adds a runnable work item and dispatches if a worker is free.
-// Continuations (downstream replies) re-enter through here as well; they
-// are never dropped — LiteQDepth bounds admissions, not continuations.
-func (a *AsyncServer) enqueue(item func()) {
-	a.ready.push(item)
-	a.dispatch()
-}
-
+// dispatch hands ready tasks to free workers, oldest first, ending each
+// one's queue-wait span as a worker picks it up.
+//
+//lint:hotpath
 func (a *AsyncServer) dispatch() {
 	for a.busy < a.cfg.Workers && a.ready.len() > 0 {
-		item := a.ready.pop()
+		t := a.ready.pop()
 		a.busy++
-		item()
+		t.call.Trace.End(t.wait)
+		t.runStage()
 	}
 }
 
-// runStage executes stage i: the worker is held only for the CPU burst;
-// a downstream call parks the request and frees the worker.
-func (a *AsyncServer) runStage(call *simnet.Call, prog Program, i int) {
-	if i >= len(prog) {
-		a.release()
-		a.finish(call, call.Payload, false)
-		return
-	}
-	stage := prog[i]
-	// One service span per CPU burst: an async request's service time is
-	// the sum of its bursts, with the waits between them showing up as
-	// queue-wait and downstream spans instead.
-	svc := call.Trace.Start(span.KindService, a.cfg.Name, call.SpanID)
-	a.vm.Submit(a.inflate(stage.CPU), func() {
-		call.Trace.End(svc)
-		if stage.Call == nil {
-			a.release()
-			a.enqueueWait(call, func() { a.runStage(call, prog, i+1) })
-			return
-		}
-		a.callDownstream(call, prog, i, stage.Call)
-	})
-}
-
-func (a *AsyncServer) callDownstream(call *simnet.Call, prog Program, i int, d *Downstream) {
-	ds := call.Trace.Start(span.KindDownstream, d.Dest.Name(), call.SpanID)
-	var poolWait span.ID
-	send := func() {
-		call.Trace.End(poolWait)
-		sub := &simnet.Call{Payload: call.Payload, Trace: call.Trace, SpanID: ds}
-		sub.OnReply = func(reply any) {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			if f, ok := reply.(Failure); ok {
-				a.finish(call, f, true)
-				return
-			}
-			a.enqueueWait(call, func() { a.runStage(call, prog, i+1) })
-		}
-		sub.OnGiveUp = func() {
-			if d.Pool != nil {
-				d.Pool.Release()
-			}
-			call.Trace.End(ds)
-			a.finish(call, Failure{Server: d.Dest.Name()}, true)
-		}
-		a.transport.Send(d.Dest, sub)
-	}
-	// The worker is released before the call is issued; the reply arrives
-	// as a continuation. This is the doGet/eventHandler split of the
-	// paper's Fig. 14.
-	a.release()
-	if d.Pool != nil {
-		poolWait = call.Trace.Start(span.KindPoolWait, d.Dest.Name(), ds)
-		d.Pool.Acquire(send)
-		return
-	}
-	send()
-}
-
+// release frees the worker that ran the current CPU burst.
+//
+//lint:hotpath
 func (a *AsyncServer) release() {
 	a.busy--
 	// Dispatch is deferred to a fresh event so the released worker picks
@@ -196,14 +123,138 @@ func (a *AsyncServer) release() {
 	a.sim.Schedule(0, a.deferredDispatch)
 }
 
-func (a *AsyncServer) finish(call *simnet.Call, payload any, failed bool) {
+// tasks recycles tasks across servers and runs, as visits does for the
+// sync server's stays. A task is cleared before it is put back, so the
+// pool holds no request, span tree or simulation state between uses.
+var tasks sync.Pool
+
+// task is one request's stay at an AsyncServer, from admission to
+// replying upstream. It runs the request's program stage by stage, each
+// stage a trip through the ready queue to a worker for its CPU burst,
+// then the optional downstream call with the worker released. Its
+// CPU-done, send, reply and give-up callbacks are bound once, when the
+// task is created, so admissions, bursts and downstream calls allocate
+// nothing.
+type task struct {
+	srv   *AsyncServer
+	prog  Program // the request's program, planned into this buffer
+	stage int     // the stage queued or running now
+	svc   span.ID // the running CPU burst's service span
+	wait  span.ID // the queue-wait span while the task is ready
+
+	downcall // the upstream call and the current stage's downstream call
+
+	cpuDone func() // t.onCPUDone
+}
+
+// newTask creates a task with its callbacks bound.
+func newTask() *task {
+	t := &task{}
+	t.cpuDone = t.onCPUDone
+	t.bind(t.onReply, t.onGiveUp)
+	return t
+}
+
+// enqueue puts the task's current stage in the ready queue and dispatches
+// if a worker is free. A queue-wait span covers the time until a worker
+// picks it up: admissions and continuations alike, so a request that
+// bounces between bursts accumulates every wait. Continuations are never
+// dropped — LiteQDepth bounds admissions, not continuations.
+//
+//lint:hotpath
+func (t *task) enqueue() {
+	t.wait = t.call.Trace.Start(span.KindQueueWait, t.srv.cfg.Name, t.call.SpanID)
+	t.srv.ready.push(t)
+	t.srv.dispatch()
+}
+
+// runStage submits the current stage's CPU burst on the worker that
+// dispatched it, or finishes the task after the last stage.
+//
+//lint:hotpath
+func (t *task) runStage() {
+	a := t.srv
+	if t.stage >= len(t.prog) {
+		a.release()
+		t.finish(t.call.Payload, false)
+		return
+	}
+	// One service span per CPU burst: an async request's service time is
+	// the sum of its bursts, with the waits between them showing up as
+	// queue-wait and downstream spans instead.
+	t.svc = t.call.Trace.Start(span.KindService, a.cfg.Name, t.call.SpanID)
+	a.vm.Submit(a.inflate(t.prog[t.stage].CPU), t.cpuDone)
+}
+
+// onCPUDone ends the stage's CPU burst and frees its worker: issue the
+// stage's downstream call, or queue the next stage.
+//
+//lint:hotpath
+func (t *task) onCPUDone() {
+	t.call.Trace.End(t.svc)
+	t.srv.release()
+	d := t.prog[t.stage].Call
+	if d == nil {
+		t.stage++
+		t.enqueue()
+		return
+	}
+	// The worker is released before the call is issued; the reply arrives
+	// as a continuation. This is the doGet/eventHandler split of the
+	// paper's Fig. 14.
+	t.start(d, t.call.SpanID)
+}
+
+// onReply takes the downstream reply: a Failure fails the request,
+// anything else queues the next stage.
+//
+//lint:hotpath
+func (t *task) onReply(reply any) {
+	t.settle()
+	if _, ok := reply.(Failure); ok {
+		t.finish(reply, true)
+		return
+	}
+	t.stage++
+	t.enqueue()
+}
+
+// onGiveUp fails the request when the downstream call exhausted its
+// retransmissions. Like the visit's, it boxes a Failure and stays outside
+// the hot-path contract.
+func (t *task) onGiveUp() {
+	t.settle()
+	t.finish(Failure{Server: t.down.Dest.Name()}, true)
+}
+
+// finish replies upstream. The task goes back to the pool first, so the
+// next admission can reuse it.
+//
+//lint:hotpath
+func (t *task) finish(payload any, failed bool) {
+	a, call := t.srv, t.call
 	if failed {
 		a.stats.Failed++
 	} else {
 		a.stats.Completed++
 	}
 	a.inFlight--
+	t.release()
 	replyNow(call, payload)
+}
+
+// release clears everything the task references, keeping its bound
+// callbacks and program buffer, and puts it back in the pool.
+//
+//lint:hotpath
+func (t *task) release() {
+	clear(t.prog)
+	*t = task{
+		prog:     t.prog[:0],
+		downcall: t.downcall.cleared(),
+		cpuDone:  t.cpuDone,
+	}
+	tasks.Put(t)
 }
 
 func (a *AsyncServer) inflate(d time.Duration) time.Duration {

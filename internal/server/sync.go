@@ -195,27 +195,20 @@ var visits sync.Pool
 // nothing.
 type visit struct {
 	srv   *SyncServer
-	call  *simnet.Call // the upstream call being served
-	svc   span.ID      // the service span, covering the whole stay
-	prog  Program      // the request's program, planned into this buffer
-	stage int          // the stage running now
+	svc   span.ID // the service span, covering the whole stay
+	prog  Program // the request's program, planned into this buffer
+	stage int     // the stage running now
 
-	down     *Downstream // the current stage's downstream call
-	ds       span.ID     // its downstream span
-	poolWait span.ID     // its connection-pool wait span
-	sub      simnet.Call // the downstream call, reused stage after stage
+	downcall // the upstream call and the current stage's downstream call
 
 	cpuDone func() // v.onCPUDone
-	send    func() // v.sendDownstream
 }
 
 // newVisit creates a visit with its callbacks bound.
 func newVisit() *visit {
 	v := &visit{}
 	v.cpuDone = v.onCPUDone
-	v.send = v.sendDownstream
-	v.sub.OnReply = v.onReply
-	v.sub.OnGiveUp = v.onGiveUp
+	v.bind(v.onReply, v.onGiveUp)
 	return v
 }
 
@@ -226,7 +219,7 @@ func (s *SyncServer) startOnThread(call *simnet.Call) {
 	if !ok {
 		v = newVisit() //lint:allow allocs pool warm-up: one visit per concurrently held thread, recycled when it replies
 	}
-	v.srv, v.call = s, call
+	v.srv, v.call, v.transport = s, call, s.transport
 	v.prog = s.plan(call.Payload, v.prog)
 	// The service span covers the whole thread-held visit; downstream and
 	// retransmission children subtract out of its exclusive time.
@@ -257,27 +250,9 @@ func (v *visit) onCPUDone() {
 		v.runStage()
 		return
 	}
-	v.down = d
-	v.ds = v.call.Trace.Start(span.KindDownstream, d.Dest.Name(), v.svc)
-	v.poolWait = 0
-	if d.Pool != nil {
-		// The thread waits (still held) until a connection frees up.
-		v.poolWait = v.call.Trace.Start(span.KindPoolWait, d.Dest.Name(), v.ds)
-		d.Pool.Acquire(v.send)
-		return
-	}
-	v.sendDownstream()
-}
-
-// sendDownstream sends the stage's downstream call in the visit's reused
-// sub-call.
-//
-//lint:hotpath
-func (v *visit) sendDownstream() {
-	v.call.Trace.End(v.poolWait)
-	v.sub.Payload, v.sub.Trace, v.sub.SpanID = v.call.Payload, v.call.Trace, v.ds
-	v.sub.Attempts = 0
-	v.srv.transport.Send(v.down.Dest, &v.sub)
+	// The thread stays held while the call waits for a pool connection
+	// and for the reply.
+	v.start(d, v.svc)
 }
 
 // onReply takes the downstream reply: a Failure fails the visit,
@@ -285,10 +260,7 @@ func (v *visit) sendDownstream() {
 //
 //lint:hotpath
 func (v *visit) onReply(reply any) {
-	if v.down.Pool != nil {
-		v.down.Pool.Release()
-	}
-	v.call.Trace.End(v.ds)
+	v.settle()
 	if _, ok := reply.(Failure); ok {
 		v.finish(reply, true)
 		return
@@ -301,10 +273,7 @@ func (v *visit) onReply(reply any) {
 // retransmissions. It is the cold end of the retransmission path and
 // boxes a Failure, so it stays outside the hot-path contract.
 func (v *visit) onGiveUp() {
-	if v.down.Pool != nil {
-		v.down.Pool.Release()
-	}
-	v.call.Trace.End(v.ds)
+	v.settle()
 	v.finish(Failure{Server: v.down.Dest.Name()}, true)
 }
 
@@ -334,10 +303,9 @@ func (v *visit) finish(payload any, failed bool) {
 func (v *visit) release() {
 	clear(v.prog)
 	*v = visit{
-		prog:    v.prog[:0],
-		sub:     simnet.Call{OnReply: v.sub.OnReply, OnGiveUp: v.sub.OnGiveUp},
-		cpuDone: v.cpuDone,
-		send:    v.send,
+		prog:     v.prog[:0],
+		downcall: v.downcall.cleared(),
+		cpuDone:  v.cpuDone,
 	}
 	visits.Put(v)
 }
