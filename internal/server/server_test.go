@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -390,6 +391,91 @@ func TestAsyncFailurePropagation(t *testing.T) {
 	}
 	if app.Depth() != 0 {
 		t.Fatalf("Depth = %d, want 0 after failure", app.Depth())
+	}
+}
+
+func TestAsyncConnPool(t *testing.T) {
+	// An async app in front of a one-thread sync db through a
+	// one-connection pool, as an async app tier keeps the JDBC pool at
+	// NX=0 or NX=1. The db queries a store that a hog holds forever.
+	r := newRig(1)
+	r.tr.MaxAttempts = 1
+	pool := simnet.NewConnPool(1)
+	store := NewSync(r.sim, r.vm("store"), r.tr, cpuOnly(time.Hour),
+		SyncConfig{Name: "store", Threads: 1, Backlog: 0})
+	toStore := &Downstream{Dest: store}
+	var dbOrder []any
+	db := NewSync(r.sim, r.vm("db"), r.tr, func(p any, buf Program) Program {
+		switch p {
+		case "hog":
+			return append(buf, Stage{CPU: time.Second})
+		case "deep":
+			return append(buf, Stage{CPU: time.Millisecond, Call: toStore})
+		}
+		dbOrder = append(dbOrder, p)
+		return append(buf, Stage{CPU: 10 * time.Millisecond})
+	}, SyncConfig{Name: "db", Threads: 1, Backlog: 0})
+	app := NewAsync(r.sim, r.vm("app"), r.tr, callThrough(time.Microsecond, db, pool, time.Microsecond),
+		AsyncConfig{Name: "app", Workers: 1, LiteQDepth: 100})
+
+	type outcome struct{ payload, reply any }
+	var got []outcome
+	send := func(at time.Duration, dst simnet.Admission, p any) {
+		r.sim.Schedule(at, func() {
+			r.tr.Send(dst, &simnet.Call{Payload: p, OnReply: func(rep any) { got = append(got, outcome{p, rep}) }})
+		})
+	}
+	poolAt := func(at time.Duration, inUse, waiting int) {
+		r.sim.Schedule(at, func() {
+			if pool.InUse() != inUse || pool.Waiting() != waiting {
+				t.Errorf("at %v: pool in use %d, waiting %d; want %d, %d",
+					at, pool.InUse(), pool.Waiting(), inUse, waiting)
+			}
+		})
+	}
+	r.tr.Send(store, &simnet.Call{}) // hold the store forever
+
+	// (a) Four requests at once: the first takes the connection and the
+	// rest wait for it, each getting it in arrival order.
+	for i := 0; i < 4; i++ {
+		send(0, app, i)
+	}
+	poolAt(5*time.Microsecond, 1, 3)
+	// (b) With the db held by a hog, b1's call is dropped and gives up;
+	// the give-up releases the connection, and b2 gets it and completes.
+	send(time.Second, db, "hog")
+	send(time.Second+time.Millisecond, app, "b1")
+	poolAt(1500*time.Millisecond, 0, 0)
+	send(2500*time.Millisecond, app, "b2")
+	// (c) The db's own query gives up, so it replies with a Failure; the
+	// app passes it on and the reply releases the connection for c2.
+	send(3*time.Second, app, "deep")
+	poolAt(3500*time.Millisecond, 0, 0)
+	send(3500*time.Millisecond, app, "c2")
+
+	if err := r.sim.Run(5 * time.Second); err != nil && err != des.ErrHorizon {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []outcome{
+		{0, 0}, {1, 1}, {2, 2}, {3, 3},
+		{"b1", Failure{Server: "db"}},
+		{"hog", "hog"},
+		{"b2", "b2"},
+		{"deep", Failure{Server: "store"}},
+		{"c2", "c2"},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("replies = %v\nwant %v", got, want)
+	}
+	if wantOrder := []any{0, 1, 2, 3, "b2", "c2"}; !slices.Equal(dbOrder, wantOrder) {
+		t.Fatalf("db served %v, want %v", dbOrder, wantOrder)
+	}
+	if pool.InUse() != 0 || pool.Waiting() != 0 || app.Depth() != 0 {
+		t.Fatalf("at the end: pool in use %d, waiting %d, app depth %d; want all 0",
+			pool.InUse(), pool.Waiting(), app.Depth())
+	}
+	if st := app.Stats(); st != (Stats{Accepted: 8, Completed: 6, Failed: 2}) {
+		t.Fatalf("app stats = %+v, want 8 accepted, 6 completed, 2 failed", st)
 	}
 }
 
