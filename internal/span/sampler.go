@@ -6,11 +6,13 @@ import (
 	"time"
 )
 
-// Sampler bounds trace memory: every trace whose response time exceeds the
-// tail threshold is kept in full (those are the requests the analysis must
-// explain), while normal traces flow through a classic reservoir sample of
-// fixed capacity. The reservoir uses its own seeded RNG so sampling is
-// reproducible and independent of the simulation's random stream.
+// Sampler chooses which finished traces to keep: every trace whose
+// response time exceeds the tail threshold is kept in full (those are the
+// requests the analysis must explain), while normal traces flow through a
+// classic reservoir sample of fixed capacity. Only the normal traces are
+// bounded, by the reservoir; the tail trees grow with the number of slow
+// requests in the run. The reservoir uses its own seeded RNG so sampling
+// is reproducible and independent of the simulation's random stream.
 type Sampler struct {
 	threshold time.Duration
 	capacity  int

@@ -25,10 +25,12 @@ type TracerConfig struct {
 	Reservoir int
 }
 
-// Tracer creates and collects per-request traces. Memory is bounded at
-// high workloads: full trees are kept only for tail exemplars (plus a
-// fixed-size reservoir of normal requests), while every finished trace is
-// folded into a compact per-request breakdown record.
+// Tracer creates and collects per-request traces. Full trees are kept
+// only for tail exemplars plus a fixed-size reservoir of normal requests,
+// and every finished trace is folded into a compact per-request breakdown
+// record. Only the normal trees are bounded, by the reservoir: the tail
+// trees grow with the number of slow requests, and the records with the
+// number of finished requests, for the whole run.
 //
 // Every exported method is safe on a nil receiver — that is how disabled
 // tracing stays free on the hot path — and ctqo-lint's nilsafe analyzer
