@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"ctqosim/internal/des"
-	"ctqosim/internal/simnet"
 	"ctqosim/internal/workload"
 )
 
@@ -114,16 +113,5 @@ func (g *Generator) fire() {
 	g.nextID++
 	g.sent++
 	g.arrivals = append(g.arrivals, req.Submitted)
-
-	call := &simnet.Call{Payload: req}
-	finish := func(failed bool) {
-		req.Completed = g.sim.Now()
-		req.Failed = failed
-		if g.sink != nil {
-			g.sink.Record(req)
-		}
-	}
-	call.OnReply = func(any) { finish(false) }
-	call.OnGiveUp = func() { finish(true) }
-	g.front.Transport.Send(g.front.Target, call)
+	g.front.Submit(g.sim, req, nil, g.sink)
 }

@@ -132,8 +132,8 @@ var tasks sync.Pool
 // replying upstream. It runs the request's program stage by stage, each
 // stage a trip through the ready queue to a worker for its CPU burst,
 // then the optional downstream call with the worker released. Its
-// CPU-done, send, reply and give-up callbacks are bound once, when the
-// task is created, so admissions, bursts and downstream calls allocate
+// CPU-done, send and done callbacks are bound once, when the task is
+// created, so admissions, bursts, downstream calls and failures allocate
 // nothing.
 type task struct {
 	srv   *AsyncServer
@@ -151,7 +151,7 @@ type task struct {
 func newTask() *task {
 	t := &task{}
 	t.cpuDone = t.onCPUDone
-	t.bind(t.onReply, t.onGiveUp)
+	t.bind(t.onDone)
 	return t
 }
 
@@ -176,7 +176,7 @@ func (t *task) runStage() {
 	a := t.srv
 	if t.stage >= len(t.prog) {
 		a.release()
-		t.finish(t.call.Payload, false)
+		t.finish("")
 		return
 	}
 	// One service span per CPU burst: an async request's service time is
@@ -205,42 +205,35 @@ func (t *task) onCPUDone() {
 	t.start(d, t.call.SpanID)
 }
 
-// onReply takes the downstream reply: a Failure fails the request,
-// anything else queues the next stage.
+// onDone ends the downstream call: a failure, whether the call gave up
+// or was failed further down, fails the request; otherwise it queues the
+// next stage.
 //
 //lint:hotpath
-func (t *task) onReply(reply any) {
+func (t *task) onDone(failedAt string) {
 	t.settle()
-	if _, ok := reply.(Failure); ok {
-		t.finish(reply, true)
+	if failedAt != "" {
+		t.finish(failedAt)
 		return
 	}
 	t.stage++
 	t.enqueue()
 }
 
-// onGiveUp fails the request when the downstream call exhausted its
-// retransmissions. Like the visit's, it boxes a Failure and stays outside
-// the hot-path contract.
-func (t *task) onGiveUp() {
-	t.settle()
-	t.finish(Failure{Server: t.down.Dest.Name()}, true)
-}
-
-// finish replies upstream. The task goes back to the pool first, so the
-// next admission can reuse it.
+// finish replies upstream, failed at failedAt unless it is empty. The
+// task goes back to the pool first, so the next admission can reuse it.
 //
 //lint:hotpath
-func (t *task) finish(payload any, failed bool) {
+func (t *task) finish(failedAt string) {
 	a, call := t.srv, t.call
-	if failed {
+	if failedAt != "" {
 		a.stats.Failed++
 	} else {
 		a.stats.Completed++
 	}
 	a.inFlight--
 	t.release()
-	replyNow(call, payload)
+	replyNow(call, failedAt)
 }
 
 // release clears everything the task references, keeping its bound

@@ -39,7 +39,7 @@ type Downstream struct {
 	// Dest is the receiving server.
 	Dest simnet.Admission
 	// Pool, if non-nil, is acquired before sending and released when the
-	// reply arrives (the JDBC connection pool between Tomcat and MySQL).
+	// call ends (the JDBC connection pool between Tomcat and MySQL).
 	Pool *simnet.ConnPool
 }
 
@@ -56,7 +56,7 @@ type PlanFunc func(payload any, buf Program) Program
 type Stats struct {
 	Accepted  int64 // admitted requests
 	Completed int64 // replied successfully
-	Failed    int64 // completed with a failed downstream call
+	Failed    int64 // replied failed: a downstream call failed, or the request was shed
 }
 
 // Server is the interface shared by both architectures; ntier wires tiers
@@ -78,17 +78,11 @@ type Server interface {
 	Stats() Stats
 }
 
-// Failure is delivered as the reply payload when a request could not be
-// completed because a downstream call exhausted its retransmissions.
-type Failure struct {
-	// Server is the downstream destination that never admitted the call.
-	Server string
-}
-
-// replyNow invokes a call's reply callback if present.
-func replyNow(call *simnet.Call, payload any) {
-	if call.OnReply != nil {
-		call.OnReply(payload)
+// replyNow ends call upstream: failedAt is empty when the request
+// completed, or names the server at which it failed.
+func replyNow(call *simnet.Call, failedAt string) {
+	if call.Done != nil {
+		call.Done(failedAt)
 	}
 }
 
@@ -96,8 +90,8 @@ func replyNow(call *simnet.Call, payload any) {
 // by the sync server's visits and the async server's tasks: the upstream
 // call being served and the current stage's call to the next tier, made
 // through the stage's connection pool if it has one and sent in a
-// sub-call reused stage after stage. Its owner binds the sub-call's reply
-// and give-up callbacks, each of which calls settle first.
+// sub-call reused stage after stage. Its owner binds the sub-call's
+// done callback, which calls settle first.
 type downcall struct {
 	call      *simnet.Call      // the upstream call being served
 	transport *simnet.Transport // the serving server's transport
@@ -110,10 +104,10 @@ type downcall struct {
 }
 
 // bind binds the pool's callback to sendDownstream and the sub-call's to
-// the owner's reply and give-up handlers.
-func (c *downcall) bind(onReply func(reply any), onGiveUp func()) {
+// the owner's done handler.
+func (c *downcall) bind(onDone func(failedAt string)) {
 	c.send = c.sendDownstream
-	c.sub.OnReply, c.sub.OnGiveUp = onReply, onGiveUp
+	c.sub.Done = onDone
 }
 
 // start opens the downstream span under parent and sends d's call, once
@@ -142,7 +136,7 @@ func (c *downcall) sendDownstream() {
 }
 
 // settle releases the stage's pool connection, if any, and ends its
-// downstream span: the call has replied or given up.
+// downstream span: the call has ended.
 func (c *downcall) settle() {
 	if c.down.Pool != nil {
 		c.down.Pool.Release()
@@ -154,7 +148,7 @@ func (c *downcall) settle() {
 // delivery state included, except the callbacks bound to its owner.
 func (c *downcall) cleared() downcall {
 	return downcall{
-		sub:  simnet.Call{OnReply: c.sub.OnReply, OnGiveUp: c.sub.OnGiveUp},
+		sub:  simnet.Call{Done: c.sub.Done},
 		send: c.send,
 	}
 }

@@ -41,7 +41,7 @@ func callThrough(pre time.Duration, dest simnet.Admission, pool *simnet.ConnPool
 
 func sendAndTime(r *rig, dst simnet.Admission, rt *time.Duration) {
 	call := &simnet.Call{}
-	call.OnReply = func(any) { *rt = r.sim.Now() - call.FirstSent }
+	call.Done = func(string) { *rt = r.sim.Now() - call.FirstSent }
 	r.tr.Send(dst, call)
 }
 
@@ -74,7 +74,7 @@ func TestSyncAdmissionBound(t *testing.T) {
 	}
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if srv.TryAccept(&simnet.Call{OnReply: func(any) {}}) {
+		if srv.TryAccept(&simnet.Call{Done: func(string) {}}) {
 			accepted++
 		}
 	}
@@ -94,7 +94,11 @@ func TestSyncQueueDrainsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		r.tr.Send(srv, &simnet.Call{OnReply: func(any) { order = append(order, i) }})
+		r.tr.Send(srv, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "" {
+				order = append(order, i)
+			}
+		}})
 	}
 	if err := r.sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -123,7 +127,7 @@ func TestSyncThreadHeldAcrossDownstreamCall(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		i := i
 		r.sim.Schedule(time.Duration(i)*100*time.Millisecond, func() {
-			call := &simnet.Call{OnReply: func(any) {}}
+			call := &simnet.Call{Done: func(string) {}}
 			results[i] = app.TryAccept(call)
 		})
 	}
@@ -147,7 +151,7 @@ func TestSyncSpareProcessEscalation(t *testing.T) {
 		SyncConfig{Name: "s", Threads: 2, Backlog: 2, SpareThreads: 2, SpareAfter: time.Second})
 
 	for i := 0; i < 4; i++ {
-		r.tr.Send(srv, &simnet.Call{OnReply: func(any) {}})
+		r.tr.Send(srv, &simnet.Call{Done: func(string) {}})
 	}
 	if srv.MaxSysQDepth() != 4 {
 		t.Fatalf("MaxSysQDepth before escalation = %d, want 4", srv.MaxSysQDepth())
@@ -172,7 +176,7 @@ func TestSyncSpareNotAddedIfPressureSubsides(t *testing.T) {
 
 	// Saturate briefly; all requests finish well before the spare check.
 	for i := 0; i < 3; i++ {
-		r.tr.Send(srv, &simnet.Call{OnReply: func(any) {}})
+		r.tr.Send(srv, &simnet.Call{Done: func(string) {}})
 	}
 	if err := r.sim.Run(5 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -193,19 +197,15 @@ func TestSyncFailurePropagation(t *testing.T) {
 	// Occupy the single DB thread forever.
 	r.tr.Send(db, &simnet.Call{})
 
-	var reply any
+	var failedAt []string
 	r.sim.Schedule(time.Millisecond, func() {
-		r.tr.Send(app, &simnet.Call{OnReply: func(rep any) { reply = rep }})
+		r.tr.Send(app, &simnet.Call{Done: func(at string) { failedAt = append(failedAt, at) }})
 	})
 	if err := r.sim.Run(time.Minute); err != nil && err != des.ErrHorizon {
 		t.Fatalf("Run: %v", err)
 	}
-	f, ok := reply.(Failure)
-	if !ok {
-		t.Fatalf("reply = %#v, want Failure", reply)
-	}
-	if f.Server != "db" {
-		t.Fatalf("Failure.Server = %q, want db", f.Server)
+	if !slices.Equal(failedAt, []string{"db"}) {
+		t.Fatalf("app replied failed at %q, want once, at db", failedAt)
 	}
 	if app.Stats().Failed != 1 {
 		t.Fatalf("app failed = %d, want 1", app.Stats().Failed)
@@ -227,7 +227,11 @@ func TestSyncConnPoolSerializesDownstream(t *testing.T) {
 	var last time.Duration
 	for i := 0; i < 3; i++ {
 		call := &simnet.Call{}
-		call.OnReply = func(any) { last = r.sim.Now() }
+		call.Done = func(failedAt string) {
+			if failedAt == "" {
+				last = r.sim.Now()
+			}
+		}
 		r.tr.Send(app, call)
 	}
 	if err := r.sim.Run(time.Minute); err != nil {
@@ -250,8 +254,8 @@ func TestSyncOverheadInflation(t *testing.T) {
 		var last time.Duration
 		for i := 0; i < 50; i++ {
 			call := &simnet.Call{}
-			call.OnReply = func(any) {
-				if r.sim.Now() > last {
+			call.Done = func(failedAt string) {
+				if failedAt == "" && r.sim.Now() > last {
 					last = r.sim.Now()
 				}
 			}
@@ -293,7 +297,7 @@ func TestAsyncAbsorbsBurstWithoutDrops(t *testing.T) {
 	syncSrv := NewSync(syncRig.sim, syncRig.vm("s"), syncRig.tr, cpuOnly(time.Millisecond),
 		SyncConfig{Name: "s", Threads: 150, Backlog: 128})
 	for i := 0; i < burst; i++ {
-		syncRig.tr.Send(syncSrv, &simnet.Call{OnReply: func(any) {}})
+		syncRig.tr.Send(syncSrv, &simnet.Call{Done: func(string) {}})
 	}
 	if err := syncRig.sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -307,7 +311,11 @@ func TestAsyncAbsorbsBurstWithoutDrops(t *testing.T) {
 		AsyncConfig{Name: "s", Workers: 4, LiteQDepth: 65535})
 	completed := 0
 	for i := 0; i < burst; i++ {
-		asyncRig.tr.Send(asyncSrv, &simnet.Call{OnReply: func(any) { completed++ }})
+		asyncRig.tr.Send(asyncSrv, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "" {
+				completed++
+			}
+		}})
 	}
 	if err := asyncRig.sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -327,7 +335,7 @@ func TestAsyncLiteQDepthBound(t *testing.T) {
 
 	accepted := 0
 	for i := 0; i < 5; i++ {
-		if srv.TryAccept(&simnet.Call{OnReply: func(any) {}}) {
+		if srv.TryAccept(&simnet.Call{Done: func(string) {}}) {
 			accepted++
 		}
 	}
@@ -350,7 +358,11 @@ func TestAsyncWorkerReleasedDuringDownstreamCall(t *testing.T) {
 
 	completed := 0
 	for i := 0; i < 20; i++ {
-		r.tr.Send(app, &simnet.Call{OnReply: func(any) { completed++ }})
+		r.tr.Send(app, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "" {
+				completed++
+			}
+		}})
 	}
 	var peakConcurrentDB int
 	des.NewTicker(r.sim, time.Millisecond, func(time.Duration) {
@@ -379,15 +391,15 @@ func TestAsyncFailurePropagation(t *testing.T) {
 
 	r.tr.Send(db, &simnet.Call{}) // occupy DB forever
 
-	var reply any
+	var failedAt []string
 	r.sim.Schedule(time.Millisecond, func() {
-		r.tr.Send(app, &simnet.Call{OnReply: func(rep any) { reply = rep }})
+		r.tr.Send(app, &simnet.Call{Done: func(at string) { failedAt = append(failedAt, at) }})
 	})
 	if err := r.sim.Run(time.Second); err != nil && err != des.ErrHorizon {
 		t.Fatalf("Run: %v", err)
 	}
-	if f, ok := reply.(Failure); !ok || f.Server != "db" {
-		t.Fatalf("reply = %#v, want Failure{db}", reply)
+	if !slices.Equal(failedAt, []string{"db"}) {
+		t.Fatalf("app replied failed at %q, want once, at db", failedAt)
 	}
 	if app.Depth() != 0 {
 		t.Fatalf("Depth = %d, want 0 after failure", app.Depth())
@@ -418,11 +430,14 @@ func TestAsyncConnPool(t *testing.T) {
 	app := NewAsync(r.sim, r.vm("app"), r.tr, callThrough(time.Microsecond, db, pool, time.Microsecond),
 		AsyncConfig{Name: "app", Workers: 1, LiteQDepth: 100})
 
-	type outcome struct{ payload, reply any }
+	type outcome struct {
+		payload  any
+		failedAt string
+	}
 	var got []outcome
 	send := func(at time.Duration, dst simnet.Admission, p any) {
 		r.sim.Schedule(at, func() {
-			r.tr.Send(dst, &simnet.Call{Payload: p, OnReply: func(rep any) { got = append(got, outcome{p, rep}) }})
+			r.tr.Send(dst, &simnet.Call{Payload: p, Done: func(at string) { got = append(got, outcome{p, at}) }})
 		})
 	}
 	poolAt := func(at time.Duration, inUse, waiting int) {
@@ -447,8 +462,9 @@ func TestAsyncConnPool(t *testing.T) {
 	send(time.Second+time.Millisecond, app, "b1")
 	poolAt(1500*time.Millisecond, 0, 0)
 	send(2500*time.Millisecond, app, "b2")
-	// (c) The db's own query gives up, so it replies with a Failure; the
-	// app passes it on and the reply releases the connection for c2.
+	// (c) The db's own query gives up, so it replies failed at the
+	// store; the app passes that on, and the reply releases the
+	// connection for c2.
 	send(3*time.Second, app, "deep")
 	poolAt(3500*time.Millisecond, 0, 0)
 	send(3500*time.Millisecond, app, "c2")
@@ -457,12 +473,12 @@ func TestAsyncConnPool(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	want := []outcome{
-		{0, 0}, {1, 1}, {2, 2}, {3, 3},
-		{"b1", Failure{Server: "db"}},
-		{"hog", "hog"},
-		{"b2", "b2"},
-		{"deep", Failure{Server: "store"}},
-		{"c2", "c2"},
+		{0, ""}, {1, ""}, {2, ""}, {3, ""},
+		{"b1", "db"},
+		{"hog", ""},
+		{"b2", ""},
+		{"deep", "store"},
+		{"c2", ""},
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("replies = %v\nwant %v", got, want)
@@ -492,7 +508,7 @@ func TestAsyncBatchReleaseAfterStall(t *testing.T) {
 
 	appVM.Block(time.Second)
 	for i := 0; i < 100; i++ {
-		r.tr.Send(app, &simnet.Call{OnReply: func(any) {}})
+		r.tr.Send(app, &simnet.Call{Done: func(string) {}})
 	}
 	// During the stall nothing has reached the DB.
 	r.sim.Schedule(900*time.Millisecond, func() {
@@ -533,7 +549,7 @@ func TestConservationOfRequests(t *testing.T) {
 		delay := time.Duration(r.sim.Rand().Intn(2000)) * time.Millisecond
 		r.sim.Schedule(delay, func() {
 			sent++
-			r.tr.Send(web, &simnet.Call{OnReply: func(any) {}, OnGiveUp: func() {}})
+			r.tr.Send(web, &simnet.Call{Done: func(string) {}})
 		})
 	}
 	r.sim.Schedule(time.Second, func() { dbVM.Block(500 * time.Millisecond) })
@@ -586,7 +602,7 @@ func TestSyncEmptyProgram(t *testing.T) {
 	srv := NewSync(r.sim, r.vm("s"), r.tr, func(_ any, buf Program) Program { return buf },
 		SyncConfig{Name: "s", Threads: 1, Backlog: 0})
 	done := false
-	r.tr.Send(srv, &simnet.Call{OnReply: func(any) { done = true }})
+	r.tr.Send(srv, &simnet.Call{Done: func(failedAt string) { done = failedAt == "" }})
 	if err := r.sim.Run(time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -611,7 +627,11 @@ func TestAsyncContinuationsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		r.tr.Send(app, &simnet.Call{OnReply: func(any) { order = append(order, i) }})
+		r.tr.Send(app, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "" {
+				order = append(order, i)
+			}
+		}})
 	}
 	if err := r.sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -634,8 +654,8 @@ func TestAsyncOverheadInflation(t *testing.T) {
 		var last time.Duration
 		for i := 0; i < 8; i++ {
 			call := &simnet.Call{}
-			call.OnReply = func(any) {
-				if r.sim.Now() > last {
+			call.Done = func(failedAt string) {
+				if failedAt == "" && r.sim.Now() > last {
 					last = r.sim.Now()
 				}
 			}
@@ -665,7 +685,11 @@ func TestSyncStatsFailuresViaPool(t *testing.T) {
 	replies := 0
 	for i := 0; i < 3; i++ {
 		r.sim.Schedule(time.Duration(i)*time.Millisecond, func() {
-			r.tr.Send(app, &simnet.Call{OnReply: func(any) { replies++ }})
+			r.tr.Send(app, &simnet.Call{Done: func(failedAt string) {
+				if failedAt == "db" {
+					replies++
+				}
+			}})
 		})
 	}
 	if err := r.sim.Run(time.Second); err != nil && err != des.ErrHorizon {
@@ -689,8 +713,8 @@ func TestSyncQueueTimeoutSheds(t *testing.T) {
 
 	var failures int
 	for i := 0; i < 4; i++ {
-		r.tr.Send(srv, &simnet.Call{OnReply: func(rep any) {
-			if _, ok := rep.(Failure); ok {
+		r.tr.Send(srv, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "s" {
 				failures++
 			}
 		}})
@@ -718,8 +742,8 @@ func TestSyncQueueTimeoutCancelledOnService(t *testing.T) {
 
 	completed := 0
 	for i := 0; i < 4; i++ {
-		r.tr.Send(srv, &simnet.Call{OnReply: func(rep any) {
-			if _, ok := rep.(Failure); !ok {
+		r.tr.Send(srv, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "" {
 				completed++
 			}
 		}})
@@ -738,7 +762,7 @@ func TestSyncQueueTimeoutDisabledByDefault(t *testing.T) {
 	srv := NewSync(r.sim, r.vm("s"), r.tr, cpuOnly(500*time.Millisecond),
 		SyncConfig{Name: "s", Threads: 1, Backlog: 5})
 	for i := 0; i < 4; i++ {
-		r.tr.Send(srv, &simnet.Call{OnReply: func(any) {}})
+		r.tr.Send(srv, &simnet.Call{Done: func(string) {}})
 	}
 	if err := r.sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -33,7 +33,7 @@ type SyncConfig struct {
 	// scheduling overhead at high thread counts (the paper's Fig. 12).
 	OverheadPerThread float64
 	// QueueTimeout, if positive, sheds requests that wait in the accept
-	// queue longer than this: they are answered with a Failure instead of
+	// queue longer than this: they fail at this server instead of
 	// holding the queue — the fail-fast alternative to the paper's
 	// enlarge-the-buffers discussion (Section V-E). Zero disables
 	// shedding.
@@ -151,7 +151,7 @@ func (s *SyncServer) shedEntry(call *simnet.Call) {
 		s.stats.Failed++
 		call.Trace.End(entry.wait)
 		call.Trace.Annotate(entry.wait, "shed by queue timeout")
-		replyNow(call, Failure{Server: s.cfg.Name})
+		replyNow(call, s.cfg.Name)
 		return
 	}
 }
@@ -190,9 +190,9 @@ var visits sync.Pool
 // thread to replying upstream. It runs the request's program stage by
 // stage: a CPU burst, then the optional downstream call, then the next
 // stage, holding the thread throughout, including downstream
-// retransmission waits. Its CPU-done, send, reply and give-up callbacks
-// are bound once, when the visit is created, so a stage allocates
-// nothing.
+// retransmission waits. Its CPU-done, send and done callbacks are bound
+// once, when the visit is created, so neither a stage nor a failure
+// allocates.
 type visit struct {
 	srv   *SyncServer
 	svc   span.ID // the service span, covering the whole stay
@@ -208,7 +208,7 @@ type visit struct {
 func newVisit() *visit {
 	v := &visit{}
 	v.cpuDone = v.onCPUDone
-	v.bind(v.onReply, v.onGiveUp)
+	v.bind(v.onDone)
 	return v
 }
 
@@ -233,7 +233,7 @@ func (s *SyncServer) startOnThread(call *simnet.Call) {
 //lint:hotpath
 func (v *visit) runStage() {
 	if v.stage >= len(v.prog) {
-		v.finish(v.call.Payload, false)
+		v.finish("")
 		return
 	}
 	v.srv.vm.Submit(v.srv.inflate(v.prog[v.stage].CPU), v.cpuDone)
@@ -255,36 +255,29 @@ func (v *visit) onCPUDone() {
 	v.start(d, v.svc)
 }
 
-// onReply takes the downstream reply: a Failure fails the visit,
-// anything else moves on to the next stage.
+// onDone ends the downstream call: a failure, whether the call gave up
+// or was failed further down, fails the visit; otherwise it moves on to
+// the next stage.
 //
 //lint:hotpath
-func (v *visit) onReply(reply any) {
+func (v *visit) onDone(failedAt string) {
 	v.settle()
-	if _, ok := reply.(Failure); ok {
-		v.finish(reply, true)
+	if failedAt != "" {
+		v.finish(failedAt)
 		return
 	}
 	v.stage++
 	v.runStage()
 }
 
-// onGiveUp fails the visit when the downstream call exhausted its
-// retransmissions. It is the cold end of the retransmission path and
-// boxes a Failure, so it stays outside the hot-path contract.
-func (v *visit) onGiveUp() {
-	v.settle()
-	v.finish(Failure{Server: v.down.Dest.Name()}, true)
-}
-
-// finish replies upstream, releases the thread and pulls the next queued
-// request onto it. The visit goes back to the pool first, so the next
-// request can reuse it.
+// finish replies upstream, failed at failedAt unless it is empty,
+// releases the thread and pulls the next queued request onto it. The
+// visit goes back to the pool first, so the next request can reuse it.
 //
 //lint:hotpath
-func (v *visit) finish(payload any, failed bool) {
+func (v *visit) finish(failedAt string) {
 	s, call := v.srv, v.call
-	if failed {
+	if failedAt != "" {
 		s.stats.Failed++
 	} else {
 		s.stats.Completed++
@@ -293,7 +286,7 @@ func (v *visit) finish(payload any, failed bool) {
 	call.Trace.End(v.svc)
 	v.release()
 	s.drainQueue()
-	replyNow(call, payload)
+	replyNow(call, failedAt)
 }
 
 // release clears everything the visit references, keeping its bound

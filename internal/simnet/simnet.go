@@ -42,10 +42,12 @@ type Admission interface {
 type Call struct {
 	// Payload is the message body, opaque to the transport.
 	Payload any
-	// OnReply is invoked when the receiver replies.
-	OnReply func(reply any)
-	// OnGiveUp is invoked if every delivery attempt is dropped.
-	OnGiveUp func()
+	// Done, if non-nil, is invoked once when the exchange ends, by the
+	// receiver's reply or by the transport giving up. failedAt is empty
+	// on success; otherwise it names the server the request failed at:
+	// the destination given up on, a server further down, or the
+	// receiver itself when it shed the request.
+	Done func(failedAt string)
 
 	// FirstSent is when the first attempt was made.
 	FirstSent time.Duration
@@ -235,8 +237,8 @@ func (t *Transport) attempt(dst Admission, call *Call) {
 
 	if call.Attempts >= t.maxAttempts() {
 		s.GaveUp++
-		if call.OnGiveUp != nil {
-			call.OnGiveUp()
+		if call.Done != nil {
+			call.Done(dst.Name())
 		}
 		return
 	}

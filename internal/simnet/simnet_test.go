@@ -31,8 +31,8 @@ func (f *fakeServer) TryAccept(call *Call) bool {
 	f.accepted++
 	f.sim.Schedule(f.service, func() {
 		f.busy--
-		if call.OnReply != nil {
-			call.OnReply("ok")
+		if call.Done != nil {
+			call.Done("")
 		}
 	})
 	return true
@@ -43,17 +43,17 @@ func TestSendDeliversAndReplies(t *testing.T) {
 	tr := NewTransport(sim)
 	srv := &fakeServer{sim: sim, name: "s", capacity: 1, service: 10 * time.Millisecond}
 
-	var reply any
+	failedAt := "unset"
 	var repliedAt time.Duration
-	tr.Send(srv, &Call{OnReply: func(r any) {
-		reply = r
+	tr.Send(srv, &Call{Done: func(at string) {
+		failedAt = at
 		repliedAt = sim.Now()
 	}})
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if reply != "ok" {
-		t.Fatalf("reply = %v, want ok", reply)
+	if failedAt != "" {
+		t.Fatalf("failedAt = %q, want a completed exchange", failedAt)
 	}
 	if repliedAt != 10*time.Millisecond {
 		t.Fatalf("replied at %v, want 10ms", repliedAt)
@@ -74,7 +74,7 @@ func TestDropRetransmitsAfterRTO(t *testing.T) {
 	sim.Schedule(4*time.Second, func() { srv.busy = 0 })
 
 	var repliedAt time.Duration
-	call := &Call{OnReply: func(any) { repliedAt = sim.Now() }}
+	call := &Call{Done: func(string) { repliedAt = sim.Now() }}
 	tr.Send(srv, call)
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -106,7 +106,11 @@ func TestReusedCallRetriesOnItsLastTransport(t *testing.T) {
 	}
 
 	replies := 0
-	call := &Call{OnReply: func(any) { replies++ }}
+	call := &Call{Done: func(failedAt string) {
+		if failedAt == "" {
+			replies++
+		}
+	}}
 	dropOnce(srvA)
 	a.Send(srvA, call)
 	if err := sim.Run(time.Minute); err != nil {
@@ -139,17 +143,17 @@ func TestGiveUpAfterMaxAttempts(t *testing.T) {
 	tr.MaxAttempts = 3
 	srv := &fakeServer{sim: sim, name: "s", refuse: true}
 
-	gaveUp := false
+	var failedAt []string
 	var gaveUpAt time.Duration
-	tr.Send(srv, &Call{OnGiveUp: func() {
-		gaveUp = true
+	tr.Send(srv, &Call{Done: func(at string) {
+		failedAt = append(failedAt, at)
 		gaveUpAt = sim.Now()
 	}})
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !gaveUp {
-		t.Fatal("OnGiveUp not invoked")
+	if !reflect.DeepEqual(failedAt, []string{"s"}) {
+		t.Fatalf("Done called with %q, want once, failed at the destination s", failedAt)
 	}
 	// Attempts at 0, 3, 6s: gave up at the third drop.
 	if gaveUpAt != 6*time.Second {
@@ -170,7 +174,7 @@ func TestCustomRTO(t *testing.T) {
 	sim.Schedule(500*time.Millisecond, func() { srv.busy = 0 })
 
 	var repliedAt time.Duration
-	tr.Send(srv, &Call{OnReply: func(any) { repliedAt = sim.Now() }})
+	tr.Send(srv, &Call{Done: func(string) { repliedAt = sim.Now() }})
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -187,7 +191,7 @@ func TestExponentialBackoff(t *testing.T) {
 	srv := &fakeServer{sim: sim, name: "s", refuse: true}
 
 	var gaveUpAt time.Duration
-	tr.Send(srv, &Call{OnGiveUp: func() { gaveUpAt = sim.Now() }})
+	tr.Send(srv, &Call{Done: func(string) { gaveUpAt = sim.Now() }})
 	if err := sim.Run(time.Hour); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -230,7 +234,7 @@ func TestFirstSentStampedOnce(t *testing.T) {
 	srv.busy = 1
 	sim.Schedule(time.Second, func() { srv.busy = 0 })
 
-	call := &Call{OnReply: func(any) {}}
+	call := &Call{Done: func(string) {}}
 	sim.Schedule(100*time.Millisecond, func() { tr.Send(srv, call) })
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -271,7 +275,10 @@ func TestResponseTimeClusters(t *testing.T) {
 	buckets := make(map[int]int) // response time rounded to seconds
 	for i := 0; i < 8; i++ {
 		call := &Call{}
-		call.OnReply = func(any) {
+		call.Done = func(failedAt string) {
+			if failedAt != "" {
+				return
+			}
 			rt := sim.Now() - call.FirstSent
 			buckets[int(rt/time.Second)]++
 		}
@@ -368,9 +375,9 @@ func TestPropertyRetransmitArithmetic(t *testing.T) {
 		var rt time.Duration
 		ok := false
 		call := &Call{}
-		call.OnReply = func(any) {
+		call.Done = func(failedAt string) {
 			rt = sim.Now() - call.FirstSent
-			ok = true
+			ok = failedAt == ""
 		}
 		tr.Send(srv, call)
 		if err := sim.Run(time.Hour); err != nil {
@@ -417,7 +424,7 @@ func TestKernelProfilesDifferInClusterPlacement(t *testing.T) {
 		sim.Schedule(500*time.Millisecond, func() { srv.busy = 0 })
 		var rt time.Duration
 		call := &Call{}
-		call.OnReply = func(any) { rt = sim.Now() - call.FirstSent }
+		call.Done = func(string) { rt = sim.Now() - call.FirstSent }
 		tr.Send(srv, call)
 		if err := sim.Run(time.Minute); err != nil {
 			t.Fatalf("Run: %v", err)
@@ -439,7 +446,7 @@ func TestNetworkLatency(t *testing.T) {
 	srv := &fakeServer{sim: sim, name: "s", capacity: 1, service: time.Millisecond}
 
 	var repliedAt time.Duration
-	tr.Send(srv, &Call{OnReply: func(any) { repliedAt = sim.Now() }})
+	tr.Send(srv, &Call{Done: func(string) { repliedAt = sim.Now() }})
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -461,7 +468,7 @@ func TestNetworkLatencyAppliesToRetransmits(t *testing.T) {
 	sim.Schedule(500*time.Millisecond, func() { srv.busy = 0 })
 
 	var repliedAt time.Duration
-	tr.Send(srv, &Call{OnReply: func(any) { repliedAt = sim.Now() }})
+	tr.Send(srv, &Call{Done: func(string) { repliedAt = sim.Now() }})
 	if err := sim.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ctqosim/internal/des"
-	"ctqosim/internal/server"
 	"ctqosim/internal/simnet"
 	"ctqosim/internal/span"
 )
@@ -17,6 +16,24 @@ type Frontend struct {
 	Transport *simnet.Transport
 	// Target is the web tier's admission.
 	Target simnet.Admission
+}
+
+// Submit opens req's trace on tracer and sends req to the web tier in a
+// call of its own. When the call ends, Submit stamps req's completion,
+// marks it failed if it failed at any tier, finishes its trace and
+// records it to sink. tracer and sink may be nil.
+func (f Frontend) Submit(sim *des.Simulator, req *Request, tracer *span.Tracer, sink Sink) {
+	req.Trace = tracer.StartRequest(req.ID, req.Class.Name)
+	call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
+	call.Done = func(failedAt string) {
+		req.Completed = sim.Now()
+		req.Failed = failedAt != ""
+		tracer.Finish(req.Trace)
+		if sink != nil {
+			sink.Record(req)
+		}
+	}
+	f.Transport.Send(f.Target, call)
 }
 
 // BurstSpec adds burstiness to a closed-loop population, approximating the
@@ -164,7 +181,7 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 var clientCalls sync.Pool
 
 // clientCall is a closed-loop request on the wire: the call plus the
-// client waiting for its reply. Both callbacks are bound once, when the
+// client waiting for it to end. Its done callback is bound once, when the
 // call is created.
 type clientCall struct {
 	simnet.Call
@@ -173,11 +190,10 @@ type clientCall struct {
 	req   *Request
 }
 
-// newClientCall creates a call with its callbacks bound.
+// newClientCall creates a call with its callback bound.
 func newClientCall() *clientCall {
 	cc := &clientCall{}
-	cc.OnReply = cc.onReply
-	cc.OnGiveUp = cc.onGiveUp
+	cc.Done = cc.done
 	return cc
 }
 
@@ -194,28 +210,18 @@ func (c *ClosedLoop) send(st *clientState, req *Request) {
 	c.front.Transport.Send(c.front.Target, &cc.Call)
 }
 
-// onReply completes the request; a Failure reply marks it failed.
+// done ends the request, failed at failedAt unless it is empty: it puts
+// the call back in the pool, records the request and starts the client's
+// next think.
 //
 //lint:hotpath
-func (cc *clientCall) onReply(reply any) {
-	_, failed := reply.(server.Failure)
-	cc.done(failed)
-}
-
-// onGiveUp completes a request whose retransmissions ran out.
-func (cc *clientCall) onGiveUp() { cc.done(true) }
-
-// done puts the call back in the pool, records the request and starts
-// the client's next think.
-//
-//lint:hotpath
-func (cc *clientCall) done(failed bool) {
+func (cc *clientCall) done(failedAt string) {
 	c, st, req := cc.loop, cc.state, cc.req
-	*cc = clientCall{Call: simnet.Call{OnReply: cc.OnReply, OnGiveUp: cc.OnGiveUp}}
+	*cc = clientCall{Call: simnet.Call{Done: cc.Done}}
 	clientCalls.Put(cc)
 
 	req.Completed = c.sim.Now()
-	if failed {
+	if failedAt != "" {
 		req.Failed = true
 		c.failed++
 	}
@@ -322,26 +328,9 @@ func (b *Batch) Sent() int64 { return b.sent }
 func (b *Batch) fire() {
 	for i := 0; i < b.cfg.Size; i++ {
 		req := &Request{ID: b.nextID, Class: b.cfg.Class, Submitted: b.sim.Now()}
-		req.Trace = b.cfg.Tracer.StartRequest(req.ID, req.Class.Name)
 		b.nextID++
 		b.sent++
-		call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
-		call.OnReply = func(any) {
-			req.Completed = b.sim.Now()
-			b.cfg.Tracer.Finish(req.Trace)
-			if b.cfg.Sink != nil {
-				b.cfg.Sink.Record(req)
-			}
-		}
-		call.OnGiveUp = func() {
-			req.Completed = b.sim.Now()
-			req.Failed = true
-			b.cfg.Tracer.Finish(req.Trace)
-			if b.cfg.Sink != nil {
-				b.cfg.Sink.Record(req)
-			}
-		}
-		b.front.Transport.Send(b.front.Target, call)
+		b.front.Submit(b.sim, req, b.cfg.Tracer, b.cfg.Sink)
 	}
 }
 
@@ -407,18 +396,5 @@ func (o *OpenLoop) fireOne() {
 	}
 	o.nextID++
 	o.sent++
-	call := &simnet.Call{Payload: req}
-	finish := func(failed bool) {
-		req.Completed = o.sim.Now()
-		req.Failed = failed
-		if o.cfg.Sink != nil {
-			o.cfg.Sink.Record(req)
-		}
-	}
-	call.OnReply = func(reply any) {
-		_, isFailure := reply.(server.Failure)
-		finish(isFailure)
-	}
-	call.OnGiveUp = func() { finish(true) }
-	o.front.Transport.Send(o.front.Target, call)
+	o.front.Submit(o.sim, req, nil, o.cfg.Sink)
 }

@@ -52,8 +52,8 @@ type Request struct {
 	// Completed is when the reply (or give-up) arrived; zero while in
 	// flight.
 	Completed time.Duration
-	// Failed marks requests that never completed (retransmissions
-	// exhausted somewhere in the chain).
+	// Failed marks requests that never completed: retransmissions ran
+	// out somewhere in the chain, or a queue timeout shed the request.
 	Failed bool
 	// Trace is the request's span tree; nil unless the experiment runs
 	// with span tracing enabled.

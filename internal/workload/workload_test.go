@@ -22,8 +22,8 @@ func (s *instantServer) Name() string { return "instant" }
 func (s *instantServer) TryAccept(call *simnet.Call) bool {
 	s.accepted++
 	s.sim.Schedule(0, func() {
-		if call.OnReply != nil {
-			call.OnReply(call.Payload)
+		if call.Done != nil {
+			call.Done("")
 		}
 	})
 	return true
