@@ -233,7 +233,10 @@ func TestSimstatsSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	benchPath := dir + "/BENCH_parallel.json"
 	profPath := dir + "/cpu.pprof"
-	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "5s",
+	// The gated runs simulate 60 s, about a quarter second of wall time
+	// each: a 5 s run lasts some 25 ms, short enough that a busy CPU
+	// alone can halve its events/s against the baseline.
+	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "60s",
 		"-benchout", benchPath, "-cpuprofile", profPath}
 	if err := run(args); err != nil {
 		t.Fatalf("simstats: %v", err)
@@ -268,7 +271,7 @@ func TestSimstatsSubcommand(t *testing.T) {
 	// Second run compares against the baseline just recorded: identical
 	// work lands around 1.0x, far above the 0.5 default floor.
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
-		"-duration", "5s", "-benchout", benchPath}); err != nil {
+		"-duration", "60s", "-benchout", benchPath}); err != nil {
 		t.Fatalf("simstats against baseline: %v", err)
 	}
 
@@ -279,7 +282,7 @@ func TestSimstatsSubcommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
-		"-duration", "5s", "-benchout", benchPath, "-bench-floor", "1000"}); err == nil {
+		"-duration", "60s", "-benchout", benchPath, "-bench-floor", "1000"}); err == nil {
 		t.Fatal("simstats with -bench-floor=1000 succeeded, want the enforced gate to fail")
 	}
 	after, err := os.ReadFile(benchPath)
