@@ -113,5 +113,5 @@ func (g *Generator) fire() {
 	g.nextID++
 	g.sent++
 	g.arrivals = append(g.arrivals, req.Submitted)
-	g.front.Submit(g.sim, req, nil, g.sink)
+	g.front.Submit(g.sim, req, g.sink)
 }

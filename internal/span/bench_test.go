@@ -1,12 +1,17 @@
 package span
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"time"
+)
 
 // BenchmarkRecordEnabled measures the span recording hot path: one
 // queue-wait plus one service span per request, as a loaded sync tier
-// emits. Measured at ~750ns and 6 allocs per request on a dev box
-// (vs ~8ns and 0 allocs disabled) — negligible against the simulator's
-// event scheduling.
+// emits. On a 2-vCPU Xeon it measures ~140 ns, 16 B and 0 allocs per
+// request (the record's share of an arena chunk; the trace is reused),
+// against ~1070 ns, 804 B and 6 allocs before traces were recycled, and
+// ~17 ns and 0 allocs disabled.
 func BenchmarkRecordEnabled(b *testing.B) {
 	clk := &fakeClock{}
 	tr := NewTracer(clk.now, TracerConfig{Seed: 1, Reservoir: 8})
@@ -53,5 +58,54 @@ func TestDisabledTracerZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocates %v per request, want 0", allocs)
+	}
+}
+
+// TestSteadyStateTracingDoesNotAllocate pins the enabled path's cost once
+// the reservoir is full: every finished trace the sampler lets go is
+// reopened for the next request, and the breakdown arenas grow a chunk
+// at a time, so sub-threshold requests of a dozen spans each average
+// under 0.01 mallocs.
+func TestSteadyStateTracingDoesNotAllocate(t *testing.T) {
+	clk := &fakeClock{}
+	tr := NewTracer(clk.now, TracerConfig{Seed: 1})
+	request := func(id uint64) {
+		tc := tr.StartRequest(id, "ViewStory")
+		web := tc.Start(KindService, "web", RootID)
+		app := tc.Start(KindDownstream, "app", web)
+		appSvc := tc.Start(KindService, "app", app)
+		for q := 0; q < 3; q++ {
+			db := tc.Start(KindDownstream, "db", appSvc)
+			pool := tc.Start(KindPoolWait, "db", db)
+			clk.at += 10 * time.Microsecond
+			tc.End(pool)
+			wait := tc.Start(KindQueueWait, "db", db)
+			clk.at += 20 * time.Microsecond
+			tc.End(wait)
+			clk.at += 100 * time.Microsecond
+			tc.End(db)
+		}
+		clk.at += 50 * time.Microsecond
+		tc.End(appSvc)
+		tc.End(app)
+		tc.End(web)
+		tr.Finish(tc)
+		clk.at += time.Millisecond
+	}
+	for id := uint64(0); id < 4*DefaultReservoir; id++ {
+		request(id)
+	}
+	const n = 10000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for id := uint64(0); id < n; id++ {
+		request(4*DefaultReservoir + id)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.01 {
+		t.Fatalf("%.3f mallocs per traced request in steady state, want < 0.01", per)
+	}
+	if got := tr.Finished(); got != 4*DefaultReservoir+n {
+		t.Fatalf("finished %d traces, want %d", got, 4*DefaultReservoir+n)
 	}
 }

@@ -71,29 +71,31 @@ type Breakdown struct {
 // Breakdown builds the critical-path table from every finished trace.
 // It returns nil if no traces finished.
 func (tr *Tracer) Breakdown() *Breakdown {
-	if tr == nil || len(tr.records) == 0 {
+	if tr == nil || tr.records.n == 0 {
 		return nil
 	}
-	recs := make([]Record, len(tr.records))
-	copy(recs, tr.records)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].RT < recs[j].RT })
+	recs := make([]record, 0, tr.records.n)
+	for _, chunk := range tr.records.chunks {
+		recs = append(recs, chunk...)
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].rt < recs[j].rt })
 
 	n := len(recs)
 	b := &Breakdown{Requests: n}
 	for d := 0; d < 10; d++ {
 		lo, hi := n*d/10, n*(d+1)/10
 		b.Deciles = append(b.Deciles,
-			aggregate(fmt.Sprintf("D%d", d+1), recs[lo:hi]))
+			tr.aggregate(fmt.Sprintf("D%d", d+1), recs[lo:hi]))
 	}
-	b.P99 = aggregate("p99", recs[n*99/100:])
-	b.P999 = aggregate("p99.9", recs[n*999/1000:])
-	vlrtFrom := sort.Search(n, func(i int) bool { return recs[i].RT > vlrtThreshold })
-	b.VLRT = aggregate("VLRT>3s", recs[vlrtFrom:])
+	b.P99 = tr.aggregate("p99", recs[n*99/100:])
+	b.P999 = tr.aggregate("p99.9", recs[n*999/1000:])
+	vlrtFrom := sort.Search(n, func(i int) bool { return recs[i].rt > vlrtThreshold })
+	b.VLRT = tr.aggregate("VLRT>3s", recs[vlrtFrom:])
 	return b
 }
 
 // aggregate folds a sorted slice of records into one row.
-func aggregate(label string, recs []Record) Row {
+func (tr *Tracer) aggregate(label string, recs []record) Row {
 	row := Row{
 		Label:      label,
 		Count:      len(recs),
@@ -101,13 +103,14 @@ func aggregate(label string, recs []Record) Row {
 		ByTierKind: make(map[TierKind]time.Duration),
 	}
 	for _, r := range recs {
-		row.Total += r.RT
-		if r.RT > row.MaxRT {
-			row.MaxRT = r.RT
+		row.Total += r.rt
+		if r.rt > row.MaxRT {
+			row.MaxRT = r.rt
 		}
-		for _, c := range r.Cats {
-			row.ByKind[c.Kind] += c.Self
-			row.ByTierKind[TierKind{Tier: c.Tier, Kind: c.Kind}] += c.Self
+		for i := r.lo; i < r.hi; i++ {
+			c := tr.cats.at(int(i))
+			row.ByKind[c.kind] += c.self
+			row.ByTierKind[TierKind{Tier: tr.tiers[c.tier], Kind: c.kind}] += c.self
 		}
 	}
 	if row.Count > 0 {

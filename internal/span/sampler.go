@@ -39,24 +39,30 @@ func NewSampler(seed int64, threshold time.Duration, capacity int) *Sampler {
 	}
 }
 
-// Offer presents a finished trace for keeping.
-func (s *Sampler) Offer(t *Trace) {
+// Offer presents a finished trace for keeping and returns the trace it
+// lets go, if any: t itself when the reservoir draw rejects it, or the
+// member the draw evicts to make room for t. Tail exemplars and current
+// reservoir members are never returned.
+func (s *Sampler) Offer(t *Trace) *Trace {
 	if t == nil {
-		return
+		return nil
 	}
 	if t.ResponseTime() > s.threshold {
 		s.tail = append(s.tail, t)
-		return
+		return nil
 	}
 	s.seenNormal++
 	if len(s.reservoir) < s.capacity {
 		s.reservoir = append(s.reservoir, t)
-		return
+		return nil
 	}
 	// Algorithm R: replace a random slot with probability capacity/seen.
 	if j := s.rng.Int63n(s.seenNormal); j < int64(s.capacity) {
+		evicted := s.reservoir[j]
 		s.reservoir[j] = t
+		return evicted
 	}
+	return t
 }
 
 // TailExemplars returns the kept over-threshold traces, slowest first

@@ -17,6 +17,12 @@
 // the hot path. Enabling tracing does not change simulation dynamics — the
 // tracer schedules no events and draws from its own seeded RNG, never the
 // simulator's.
+//
+// Tracer.Finish takes the trace. The tracer reuses every trace its
+// sampler does not keep for a later request, so whoever started a trace
+// must hand it to Finish only once nothing will record on it again, and
+// must not touch it afterwards: Start, End and Annotate on a finished
+// trace panic.
 package span
 
 import (
@@ -120,17 +126,23 @@ type Trace struct {
 	// Class is the interaction class name.
 	Class string
 
-	now   func() time.Duration
-	spans []Span
+	now      func() time.Duration
+	spans    []Span
+	finished bool // set by finish; Start, End and Annotate then panic
 }
 
-// newTrace creates a trace with its root request span already open.
-func newTrace(now func() time.Duration, reqID uint64, class string) *Trace {
-	t := &Trace{RequestID: reqID, Class: class, now: now}
-	t.spans = append(t.spans, Span{
-		ID: RootID, Kind: KindRequest, Tier: "client", Start: now(), End: open,
+// lateSpan is the panic message of a span operation on a finished trace.
+// It is a constant so the hot-path functions that raise it allocate
+// nothing to do so.
+const lateSpan = "span: trace used after Tracer.Finish took it"
+
+// reopen starts t over for a new request with its root request span
+// open, keeping the span slice's storage.
+func (t *Trace) reopen(reqID uint64, class string) {
+	t.RequestID, t.Class, t.finished = reqID, class, false
+	t.spans = append(t.spans[:0], Span{ //lint:allow allocs enabled tracer: a new trace's first span; a reopened one keeps its storage
+		ID: RootID, Kind: KindRequest, Tier: "client", Start: t.now(), End: open,
 	})
-	return t
 }
 
 // Enabled reports whether the trace records spans; callers may use it to
@@ -141,12 +153,15 @@ func (t *Trace) Enabled() bool { return t != nil }
 
 // Start opens a child span of parent and returns its ID. On a nil trace it
 // returns 0 and records nothing — the disabled-tracer path is the one the
-// hot-path contract holds allocation-free.
+// hot-path contract holds allocation-free. It panics on a finished trace.
 //
 //lint:hotpath disabled-tracer path must be free
 func (t *Trace) Start(kind Kind, tier string, parent ID) ID {
 	if t == nil {
 		return 0
+	}
+	if t.finished {
+		panic(lateSpan)
 	}
 	id := ID(len(t.spans) + 1)
 	t.spans = append(t.spans, Span{ //lint:allow allocs enabled-tracer span; a nil trace records nothing
@@ -157,11 +172,17 @@ func (t *Trace) Start(kind Kind, tier string, parent ID) ID {
 }
 
 // End closes the span. Safe on a nil trace, the zero ID and an already
-// closed span (first close wins).
+// closed span (first close wins); it panics on a finished trace.
 //
 //lint:hotpath
 func (t *Trace) End(id ID) {
-	if t == nil || id <= 0 || int(id) > len(t.spans) {
+	if t == nil {
+		return
+	}
+	if t.finished {
+		panic(lateSpan)
+	}
+	if id <= 0 || int(id) > len(t.spans) {
 		return
 	}
 	if s := &t.spans[id-1]; s.End == open {
@@ -169,18 +190,25 @@ func (t *Trace) End(id ID) {
 	}
 }
 
-// Annotate sets the span's detail string.
+// Annotate sets the span's detail string. It panics on a finished trace.
 //
 //lint:hotpath
 func (t *Trace) Annotate(id ID, detail string) {
-	if t == nil || id <= 0 || int(id) > len(t.spans) {
+	if t == nil {
+		return
+	}
+	if t.finished {
+		panic(lateSpan)
+	}
+	if id <= 0 || int(id) > len(t.spans) {
 		return
 	}
 	t.spans[id-1].Detail = detail
 }
 
-// finish closes the root and clamps any still-open span to the root's end
-// (give-up paths can leave downstream spans dangling).
+// finish closes the root, clamps any still-open span to the root's end
+// (give-up paths can leave downstream spans dangling) and marks the trace
+// finished.
 func (t *Trace) finish() {
 	if t == nil {
 		return
@@ -192,6 +220,7 @@ func (t *Trace) finish() {
 			t.spans[i].End = end
 		}
 	}
+	t.finished = true
 }
 
 // Spans returns the recorded spans in creation order (shared slice;
@@ -234,12 +263,7 @@ func (t *Trace) SelfTimes() []SelfTime {
 	if t == nil || len(t.spans) == 0 {
 		return nil
 	}
-	childSum := make([]time.Duration, len(t.spans))
-	for _, s := range t.spans {
-		if s.Parent > 0 {
-			childSum[s.Parent-1] += s.Duration()
-		}
-	}
+	childSum := t.childSums(nil)
 	out := make([]SelfTime, 0, len(t.spans))
 	for i, s := range t.spans {
 		self := s.Duration() - childSum[i]
@@ -249,6 +273,22 @@ func (t *Trace) SelfTimes() []SelfTime {
 		out = append(out, SelfTime{Kind: s.Kind, Tier: s.Tier, Self: self})
 	}
 	return out
+}
+
+// childSums returns, per span, the summed duration of its direct
+// children, reusing buf's storage.
+func (t *Trace) childSums(buf []time.Duration) []time.Duration {
+	if cap(buf) < len(t.spans) {
+		buf = make([]time.Duration, len(t.spans))
+	}
+	buf = buf[:len(t.spans)]
+	clear(buf)
+	for _, s := range t.spans {
+		if s.Parent > 0 {
+			buf[s.Parent-1] += s.Duration()
+		}
+	}
+	return buf
 }
 
 // SelfTime is one span's exclusive contribution to the response time.

@@ -88,7 +88,7 @@ func TestNilSafety(t *testing.T) {
 	tc.End(id)
 	tc.Annotate(id, "noop")
 	tr.Finish(tc)
-	if tr.Breakdown() != nil || tr.TailExemplars() != nil || tr.Records() != nil {
+	if tr.Breakdown() != nil || tr.TailExemplars() != nil || tr.Reservoir() != nil || tr.Finished() != 0 {
 		t.Fatal("nil tracer accessors must return nil")
 	}
 	if got := tc.Tree(); !strings.Contains(got, "no trace") {
@@ -115,6 +115,32 @@ func TestEndIsIdempotentAndFinishClampsOpenSpans(t *testing.T) {
 	}
 	if d := spans[dangling-1]; d.End != 70*time.Millisecond {
 		t.Errorf("dangling span end = %v, want clamped to 70ms", d.End)
+	}
+}
+
+// TestFinishedTraceGuard: Finish takes the trace, so recording on it
+// afterwards is a bug in the caller, and Start, End and Annotate panic
+// instead of writing into a trace the tracer may have reopened.
+func TestFinishedTraceGuard(t *testing.T) {
+	for name, late := range map[string]func(*Trace, ID){
+		"Start":    func(tc *Trace, _ ID) { tc.Start(KindService, "web", RootID) },
+		"End":      func(tc *Trace, id ID) { tc.End(id) },
+		"Annotate": func(tc *Trace, id ID) { tc.Annotate(id, "late") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			clk := &fakeClock{}
+			tr := NewTracer(clk.now, TracerConfig{Seed: 1})
+			tc := tr.StartRequest(1, "x")
+			id := tc.Start(KindDownstream, "app", RootID)
+			clk.at = time.Millisecond
+			tr.Finish(tc)
+			defer func() {
+				if r := recover(); r != lateSpan {
+					t.Fatalf("%s on a finished trace: recovered %v, want panic %q", name, r, lateSpan)
+				}
+			}()
+			late(tc, id)
+		})
 	}
 }
 

@@ -18,17 +18,15 @@ type Frontend struct {
 	Target simnet.Admission
 }
 
-// Submit opens req's trace on tracer and sends req to the web tier in a
-// call of its own. When the call ends, Submit stamps req's completion,
-// marks it failed if it failed at any tier, finishes its trace and
-// records it to sink. tracer and sink may be nil.
-func (f Frontend) Submit(sim *des.Simulator, req *Request, tracer *span.Tracer, sink Sink) {
-	req.Trace = tracer.StartRequest(req.ID, req.Class.Name)
-	call := &simnet.Call{Payload: req, Trace: req.Trace, SpanID: span.RootID}
+// Submit sends req to the web tier in an untraced call of its own (the
+// closed loop is the one traced generator). When the call ends, Submit
+// stamps req's completion, marks it failed if it failed at any tier and
+// records it to sink, which may be nil.
+func (f Frontend) Submit(sim *des.Simulator, req *Request, sink Sink) {
+	call := &simnet.Call{Payload: req}
 	call.Done = func(failedAt string) {
 		req.Completed = sim.Now()
 		req.Failed = failedAt != ""
-		tracer.Finish(req.Trace)
 		if sink != nil {
 			sink.Record(req)
 		}
@@ -66,7 +64,8 @@ type ClosedLoopConfig struct {
 	// Sink receives every completed request; may be nil.
 	Sink Sink
 	// Tracer, if non-nil, opens a span trace per request so every tier can
-	// record where the request's time went.
+	// record where the request's time went. The loop hands each trace to
+	// Tracer.Finish when its request ends, and keeps it nowhere else.
 	Tracer *span.Tracer
 }
 
@@ -169,7 +168,6 @@ func (c *ClosedLoop) clientLoop(st *clientState) {
 		Class:     class,
 		Submitted: c.sim.Now(),
 	}
-	req.Trace = c.cfg.Tracer.StartRequest(req.ID, class.Name)
 	c.nextID++
 	c.sent++
 	c.send(st, req)
@@ -197,7 +195,8 @@ func newClientCall() *clientCall {
 	return cc
 }
 
-// send issues req for the client in a recycled call.
+// send issues req for the client in a recycled call, which carries the
+// request's trace.
 //
 //lint:hotpath
 func (c *ClosedLoop) send(st *clientState, req *Request) {
@@ -206,17 +205,18 @@ func (c *ClosedLoop) send(st *clientState, req *Request) {
 		cc = newClientCall() //lint:allow allocs pool warm-up: one call per concurrently outstanding request, recycled at its reply
 	}
 	cc.loop, cc.state, cc.req = c, st, req
-	cc.Payload, cc.Trace, cc.SpanID = req, req.Trace, span.RootID
+	cc.Payload, cc.SpanID = req, span.RootID
+	cc.Trace = c.cfg.Tracer.StartRequest(req.ID, req.Class.Name)
 	c.front.Transport.Send(c.front.Target, &cc.Call)
 }
 
 // done ends the request, failed at failedAt unless it is empty: it puts
-// the call back in the pool, records the request and starts the client's
-// next think.
+// the call back in the pool, finishes the request's trace, records the
+// request and starts the client's next think.
 //
 //lint:hotpath
 func (cc *clientCall) done(failedAt string) {
-	c, st, req := cc.loop, cc.state, cc.req
+	c, st, req, trace := cc.loop, cc.state, cc.req, cc.Trace
 	*cc = clientCall{Call: simnet.Call{Done: cc.Done}}
 	clientCalls.Put(cc)
 
@@ -226,7 +226,7 @@ func (cc *clientCall) done(failedAt string) {
 		c.failed++
 	}
 	c.completed++
-	c.cfg.Tracer.Finish(req.Trace)
+	c.cfg.Tracer.Finish(trace)
 	c.record(req)
 	if c.cfg.Session != nil {
 		st.current = c.cfg.Session.Next(c.sim.Rand(), st.current)
@@ -274,8 +274,6 @@ type BatchConfig struct {
 	Class Class
 	// Sink receives completed requests; may be nil.
 	Sink Sink
-	// Tracer, if non-nil, opens a span trace per request.
-	Tracer *span.Tracer
 }
 
 // Batch emits deterministic request bursts.
@@ -330,7 +328,7 @@ func (b *Batch) fire() {
 		req := &Request{ID: b.nextID, Class: b.cfg.Class, Submitted: b.sim.Now()}
 		b.nextID++
 		b.sent++
-		b.front.Submit(b.sim, req, b.cfg.Tracer, b.cfg.Sink)
+		b.front.Submit(b.sim, req, b.cfg.Sink)
 	}
 }
 
@@ -396,5 +394,5 @@ func (o *OpenLoop) fireOne() {
 	}
 	o.nextID++
 	o.sent++
-	o.front.Submit(o.sim, req, nil, o.cfg.Sink)
+	o.front.Submit(o.sim, req, o.cfg.Sink)
 }

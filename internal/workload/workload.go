@@ -12,8 +12,6 @@ package workload
 import (
 	"math/rand"
 	"time"
-
-	"ctqosim/internal/span"
 )
 
 // DefaultThinkTime is the RUBBoS client think time. 4000/7000/8000 clients
@@ -55,9 +53,6 @@ type Request struct {
 	// Failed marks requests that never completed: retransmissions ran
 	// out somewhere in the chain, or a queue timeout shed the request.
 	Failed bool
-	// Trace is the request's span tree; nil unless the experiment runs
-	// with span tracing enabled.
-	Trace *span.Trace
 
 	// droppedBy is the server that dropped the request's first packet on
 	// any hop of the chain; "" while none has.
