@@ -44,8 +44,10 @@
 // pending-heap high-water mark and allocation totals. With -benchout it
 // records the measurement under the "simstats" key of the keyed JSON
 // bench file and enforces a regression floor against the previously
-// recorded baseline (-bench-floor adjusts the ratio, 0 disables) — the
-// reference point for DES hot-path work.
+// recorded baseline (-bench-floor adjusts the ratio, 0 or less records
+// without comparing) — the reference point for DES hot-path work. The
+// gate compares only like with like: a baseline taken on another
+// scenario, seed, duration or retention fails the command.
 //
 // -retention bounded caps the response times the recorder's HDR
 // histograms keep verbatim, so its memory is constant in the request
@@ -528,7 +530,8 @@ func benchSweep(benchPath string, sc core.SweepConfig, workers int) error {
 // simstatsFloorRatio is the default enforced regression gate: a run
 // below this fraction of the recorded baseline's events/second fails
 // the command (leaving the baseline unchanged). -bench-floor overrides
-// the ratio for noisy hardware; zero or negative disables the gate.
+// the ratio for noisy hardware; zero or negative records the run
+// without comparing.
 const simstatsFloorRatio = 0.5
 
 // simstatsRecord is the "simstats" entry of the keyed bench file: the
@@ -548,6 +551,27 @@ type simstatsRecord struct {
 	EventsPerSecond float64 `json:"events_per_second"`
 	AllocMB         float64 `json:"alloc_mb"`
 	GCCycles        uint32  `json:"gc_cycles"`
+}
+
+// baselineMismatch names each field that makes base, the recorded
+// baseline, a measurement of different work from rec, this run: events/s
+// are comparable only on the same scenario, seed, duration and
+// retention. It returns "" when they match.
+func baselineMismatch(base, rec simstatsRecord) string {
+	var diffs []string
+	if base.Scenario != rec.Scenario {
+		diffs = append(diffs, fmt.Sprintf("scenario %s, baseline %s", rec.Scenario, base.Scenario))
+	}
+	if base.Seed != rec.Seed {
+		diffs = append(diffs, fmt.Sprintf("seed %d, baseline %d", rec.Seed, base.Seed))
+	}
+	if base.DurationSeconds != rec.DurationSeconds {
+		diffs = append(diffs, fmt.Sprintf("duration %gs, baseline %gs", rec.DurationSeconds, base.DurationSeconds))
+	}
+	if base.Retention != rec.Retention {
+		diffs = append(diffs, fmt.Sprintf("retention %s, baseline %s", rec.Retention, base.Retention))
+	}
+	return strings.Join(diffs, "; ")
 }
 
 // readSimstatsBaseline loads the previously recorded "simstats" entry
@@ -579,7 +603,7 @@ func simstats(args []string) error {
 	benchout := fs.String("benchout", "",
 		"record the measurement under the \"simstats\" key of this JSON file (enforced comparison against the recorded baseline)")
 	benchFloor := fs.Float64("bench-floor", simstatsFloorRatio,
-		"fail when events/s drops below this fraction of the recorded baseline (0 or less disables the gate)")
+		"fail when events/s drops below this fraction of the recorded baseline, or when the baseline ran other work (0 or less records without comparing)")
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -636,17 +660,6 @@ func simstats(args []string) error {
 	if *benchout == "" {
 		return nil
 	}
-	if base, ok := readSimstatsBaseline(*benchout); ok && base.EventsPerSecond > 0 {
-		ratio := st.EventsPerSecond / base.EventsPerSecond
-		if *benchFloor > 0 && ratio < *benchFloor {
-			return fmt.Errorf(
-				"%.3gM events/s is %.0f%% of the recorded baseline %.3gM, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 disables)",
-				st.EventsPerSecond/1e6, 100*ratio,
-				base.EventsPerSecond/1e6, 100**benchFloor)
-		}
-		fmt.Printf("baseline: %.3gM events/s recorded, this run %.2fx (floor %.0f%%)\n",
-			base.EventsPerSecond/1e6, ratio, 100**benchFloor)
-	}
 	record := simstatsRecord{
 		Benchmark:       "ntierlab-simstats",
 		Scenario:        label,
@@ -661,6 +674,23 @@ func simstats(args []string) error {
 		EventsPerSecond: st.EventsPerSecond,
 		AllocMB:         float64(st.AllocBytes) / (1 << 20),
 		GCCycles:        st.GCCycles,
+	}
+	base, ok := readSimstatsBaseline(*benchout)
+	if ok && base.EventsPerSecond > 0 && *benchFloor > 0 {
+		if diff := baselineMismatch(base, record); diff != "" {
+			return fmt.Errorf(
+				"the recorded baseline measured other work (%s), so its events/s are no reference (baseline left unchanged; -bench-floor 0 records this run without comparing)",
+				diff)
+		}
+		ratio := st.EventsPerSecond / base.EventsPerSecond
+		if ratio < *benchFloor {
+			return fmt.Errorf(
+				"%.3gM events/s is %.0f%% of the recorded baseline %.3gM, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 records without comparing)",
+				st.EventsPerSecond/1e6, 100*ratio,
+				base.EventsPerSecond/1e6, 100**benchFloor)
+		}
+		fmt.Printf("baseline: %.3gM events/s recorded, this run %.2fx (floor %.0f%%)\n",
+			base.EventsPerSecond/1e6, ratio, 100**benchFloor)
 	}
 	if err := benchrec.Update(*benchout, "simstats", record); err != nil {
 		return err

@@ -227,8 +227,9 @@ func TestSweepSubcommand(t *testing.T) {
 
 // TestSimstatsSubcommand exercises the kernel self-profiling CLI end to
 // end: the benchout record, the enforced baseline gate on a second run
-// (pass at the default floor, fail at an unreachable one, disabled at
-// zero), and the pprof flag.
+// (pass at the default floor, fail at an unreachable one, fail against a
+// baseline of another duration, record without comparing at zero), and
+// the pprof flag.
 func TestSimstatsSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	benchPath := dir + "/BENCH_parallel.json"
@@ -293,7 +294,23 @@ func TestSimstatsSubcommand(t *testing.T) {
 		t.Fatal("failed gate overwrote the recorded baseline")
 	}
 
-	// Zero disables the gate entirely.
+	// A 5 s run is other work than the 60 s baseline: the gate must fail
+	// at the default floor, name the duration, and leave the file as it
+	// was.
+	err = run([]string{"simstats", "-scenario", "fig1-wl4000",
+		"-duration", "5s", "-benchout", benchPath})
+	if err == nil || !strings.Contains(err.Error(), "duration 5s, baseline 60s") {
+		t.Fatalf("simstats against a 60 s baseline with a 5 s run: %v, want a duration mismatch", err)
+	}
+	after, err = os.ReadFile(benchPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("mismatched baseline was overwritten")
+	}
+
+	// Zero records without comparing.
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
 		"-duration", "5s", "-benchout", benchPath, "-bench-floor", "0"}); err != nil {
 		t.Fatalf("simstats with -bench-floor=0: %v", err)
