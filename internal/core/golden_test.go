@@ -10,12 +10,14 @@ import (
 	"io/fs"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"ctqosim/internal/metrics"
 	"ctqosim/internal/ntier"
+	"ctqosim/internal/scenario"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.txt from the current code")
@@ -40,6 +42,12 @@ var goldenBounded = map[string]bool{
 	"scenarios/fig3.json":           true,
 }
 
+// goldenGenerated is how many scenario.Generate seeds get a row, keyed
+// "generated/<seed>". Their fleets, standing faults and chaos scripts
+// reach what the embedded files do not: log-flush blocks, kill and
+// restore stalls, pool resizes and every NX level on one short run each.
+const goldenGenerated = 200
+
 // goldenFiles lists every embedded scenario file — the registry, the
 // Fig. 12 templates and the matrix cells — in lexical path order, each
 // followed by its "#bounded" key when it has one.
@@ -61,13 +69,30 @@ func goldenFiles(t *testing.T) []string {
 	return paths
 }
 
-// goldenRow runs one embedded file at seed 1 on the golden horizon and
-// renders its readable row plus a SHA-256 over the Summarize JSON (with
-// SimStats off), every response time in record order and, on a traced
-// run, the rendered CTQO report. A "#bounded"
-// key runs the file with trace and spans off under bounded retention. It
-// fails if the run breaks a conservation law (checkConservation).
-func goldenRow(key string) (string, error) {
+// goldenKeys lists every golden row's key: the embedded files as
+// goldenFiles lists them, then the generated seeds in order.
+func goldenKeys(t *testing.T) []string {
+	t.Helper()
+	keys := goldenFiles(t)
+	for seed := 1; seed <= goldenGenerated; seed++ {
+		keys = append(keys, "generated/"+strconv.Itoa(seed))
+	}
+	return keys
+}
+
+// goldenConfig returns the run a golden key names. An embedded file runs
+// at seed 1 on the golden horizon; a "#bounded" key runs it with trace
+// and spans off under bounded retention. A "generated/<seed>" key
+// compiles scenario.Generate(seed) and runs it as the document says, at
+// its own seed and horizon.
+func goldenConfig(key string) (Config, error) {
+	if s, ok := strings.CutPrefix(key, "generated/"); ok {
+		seed, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return Config{}, err
+		}
+		return FromScenario(scenario.Generate(seed))
+	}
 	path, variant, _ := strings.Cut(key, "#")
 	cfg := mustScenario(path)
 	if variant == "bounded" {
@@ -81,13 +106,26 @@ func goldenRow(key string) (string, error) {
 	if strings.HasPrefix(path, "scenarios/templates/") {
 		cfg.Clients = goldenConcurrency
 	}
+	return cfg, nil
+}
+
+// goldenRow runs the key's configuration (goldenConfig) and renders its
+// readable row plus a SHA-256 over the Summarize JSON (with SimStats
+// off), every response time in record order and, on a traced run, the
+// rendered CTQO report. It fails if the run breaks a conservation law
+// (checkConservation).
+func goldenRow(key string) (string, error) {
+	cfg, err := goldenConfig(key)
+	if err != nil {
+		return "", fmt.Errorf("%s: %w", key, err)
+	}
 	cfg.SimStats = true
 	res, err := New(cfg).Run()
 	if err != nil {
 		return "", err
 	}
 	if err := checkConservation(res); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
+		return "", fmt.Errorf("%s: %w", key, err)
 	}
 	st := res.SimStats
 	res.SimStats, res.Config.SimStats = nil, false
@@ -195,14 +233,15 @@ func checkKeptDrops(res *Result) error {
 }
 
 // TestGoldenScenarios pins the behaviour of every embedded scenario file
-// across commits: a refactor that claims to change no behaviour must
-// leave every row and digest in testdata/golden.txt unchanged. Run with
-// -update to re-pin after an intended behaviour change.
+// and of the generated seeds across commits: a refactor that claims to
+// change no behaviour must leave every row and digest in
+// testdata/golden.txt unchanged. Run with -update to re-pin after an
+// intended behaviour change.
 func TestGoldenScenarios(t *testing.T) {
-	paths := goldenFiles(t)
-	rows := make([]string, len(paths))
-	err := NewRunner(0).Do(len(paths), func(slot int) error {
-		row, err := goldenRow(paths[slot])
+	keys := goldenKeys(t)
+	rows := make([]string, len(keys))
+	err := NewRunner(0).Do(len(keys), func(slot int) error {
+		row, err := goldenRow(keys[slot])
 		rows[slot] = row
 		return err
 	})
@@ -220,18 +259,18 @@ func TestGoldenScenarios(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	for i, path := range paths {
-		w, ok := want[path]
+	for i, key := range keys {
+		w, ok := want[key]
 		switch {
 		case !ok:
-			t.Errorf("%s has no golden row (run with -update to pin it)", path)
+			t.Errorf("%s has no golden row (run with -update to pin it)", key)
 		case w != rows[i]:
 			t.Errorf("golden row changed:\n  want %s\n  got  %s", w, rows[i])
 		}
-		delete(want, path)
+		delete(want, key)
 	}
-	for path := range want {
-		t.Errorf("golden row for %s, which is no longer embedded", path)
+	for key := range want {
+		t.Errorf("golden row for %s, which no longer runs", key)
 	}
 }
 
