@@ -148,28 +148,81 @@ func TestProcessorSharingMatchesReference(t *testing.T) {
 // TestProcessorSharingMatchesReferenceLongTrace drives long traces on
 // every node shape the setup word can encode, so saturated nodes with
 // dozens of jobs, caps that bind and policy switches mid-run are
-// covered whatever quick happens to generate.
+// covered whatever quick happens to generate. Every two-VM shape also
+// runs fig3's consolidated host (consolidatedOps).
 func TestProcessorSharingMatchesReferenceLongTrace(t *testing.T) {
 	for setup := uint32(0); setup < 4*2*4*12; setup++ {
 		ops := make([]uint32, 400)
 		x := setup*2654435761 + 1
 		for i := range ops {
-			x ^= x << 13
-			x ^= x >> 17
-			x ^= x << 5
+			x = xorshift(x)
 			ops[i] = x
 			if i%5 != 4 && ops[i]%8 == 7 {
 				ops[i] &^= 7 // mostly submissions between clock advances
 			}
 		}
-		got, want := runDiff(setup, ops)
-		if !reflect.DeepEqual(got, want) {
-			for i := range got {
-				if i >= len(want) || got[i] != want[i] {
-					t.Fatalf("setup %d: first difference at entry %d: got %q, want %q", setup, i, got[i], want[min(i, len(want)-1)])
-				}
-			}
-			t.Fatalf("setup %d: got %d entries, want %d", setup, len(got), len(want))
+		requireSameLog(t, setup, ops)
+		if setup/8%4 == 1 {
+			requireSameLog(t, setup, consolidatedOps(setup))
 		}
 	}
+}
+
+// consolidatedOps is fig3's consolidated host as a trace: VM 1 takes a
+// batch of 240 jobs at once, as SysBursty's batch puts hundreds of
+// runnable threads beside the steady tier, while VM 0 churns short jobs
+// between blocks, stalls, resumes and clock advances. Each of the four
+// rounds lands a batch on whatever the previous ones left running.
+func consolidatedOps(seed uint32) []uint32 {
+	op := func(kind, vm, arg uint32) uint32 { return kind | vm<<3 | arg<<5 }
+	var ops []uint32
+	x := seed*2654435761 + 1
+	for round := 0; round < 4; round++ {
+		for i := uint32(0); i < 240; i++ {
+			// Demands of 0-4.9 ms, a follow-up from a quarter of them.
+			ops = append(ops, op(0, 1, i))
+		}
+		for i := 0; i < 120; i++ {
+			x = xorshift(x)
+			arg := x >> 8
+			switch x % 16 {
+			case 0:
+				ops = append(ops, op(2, (x>>4)%2, arg))
+			case 1:
+				ops = append(ops, op(3, 0, 0))
+			case 2, 3:
+				ops = append(ops, op(4, 0, 0))
+			case 4:
+				ops = append(ops, op(6, (x>>4)%2, 0))
+			case 5, 6, 7:
+				ops = append(ops, op(7, 0, arg))
+			default:
+				ops = append(ops, op(0, 0, arg))
+			}
+		}
+	}
+	return ops
+}
+
+func xorshift(x uint32) uint32 {
+	x ^= x << 13
+	x ^= x >> 17
+	x ^= x << 5
+	return x
+}
+
+// requireSameLog runs ops on both models and fails at the first entry
+// where their logs differ.
+func requireSameLog(t *testing.T, setup uint32, ops []uint32) {
+	t.Helper()
+	got, want := runDiff(setup, ops)
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	for i := range got {
+		if i >= len(want) || got[i] != want[i] {
+			t.Fatalf("setup %d: first difference at entry %d: got %q, want %q", setup, i, got[i], want[min(i, len(want)-1)])
+		}
+	}
+	t.Fatalf("setup %d: got %d entries, want %d", setup, len(got), len(want))
 }
