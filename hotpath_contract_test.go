@@ -22,9 +22,12 @@ package ctqosim
 // servers, driven by reused calls. Two give-up drives fail every request
 // at a destination that refuses every packet, behind a sync app and
 // behind an async one, so the failure end of the request path is
-// measured too. The pooled groups — the chains, the give-up drives and
-// the closed loop, which recycle server visits, async tasks and client
-// calls through sync.Pool — are measured only without the race
+// measured too. A retransmission drive runs a closed loop through a
+// sync web, an async app and a sync database, every hop dropping each
+// call once, so pooled calls retransmit after every reuse. The pooled
+// groups — the chains, the give-up drives, the closed loop and the
+// retransmission drive, which recycle server visits, async tasks and
+// client calls through sync.Pool — are measured only without the race
 // detector. The table keys make the coverage explicit so adding a
 // //lint:hotpath annotation without deciding how to measure it fails
 // this test.
@@ -161,11 +164,12 @@ var hotpathExercisers = map[string]string{
 // design, so these are measured only when it is off; CI runs the test
 // once without -race for them.
 var pooledExercisers = map[string]bool{
-	"server-sync-chain":    true,
-	"server-async-chain":   true,
-	"server-sync-giveup":   true,
-	"server-async-giveup":  true,
-	"workload-closed-loop": true,
+	"server-sync-chain":     true,
+	"server-async-chain":    true,
+	"server-sync-giveup":    true,
+	"server-async-giveup":   true,
+	"workload-closed-loop":  true,
+	"pooled-retransmission": true,
 }
 
 // chain builds the web→app→db system at level with its JDBC pool cut to
@@ -248,6 +252,74 @@ func driveGiveUp(t *testing.T, name string, async bool) float64 {
 	web := server.NewSync(sim, node.AddVM("web", 1, 1), tr, callOnly(app),
 		server.SyncConfig{Name: "web", Threads: 8, Backlog: 8})
 	return driveCalls(t, name, sim, tr, web, nil, "down")
+}
+
+// driveClosedLoop measures a closed loop of eight clients into front.
+// Each run steps the loop until one more request is sent. That
+// request's Request is the one allocation a request makes by design
+// (sinks may keep it), so it is subtracted.
+func driveClosedLoop(t *testing.T, name string, sim *des.Simulator, front workload.Frontend) float64 {
+	loop := workload.NewClosedLoop(sim, front, workload.ClosedLoopConfig{
+		Clients:   8,
+		ThinkTime: 5 * time.Millisecond,
+	})
+	loop.Start()
+	sim.Run(10 * time.Second) // warm the pools, the queues and the job slices
+	completed := loop.Completed()
+	allocs := testing.AllocsPerRun(200, func() {
+		for sent := loop.Sent(); loop.Sent() == sent; {
+			sim.Step()
+		}
+	})
+	if loop.Completed() <= completed {
+		t.Fatalf("%s: no request completed while measured", name)
+	}
+	return allocs - 1
+}
+
+// refuseFirst admits into its server every attempt but a call's first,
+// so each call through it is dropped once and retransmitted.
+type refuseFirst struct{ server.Server }
+
+func (r refuseFirst) TryAccept(call *simnet.Call) bool {
+	return call.Attempts > 1 && r.Server.TryAccept(call)
+}
+
+// driveRetransmission measures a closed loop whose every call is dropped
+// once: the client's call into a sync web tier, the web tier's call into
+// an async app tier and the app tier's call into a sync database each
+// lose their first attempt and retry after a 1 ms timeout. The pooled
+// client calls and the visits' and tasks' reused sub-calls bind their
+// delivery callback on their first drop and must keep it across reuse.
+func driveRetransmission(t *testing.T) float64 {
+	sim := des.NewSimulator(1)
+	tr := simnet.NewTransport(sim)
+	tr.RTO = time.Millisecond
+	tr.MaxAttempts = 2
+	node := cpu.NewNode(sim, "n", 3)
+	cpuOnly := func(_ any, buf server.Program) server.Program {
+		return append(buf, server.Stage{CPU: 100 * time.Microsecond})
+	}
+	callVia := func(dst server.Server) server.PlanFunc {
+		down := &server.Downstream{Dest: refuseFirst{dst}}
+		return func(_ any, buf server.Program) server.Program {
+			return append(buf, server.Stage{CPU: 100 * time.Microsecond, Call: down})
+		}
+	}
+	db := server.NewSync(sim, node.AddVM("db", 1, 1), tr, cpuOnly,
+		server.SyncConfig{Name: "db", Threads: 8, Backlog: 8})
+	app := server.NewAsync(sim, node.AddVM("app", 1, 1), tr, callVia(db),
+		server.AsyncConfig{Name: "app", Workers: 2, LiteQDepth: 100})
+	web := server.NewSync(sim, node.AddVM("web", 1, 1), tr, callVia(app),
+		server.SyncConfig{Name: "web", Threads: 8, Backlog: 8})
+	allocs := driveClosedLoop(t, "pooled-retransmission", sim,
+		workload.Frontend{Transport: tr, Target: refuseFirst{web}})
+	for _, hop := range []string{"web", "app", "db"} {
+		if st := tr.Stats(hop); st.Retransmits == 0 || st.GaveUp != 0 {
+			t.Fatalf("pooled-retransmission: %s retransmitted %d calls and gave up %d, want every call retransmitted once", hop, st.Retransmits, st.GaveUp)
+		}
+	}
+	return allocs
 }
 
 // scanHotpathAnnotations parses the kernel packages' sources and returns
@@ -569,27 +641,11 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			return driveGiveUp(t, "server-async-giveup", true)
 		},
 		"workload-closed-loop": func() float64 {
-			// Each run steps the loop until one more request is sent.
-			// That request's Request is the one allocation a request
-			// makes by design (sinks may keep it), so it is subtracted.
 			sim := des.NewSimulator(1)
-			sys := chain(sim, ntier.NX0)
-			loop := workload.NewClosedLoop(sim, sys.Frontend(), workload.ClosedLoopConfig{
-				Clients:   8,
-				ThinkTime: 5 * time.Millisecond,
-			})
-			loop.Start()
-			sim.Run(10 * time.Second) // warm the pools, the queues and the job slices
-			completed := loop.Completed()
-			allocs := testing.AllocsPerRun(200, func() {
-				for sent := loop.Sent(); loop.Sent() == sent; {
-					sim.Step()
-				}
-			})
-			if loop.Completed() <= completed {
-				t.Fatal("workload-closed-loop: no request completed while measured")
-			}
-			return allocs - 1
+			return driveClosedLoop(t, "workload-closed-loop", sim, chain(sim, ntier.NX0).Frontend())
+		},
+		"pooled-retransmission": func() float64 {
+			return driveRetransmission(t)
 		},
 	}
 	for key, group := range hotpathExercisers {

@@ -145,10 +145,11 @@ func (c *downcall) settle() {
 }
 
 // cleared returns c with every reference dropped, the sub-call's
-// delivery state included, except the callbacks bound to its owner.
+// delivery state included, except its bound callbacks: send and the
+// sub-call's (simnet.Call.Cleared).
 func (c *downcall) cleared() downcall {
 	return downcall{
-		sub:  simnet.Call{Done: c.sub.Done},
+		sub:  c.sub.Cleared(),
 		send: c.send,
 	}
 }

@@ -76,6 +76,15 @@ type Call struct {
 	deliver    func()
 }
 
+// Cleared returns the call with its exchange over and every reference
+// dropped, keeping only its callbacks: Done and the delivery callback
+// bound on its first latency hop or drop. That callback acts on this
+// Call, so assign the result back to it: a pooled call is reused in
+// place and binds its delivery callback once, not once per reuse.
+func (c *Call) Cleared() Call {
+	return Call{Done: c.Done, deliver: c.deliver}
+}
+
 // Retransmits returns the number of retransmissions (attempts beyond the
 // first).
 func (c *Call) Retransmits() int {

@@ -217,7 +217,7 @@ func (c *ClosedLoop) send(st *clientState, req *Request) {
 //lint:hotpath
 func (cc *clientCall) done(failedAt string) {
 	c, st, req, trace := cc.loop, cc.state, cc.req, cc.Trace
-	*cc = clientCall{Call: simnet.Call{Done: cc.Done}}
+	*cc = clientCall{Call: cc.Call.Cleared()}
 	clientCalls.Put(cc)
 
 	req.Completed = c.sim.Now()
