@@ -118,9 +118,14 @@ func (a *AsyncServer) dispatch() {
 //lint:hotpath
 func (a *AsyncServer) release() {
 	a.busy--
-	// Dispatch is deferred to a fresh event so the released worker picks
-	// up queued work after the current call stack unwinds.
-	a.sim.Schedule(0, a.deferredDispatch)
+	// enqueue dispatches at once when a worker is free, so a task is
+	// still ready only if every worker was busy when it was pushed; only
+	// then has the released worker work to pick up. Dispatch is deferred
+	// to a fresh event so it does so after the current call stack
+	// unwinds.
+	if a.ready.len() > 0 {
+		a.sim.Schedule(0, a.deferredDispatch)
+	}
 }
 
 // tasks recycles tasks across servers and runs, as visits does for the
