@@ -39,15 +39,18 @@
 // CI plus tail percentiles (p99, p99.9) of per-run VLRT counts, drops and
 // p99 response time — the quantities that need hundreds of replications.
 //
-// simstats is the kernel's own benchmark: it runs one scenario with DES
-// self-profiling on and reports events executed, events/second, the
-// pending-heap high-water mark and allocation totals. With -benchout it
-// records the measurement under the "simstats" key of the keyed JSON
-// bench file and enforces a regression floor against the previously
-// recorded baseline (-bench-floor adjusts the ratio, 0 or less records
-// without comparing) — the reference point for DES hot-path work. The
-// gate compares only like with like: a baseline taken on another
-// scenario, seed, duration or retention fails the command.
+// simstats is the simulator's own benchmark: it runs one scenario with
+// DES self-profiling on and reports events executed, events/second,
+// requests completed and requests/second, the pending-heap high-water
+// mark and allocation totals. With -benchout it records the measurement
+// under the "simstats" key of the keyed JSON bench file and enforces a
+// regression floor on requests/second against the previously recorded
+// baseline (-bench-floor adjusts the ratio, 0 or less records without
+// comparing) — the reference point for hot-path work. Requests, not
+// events, are the unit, so removing events that do no work reads as the
+// speed-up it is. The gate compares only like with like: a baseline
+// taken on another scenario, seed, duration or retention fails the
+// command.
 //
 // -retention bounded caps the response times the recorder's HDR
 // histograms keep verbatim, so its memory is constant in the request
@@ -528,37 +531,45 @@ func benchSweep(benchPath string, sc core.SweepConfig, workers int) error {
 }
 
 // simstatsFloorRatio is the default enforced regression gate: a run
-// below this fraction of the recorded baseline's events/second fails
+// below this fraction of the recorded baseline's requests/second fails
 // the command (leaving the baseline unchanged). -bench-floor overrides
 // the ratio for noisy hardware; zero or negative records the run
 // without comparing.
 const simstatsFloorRatio = 0.5
 
 // simstatsRecord is the "simstats" entry of the keyed bench file: the
-// DES kernel's self-measured throughput baseline that hot-path work is
-// compared against.
+// simulator's self-measured throughput baseline that hot-path work is
+// compared against. Requests counts the requests completed in the
+// measured window, and RequestsPerSecond divides them by the same wall
+// time as EventsPerSecond.
 type simstatsRecord struct {
-	Benchmark       string  `json:"benchmark"`
-	Scenario        string  `json:"scenario"`
-	Seed            int64   `json:"seed"`
-	DurationSeconds float64 `json:"duration_seconds"`
-	Retention       string  `json:"retention"`
-	CPUs            int     `json:"cpus"`
-	EventsExecuted  uint64  `json:"events_executed"`
-	EventsScheduled uint64  `json:"events_scheduled"`
-	PeakPending     int     `json:"peak_pending"`
-	WallSeconds     float64 `json:"wall_seconds"`
-	EventsPerSecond float64 `json:"events_per_second"`
-	AllocMB         float64 `json:"alloc_mb"`
-	GCCycles        uint32  `json:"gc_cycles"`
+	Benchmark         string  `json:"benchmark"`
+	Scenario          string  `json:"scenario"`
+	Seed              int64   `json:"seed"`
+	DurationSeconds   float64 `json:"duration_seconds"`
+	Retention         string  `json:"retention"`
+	CPUs              int     `json:"cpus"`
+	EventsExecuted    uint64  `json:"events_executed"`
+	EventsScheduled   uint64  `json:"events_scheduled"`
+	PeakPending       int     `json:"peak_pending"`
+	WallSeconds       float64 `json:"wall_seconds"`
+	EventsPerSecond   float64 `json:"events_per_second"`
+	Requests          int     `json:"requests"`
+	RequestsPerSecond float64 `json:"requests_per_second"`
+	AllocMB           float64 `json:"alloc_mb"`
+	GCCycles          uint32  `json:"gc_cycles"`
 }
 
 // baselineMismatch names each field that makes base, the recorded
-// baseline, a measurement of different work from rec, this run: events/s
-// are comparable only on the same scenario, seed, duration and
-// retention. It returns "" when they match.
+// baseline, a measurement of different work from rec, this run:
+// requests/s are comparable only on the same scenario, seed, duration
+// and retention, and only if the baseline recorded them. It returns ""
+// when they match.
 func baselineMismatch(base, rec simstatsRecord) string {
 	var diffs []string
+	if base.RequestsPerSecond <= 0 {
+		diffs = append(diffs, "the baseline recorded no requests/s")
+	}
 	if base.Scenario != rec.Scenario {
 		diffs = append(diffs, fmt.Sprintf("scenario %s, baseline %s", rec.Scenario, base.Scenario))
 	}
@@ -603,7 +614,7 @@ func simstats(args []string) error {
 	benchout := fs.String("benchout", "",
 		"record the measurement under the \"simstats\" key of this JSON file (enforced comparison against the recorded baseline)")
 	benchFloor := fs.Float64("bench-floor", simstatsFloorRatio,
-		"fail when events/s drops below this fraction of the recorded baseline, or when the baseline ran other work (0 or less records without comparing)")
+		"fail when requests/s drops below this fraction of the recorded baseline, or when the baseline ran other work (0 or less records without comparing)")
 	cpuProf, memProf := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -654,6 +665,12 @@ func simstats(args []string) error {
 	fmt.Printf("%s seed %d, %v simulated, retention %s\n",
 		cfg.Name, defaulted.Seed, res.End, retName)
 	fmt.Println(st)
+	requests := res.Recorder.Len()
+	var reqPerSec float64
+	if st.WallSeconds > 0 {
+		reqPerSec = float64(requests) / st.WallSeconds
+	}
+	fmt.Printf("%d requests completed, %.3gk requests/s\n", requests, reqPerSec/1e3)
 	fmt.Printf("telemetry footprint: %.1f KB\n",
 		float64(res.Recorder.MemoryFootprint())/1024)
 
@@ -661,36 +678,38 @@ func simstats(args []string) error {
 		return nil
 	}
 	record := simstatsRecord{
-		Benchmark:       "ntierlab-simstats",
-		Scenario:        label,
-		Seed:            defaulted.Seed,
-		DurationSeconds: defaulted.Duration.Seconds(),
-		Retention:       retName,
-		CPUs:            runtime.NumCPU(),
-		EventsExecuted:  st.EventsExecuted,
-		EventsScheduled: st.EventsScheduled,
-		PeakPending:     st.PeakPending,
-		WallSeconds:     st.WallSeconds,
-		EventsPerSecond: st.EventsPerSecond,
-		AllocMB:         float64(st.AllocBytes) / (1 << 20),
-		GCCycles:        st.GCCycles,
+		Benchmark:         "ntierlab-simstats",
+		Scenario:          label,
+		Seed:              defaulted.Seed,
+		DurationSeconds:   defaulted.Duration.Seconds(),
+		Retention:         retName,
+		CPUs:              runtime.NumCPU(),
+		EventsExecuted:    st.EventsExecuted,
+		EventsScheduled:   st.EventsScheduled,
+		PeakPending:       st.PeakPending,
+		WallSeconds:       st.WallSeconds,
+		EventsPerSecond:   st.EventsPerSecond,
+		Requests:          requests,
+		RequestsPerSecond: reqPerSec,
+		AllocMB:           float64(st.AllocBytes) / (1 << 20),
+		GCCycles:          st.GCCycles,
 	}
 	base, ok := readSimstatsBaseline(*benchout)
-	if ok && base.EventsPerSecond > 0 && *benchFloor > 0 {
+	if ok && *benchFloor > 0 {
 		if diff := baselineMismatch(base, record); diff != "" {
 			return fmt.Errorf(
-				"the recorded baseline measured other work (%s), so its events/s are no reference (baseline left unchanged; -bench-floor 0 records this run without comparing)",
+				"the recorded baseline measured other work (%s), so its requests/s are no reference (baseline left unchanged; -bench-floor 0 records this run without comparing)",
 				diff)
 		}
-		ratio := st.EventsPerSecond / base.EventsPerSecond
+		ratio := reqPerSec / base.RequestsPerSecond
 		if ratio < *benchFloor {
 			return fmt.Errorf(
-				"%.3gM events/s is %.0f%% of the recorded baseline %.3gM, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 records without comparing)",
-				st.EventsPerSecond/1e6, 100*ratio,
-				base.EventsPerSecond/1e6, 100**benchFloor)
+				"%.3gk requests/s is %.0f%% of the recorded baseline %.3gk, below the enforced %.0f%% floor (baseline left unchanged; override with -bench-floor, 0 records without comparing)",
+				reqPerSec/1e3, 100*ratio,
+				base.RequestsPerSecond/1e3, 100**benchFloor)
 		}
-		fmt.Printf("baseline: %.3gM events/s recorded, this run %.2fx (floor %.0f%%)\n",
-			base.EventsPerSecond/1e6, ratio, 100**benchFloor)
+		fmt.Printf("baseline: %.3gk requests/s recorded, this run %.2fx (floor %.0f%%)\n",
+			base.RequestsPerSecond/1e3, ratio, 100**benchFloor)
 	}
 	if err := benchrec.Update(*benchout, "simstats", record); err != nil {
 		return err

@@ -236,7 +236,7 @@ func TestSimstatsSubcommand(t *testing.T) {
 	profPath := dir + "/cpu.pprof"
 	// The gated runs simulate 60 s, about a quarter second of wall time
 	// each: a 5 s run lasts some 25 ms, short enough that a busy CPU
-	// alone can halve its events/s against the baseline.
+	// alone can halve its requests/s against the baseline.
 	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "60s",
 		"-benchout", benchPath, "-cpuprofile", profPath}
 	if err := run(args); err != nil {
@@ -247,12 +247,14 @@ func TestSimstatsSubcommand(t *testing.T) {
 		t.Fatalf("benchout wrote no record: %v", err)
 	}
 	var rec map[string]struct {
-		Benchmark       string  `json:"benchmark"`
-		Scenario        string  `json:"scenario"`
-		Retention       string  `json:"retention"`
-		EventsExecuted  uint64  `json:"events_executed"`
-		EventsPerSecond float64 `json:"events_per_second"`
-		PeakPending     int     `json:"peak_pending"`
+		Benchmark         string  `json:"benchmark"`
+		Scenario          string  `json:"scenario"`
+		Retention         string  `json:"retention"`
+		EventsExecuted    uint64  `json:"events_executed"`
+		EventsPerSecond   float64 `json:"events_per_second"`
+		PeakPending       int     `json:"peak_pending"`
+		Requests          int     `json:"requests"`
+		RequestsPerSecond float64 `json:"requests_per_second"`
 	}
 	if err := json.Unmarshal(data, &rec); err != nil {
 		t.Fatalf("benchout record does not parse: %v\n%s", err, data)
@@ -264,6 +266,9 @@ func TestSimstatsSubcommand(t *testing.T) {
 	}
 	if got.EventsExecuted == 0 || got.EventsPerSecond <= 0 || got.PeakPending <= 0 {
 		t.Fatalf("simstats record has empty kernel counters: %+v", got)
+	}
+	if got.Requests == 0 || got.RequestsPerSecond <= 0 {
+		t.Fatalf("simstats record has no request throughput, the gate's unit: %+v", got)
 	}
 	if fi, err := os.Stat(profPath); err != nil || fi.Size() == 0 {
 		t.Fatalf("cpuprofile not written: %v", err)
@@ -314,6 +319,19 @@ func TestSimstatsSubcommand(t *testing.T) {
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
 		"-duration", "5s", "-benchout", benchPath, "-bench-floor", "0"}); err != nil {
 		t.Fatalf("simstats with -bench-floor=0: %v", err)
+	}
+
+	// A baseline recorded before the gate counted requests has no
+	// requests/s to compare against: the gate must fail and say so.
+	legacy := []byte(`{"simstats": {"benchmark": "ntierlab-simstats", "scenario": "fig1-wl4000",
+		"seed": 1, "duration_seconds": 5, "retention": "bounded", "events_per_second": 1000000}}`)
+	if err := os.WriteFile(benchPath, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{"simstats", "-scenario", "fig1-wl4000",
+		"-duration", "5s", "-benchout", benchPath})
+	if err == nil || !strings.Contains(err.Error(), "no requests/s") {
+		t.Fatalf("simstats against a baseline without requests/s: %v, want a refusal", err)
 	}
 }
 
