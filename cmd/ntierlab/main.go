@@ -14,7 +14,6 @@
 //	ntierlab predict <rate req/s> <burst duration> <capacity>
 //	ntierlab fig12 [-points 100,200,400,800,1600] [-parallel N]
 //	ntierlab matrix [-duration 45s] [-parallel N]
-//	ntierlab replicate <scenario> [-n 5] [-duration 60s] [-parallel N]
 //	ntierlab sweep -scenario fig3 -seeds 1..500 [-shard 25] [-parallel N]
 //	                [-duration 60s] [-csv file] [-json] [-benchout file]
 //	                [-retention all|bounded] [-cpuprofile file] [-memprofile file]
@@ -26,18 +25,19 @@
 // scenario file (or registry name), prints the summary and evaluates the
 // file's assertions — a failing assertion exits non-zero; validate
 // parses and compiles files without running them; generate emits a
-// seeded random stress scenario. run, replicate, sweep and simstats also
-// accept -scenario-file wherever a registry name is accepted.
+// seeded random stress scenario. run, sweep and simstats also accept
+// -scenario-file wherever a registry name is accepted.
 //
-// The multi-run subcommands (fig12, matrix, replicate, sweep) fan their
+// The multi-run subcommands (fig12, matrix, sweep) fan their
 // independent simulations across a core.Runner worker pool: -parallel 0
 // (the default) uses GOMAXPROCS workers, -parallel 1 runs strictly
 // serially. Output is byte-identical whatever the pool size.
 //
-// sweep is the big-n engine: it partitions the seed range into shards,
-// merges the per-shard accumulators in shard order, and reports mean±95%
-// CI plus tail percentiles (p99, p99.9) of per-run VLRT counts, drops and
-// p99 response time — the quantities that need hundreds of replications.
+// sweep replicates a scenario over a seed range: it partitions the range
+// into shards, merges the per-shard accumulators in shard order, and
+// reports mean±95% CI plus tail percentiles (p99, p99.9) of per-run
+// throughput, VLRT counts, drops and p99 response time. A few seeds
+// (-seeds 10) give the means; the tails need hundreds.
 //
 // simstats is the simulator's own benchmark: it runs one scenario with
 // DES self-profiling on and reports events executed, events/second,
@@ -88,7 +88,7 @@ func scenarios() map[string]core.Config { return core.Scenarios() }
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: ntierlab <list|run|scenario|predict|fig12|matrix|replicate|sweep|simstats> ...")
+		return fmt.Errorf("usage: ntierlab <list|run|scenario|predict|fig12|matrix|sweep|simstats> ...")
 	}
 	switch args[0] {
 	case "list":
@@ -103,8 +103,6 @@ func run(args []string) error {
 		return fig12(args[1:])
 	case "matrix":
 		return matrix(args[1:])
-	case "replicate":
-		return replicate(args[1:])
 	case "sweep":
 		return sweep(args[1:])
 	case "simstats":
@@ -331,43 +329,6 @@ func parseRetention(s string) (metrics.Retention, error) {
 	default:
 		return 0, fmt.Errorf("retention: want all or bounded, got %q", s)
 	}
-}
-
-func replicate(args []string) error {
-	fs := flag.NewFlagSet("replicate", flag.ContinueOnError)
-	n := fs.Int("n", 5, "number of replications")
-	duration := fs.Duration("duration", 0, "override measured duration")
-	scenarioFile := scenarioFileFlag(fs)
-	parallel := parallelFlag(fs)
-
-	name, rest := splitLeadingName(args)
-	if err := fs.Parse(rest); err != nil {
-		return err
-	}
-	if name == "" && *scenarioFile == "" {
-		return fmt.Errorf("usage: ntierlab replicate <scenario> [-n 5]")
-	}
-	cfg, _, err := resolveScenario(name, *scenarioFile)
-	if err != nil {
-		return err
-	}
-	if *duration > 0 {
-		cfg.Duration = *duration
-	}
-	cfg.Trace = false
-
-	stats, err := core.NewRunner(*parallel).Replicate(cfg, *n)
-	// Partial-results contract: print whatever replications completed,
-	// then report the joined per-seed errors.
-	if stats.Throughput.N > 0 {
-		fmt.Printf("%s over %d replications (95%% CI, seeds %v)\n",
-			cfg.Name, stats.Throughput.N, stats.Seeds)
-		fmt.Printf("  throughput [req/s]: %v\n", stats.Throughput)
-		fmt.Printf("  VLRT per run:       %v\n", stats.VLRT)
-		fmt.Printf("  drops per run:      %v\n", stats.Drops)
-		fmt.Printf("  p99 [ms]:           %v\n", stats.P99Millis)
-	}
-	return err
 }
 
 // parseSeedRange parses "lo..hi" (inclusive) or a bare count N (meaning

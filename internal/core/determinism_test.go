@@ -245,41 +245,11 @@ func TestSweepParallelByteIdentity(t *testing.T) {
 	}
 }
 
-// TestReplicatePartialFailureByteIdentity covers the Runner partial-
-// failure path across pool sizes: when part of a replication's seed range
-// is invalid (it runs past MaxInt64), the partial statistics AND the
-// joined error text must be identical at workers=1 and workers=4 — a
+// TestSweepPartialFailureByteIdentity covers the Runner partial-failure
+// path across pool sizes: with the last shard entirely invalid (its seeds
+// run past MaxInt64) and the middle one partially so, every rendering and
+// the joined error text must match at workers=1 and workers=4 — a
 // failure's position in the output may not depend on scheduling.
-func TestReplicatePartialFailureByteIdentity(t *testing.T) {
-	cfg := tinySweepConfig()
-	cfg.Seed = math.MaxInt64 - 2 // 3 valid seeds, 2 invalid
-	capture := func(workers int) (string, string) {
-		t.Helper()
-		stats, err := NewRunner(workers).Replicate(cfg, 5)
-		if err == nil {
-			t.Fatalf("Replicate(workers=%d): expected a joined error", workers)
-		}
-		if stats.Throughput.N != 3 || len(stats.Seeds) != 3 {
-			t.Fatalf("Replicate(workers=%d): partial stats N=%d seeds=%v, want 3 completed",
-				workers, stats.Throughput.N, stats.Seeds)
-		}
-		return fmt.Sprintf("%+v", stats), err.Error()
-	}
-	serialStats, serialErr := capture(1)
-	parallelStats, parallelErr := capture(4)
-	if serialStats != parallelStats {
-		t.Errorf("partial stats differ between workers=1 and workers=4:\n%s",
-			firstDiff([]byte(serialStats), []byte(parallelStats)))
-	}
-	if serialErr != parallelErr {
-		t.Errorf("joined error differs between workers=1 and workers=4:\n%s",
-			firstDiff([]byte(serialErr), []byte(parallelErr)))
-	}
-}
-
-// TestSweepPartialFailureByteIdentity is the sweep-engine counterpart:
-// with the last shard entirely invalid and the middle one partially so,
-// every rendering and the joined error text must match across pool sizes.
 func TestSweepPartialFailureByteIdentity(t *testing.T) {
 	cfg := tinySweepConfig()
 	cfg.Seed = math.MaxInt64 - 5 // seeds +0..5 fit; +6..11 wrap

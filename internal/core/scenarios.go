@@ -113,18 +113,11 @@ type ThroughputPoint struct {
 // Figure12Concurrencies is the paper's x-axis.
 var Figure12Concurrencies = []int{100, 200, 400, 800, 1600}
 
-// RunFigure12 sweeps concurrency for both architectures and returns the
-// throughput table of Fig. 12, fanning the 2×len(concurrencies)
-// independent runs across GOMAXPROCS workers; use Runner.Figure12 to
-// pick the pool size (the table is identical either way).
-func RunFigure12(concurrencies []int) ([]ThroughputPoint, error) {
-	return NewRunner(0).Figure12(concurrencies)
-}
-
-// Figure12 is RunFigure12 on this runner's pool: each concurrency level
-// contributes one sync and one async run, flattened into a single batch
-// and re-paired by submission slot, so the rows come back in sweep order
-// regardless of scheduling.
+// Figure12 sweeps concurrency for both architectures and returns the
+// throughput table of Fig. 12. Each concurrency level contributes one
+// sync and one async run, flattened into a single batch on this runner's
+// pool and re-paired by submission slot, so the rows come back in sweep
+// order whatever the pool size.
 func (r *Runner) Figure12(concurrencies []int) ([]ThroughputPoint, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = Figure12Concurrencies
