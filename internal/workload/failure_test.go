@@ -32,10 +32,6 @@ func TestGeneratorsRecordFailedReplies(t *testing.T) {
 			workload.NewBatch(sim, front, workload.BatchConfig{Size: 3, Interval: time.Second, Sink: sink}).Start()
 			return nil
 		}},
-		{"OpenLoop", func(sim *des.Simulator, front workload.Frontend, sink workload.Sink) error {
-			workload.NewOpenLoop(sim, front, workload.OpenLoopConfig{Rate: 20, Sink: sink}).Start()
-			return nil
-		}},
 		{"ClosedLoop", func(sim *des.Simulator, front workload.Frontend, sink workload.Sink) error {
 			workload.NewClosedLoop(sim, front, workload.ClosedLoopConfig{
 				Clients: 5, ThinkTime: 100 * time.Millisecond, Sink: sink,

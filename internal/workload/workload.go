@@ -5,8 +5,8 @@
 // configurable burstiness index (Mi et al., ICAC'09), plus a modified
 // "SysBursty" generator that emits a fixed batch of requests at fixed
 // intervals to create reproducible CPU millibottlenecks (Section V-B).
-// This package provides all three generators plus an open-loop Poisson
-// source, and the request/interaction model they share.
+// This package provides both generators and the request/interaction
+// model they share.
 package workload
 
 import (

@@ -288,33 +288,6 @@ func TestBatchDefaultsToViewStory(t *testing.T) {
 	}
 }
 
-func TestOpenLoopRate(t *testing.T) {
-	sim := des.NewSimulator(7)
-	srv := &instantServer{sim: sim}
-	o := NewOpenLoop(sim, front(sim, srv), OpenLoopConfig{Rate: 200})
-	o.Start()
-	if err := sim.Run(30 * time.Second); err != nil && err != des.ErrHorizon {
-		t.Fatalf("Run: %v", err)
-	}
-	rate := float64(o.Sent()) / 30
-	if rate < 180 || rate > 220 {
-		t.Fatalf("rate = %.1f, want ~200", rate)
-	}
-}
-
-func TestOpenLoopZeroRateNeverStarts(t *testing.T) {
-	sim := des.NewSimulator(7)
-	srv := &instantServer{sim: sim}
-	o := NewOpenLoop(sim, front(sim, srv), OpenLoopConfig{Rate: 0})
-	o.Start()
-	if err := sim.Run(time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if o.Sent() != 0 {
-		t.Fatalf("sent = %d, want 0", o.Sent())
-	}
-}
-
 // Property: mix picking never returns a class outside the registered set
 // and the weighted frequencies sum to 1 over any sample.
 func TestPropertyMixPickMembership(t *testing.T) {
