@@ -242,9 +242,6 @@ type Config struct {
 	MaxAttempts int
 	// Backoff switches to exponential retransmission (ablation).
 	Backoff bool
-	// NetLatency is the one-way network delay per hop; zero models the
-	// paper's LAN as instantaneous.
-	NetLatency time.Duration
 
 	// Trace keeps the steady transport's drop records and runs the CTQO
 	// analysis over them.

@@ -94,9 +94,6 @@ func (e *Experiment) Run() (*Result, error) {
 	if cfg.Backoff {
 		steady.Transport.Backoff = true
 	}
-	if cfg.NetLatency > 0 {
-		steady.Transport.Latency = cfg.NetLatency
-	}
 
 	// --- monitoring ----------------------------------------------------
 	mon := metrics.NewMonitor(sim, cfg.SampleInterval)

@@ -74,11 +74,10 @@ type EffectiveConfigJSON struct {
 	DurationSeconds      float64 `json:"durationSeconds"`
 	SampleIntervalMillis float64 `json:"sampleIntervalMillis"`
 
-	Kernel           string  `json:"kernel,omitempty"`
-	RTOSeconds       float64 `json:"rtoSeconds"`
-	MaxAttempts      int     `json:"maxAttempts"`
-	Backoff          bool    `json:"backoff,omitempty"`
-	NetLatencyMillis float64 `json:"netLatencyMillis,omitempty"`
+	Kernel      string  `json:"kernel,omitempty"`
+	RTOSeconds  float64 `json:"rtoSeconds"`
+	MaxAttempts int     `json:"maxAttempts"`
+	Backoff     bool    `json:"backoff,omitempty"`
 
 	AppCores          float64 `json:"appCores,omitempty"`
 	ThreadOverride    int     `json:"threadOverride,omitempty"`
@@ -220,7 +219,6 @@ func effectiveConfig(cfg Config) EffectiveConfigJSON {
 		SampleIntervalMillis: float64(cfg.SampleInterval) / float64(time.Millisecond),
 		MaxAttempts:          cfg.MaxAttempts,
 		Backoff:              cfg.Backoff,
-		NetLatencyMillis:     float64(cfg.NetLatency) / float64(time.Millisecond),
 		AppCores:             cfg.AppCores,
 		ThreadOverride:       cfg.ThreadOverride,
 		OverheadPerThread:    cfg.OverheadPerThread,

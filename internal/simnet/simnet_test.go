@@ -439,47 +439,6 @@ func TestKernelProfilesDifferInClusterPlacement(t *testing.T) {
 	}
 }
 
-func TestNetworkLatency(t *testing.T) {
-	sim := des.NewSimulator(1)
-	tr := NewTransport(sim)
-	tr.Latency = 200 * time.Microsecond
-	srv := &fakeServer{sim: sim, name: "s", capacity: 1, service: time.Millisecond}
-
-	var repliedAt time.Duration
-	tr.Send(srv, &Call{Done: func(string) { repliedAt = sim.Now() }})
-	if err := sim.Run(time.Minute); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// One-way latency before delivery + 1ms service. (The reply path in
-	// this fake is immediate.)
-	want := 200*time.Microsecond + time.Millisecond
-	if repliedAt != want {
-		t.Fatalf("replied at %v, want %v", repliedAt, want)
-	}
-}
-
-func TestNetworkLatencyAppliesToRetransmits(t *testing.T) {
-	sim := des.NewSimulator(1)
-	tr := NewTransport(sim)
-	tr.Latency = time.Millisecond
-	tr.RTO = time.Second
-	srv := &fakeServer{sim: sim, name: "s", capacity: 1, service: time.Millisecond}
-	srv.busy = 1
-	sim.Schedule(500*time.Millisecond, func() { srv.busy = 0 })
-
-	var repliedAt time.Duration
-	tr.Send(srv, &Call{Done: func(string) { repliedAt = sim.Now() }})
-	if err := sim.Run(time.Minute); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// First attempt arrives at 1ms (dropped); retransmit waits 1s + 1ms
-	// latency → delivered at 1.002s, replies at 1.003s.
-	want := time.Millisecond + time.Second + time.Millisecond + time.Millisecond
-	if repliedAt != want {
-		t.Fatalf("replied at %v, want %v", repliedAt, want)
-	}
-}
-
 func TestConnPoolResizeGrowAdmitsWaiters(t *testing.T) {
 	p := NewConnPool(1)
 	var order []int
