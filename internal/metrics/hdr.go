@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"slices"
 	"sort"
@@ -61,25 +59,20 @@ func (c HDRConfig) withDefaults() HDRConfig {
 	return c
 }
 
-// HDRHistogram is a mergeable log-linear latency histogram: durations are
+// HDRHistogram is a log-linear latency histogram: durations are
 // bucketed by (power-of-two group, linear sub-bucket), so memory is a
 // fixed ~(64-sigBits)×2^sigBits counters regardless of how many values
 // are observed, and any bucket representative is within a relative error
 // of 2^-(sigBits+1) of every value in the bucket. Small runs stay exact:
 // until ExactCap observations the raw values are retained and quantiles
 // use the same nearest-rank rule as Recorder.Percentile.
-//
-// Merging adds bucket counts (after spilling any exact side that no
-// longer fits), so shard-order merges are associative the same way the
-// sweep accumulators are; MarshalBinary sorts exact values, making
-// Merge(a,b) and Merge(b,a) serialize byte-identically.
 type HDRHistogram struct {
 	cfg    HDRConfig
 	counts []int64
 	// exact holds the raw values of a small run, in observation order;
 	// nil once spilled (or when ExactCap is 0). sorted caches them in
 	// ascending order so repeated quantile queries don't re-sort; Observe
-	// and Merge clear it.
+	// clears it.
 	exact   []time.Duration
 	sorted  []time.Duration
 	spilled bool
@@ -331,74 +324,6 @@ func (h *HDRHistogram) sortedExact() []time.Duration {
 		slices.Sort(h.sorted)
 	}
 	return h.sorted
-}
-
-// Merge folds o into h (o is left untouched). Histograms must share a
-// config; merging is count addition once either side is bucketed, so
-// shard-order merging reproduces byte-identical reports for any worker
-// count, like the sweep accumulators.
-func (h *HDRHistogram) Merge(o *HDRHistogram) error {
-	if h.cfg != o.cfg {
-		return fmt.Errorf("metrics: merge HDR config mismatch: %+v vs %+v", h.cfg, o.cfg)
-	}
-	if o.count == 0 {
-		return nil
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	h.sorted = nil
-	if !h.spilled && !o.spilled && len(h.exact)+len(o.exact) <= h.cfg.ExactCap {
-		h.exact = append(h.exact, o.exact...)
-		return nil
-	}
-	h.spill()
-	if !o.spilled {
-		for _, v := range o.exact {
-			h.counts[h.bucketIdx(v)]++
-		}
-		return nil
-	}
-	for idx, c := range o.counts {
-		h.counts[idx] += c
-	}
-	return nil
-}
-
-// MarshalBinary serializes the histogram deterministically: exact values
-// are sorted and bucket counts are emitted as ordered (index, count)
-// pairs, so two histograms holding the same distribution serialize to the
-// same bytes regardless of observation or merge order.
-func (h *HDRHistogram) MarshalBinary() ([]byte, error) {
-	var out []byte
-	out = binary.BigEndian.AppendUint16(out, uint16(h.cfg.SigBits))
-	out = binary.BigEndian.AppendUint32(out, uint32(h.cfg.ExactCap))
-	out = binary.BigEndian.AppendUint64(out, uint64(h.count))
-	out = binary.BigEndian.AppendUint64(out, uint64(h.sum))
-	out = binary.BigEndian.AppendUint64(out, uint64(h.min))
-	out = binary.BigEndian.AppendUint64(out, uint64(h.max))
-	if !h.spilled {
-		out = append(out, 0) // exact-mode tag
-		out = binary.BigEndian.AppendUint32(out, uint32(len(h.exact)))
-		for _, v := range h.sortedExact() {
-			out = binary.BigEndian.AppendUint64(out, uint64(v))
-		}
-		return out, nil
-	}
-	out = append(out, 1) // bucketed-mode tag
-	for idx, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		out = binary.BigEndian.AppendUint32(out, uint32(idx))
-		out = binary.BigEndian.AppendUint64(out, uint64(c))
-	}
-	return out, nil
 }
 
 // FootprintBytes returns a deterministic accounting of the histogram's

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"sort"
@@ -148,84 +147,6 @@ func TestHDRMeanSumExact(t *testing.T) {
 	}
 	if h.Min() != 7*time.Millisecond || h.Max() != 7000*time.Millisecond {
 		t.Fatalf("Min/Max = %v/%v", h.Min(), h.Max())
-	}
-}
-
-// TestHDRMergeMatchesCombined checks that merging two shards answers like
-// one histogram that saw every value — both when the merge stays exact
-// and when it forces a spill.
-func TestHDRMergeMatchesCombined(t *testing.T) {
-	for _, n := range []int{20, 5000} { // 2×20 stays exact, 2×5000 spills
-		cfg := HDRConfig{}
-		a, b, all := NewHDRHistogram(cfg), NewHDRHistogram(cfg), NewHDRHistogram(cfg)
-		rng := rand.New(rand.NewSource(3))
-		for i := 0; i < n; i++ {
-			va := time.Duration(rng.Int63n(int64(time.Minute)))
-			vb := time.Duration(rng.Int63n(int64(time.Minute)))
-			a.Observe(va)
-			b.Observe(vb)
-			all.Observe(va)
-			all.Observe(vb)
-		}
-		if err := a.Merge(b); err != nil {
-			t.Fatalf("n=%d Merge: %v", n, err)
-		}
-		if a.Count() != all.Count() || a.Sum() != all.Sum() ||
-			a.Min() != all.Min() || a.Max() != all.Max() {
-			t.Fatalf("n=%d merged counters diverge from combined", n)
-		}
-		for _, p := range []float64{0.1, 0.5, 0.99} {
-			if got, want := a.Quantile(p), all.Quantile(p); got != want {
-				t.Fatalf("n=%d Quantile(%v): merged %v, combined %v", n, p, got, want)
-			}
-		}
-		// b must be untouched by the merge.
-		if b.Count() != int64(n) {
-			t.Fatalf("n=%d merge mutated its argument", n)
-		}
-	}
-}
-
-// TestHDRMergeConfigMismatch pins the config-compatibility error.
-func TestHDRMergeConfigMismatch(t *testing.T) {
-	a := NewHDRHistogram(HDRConfig{SigBits: 7})
-	b := NewHDRHistogram(HDRConfig{SigBits: 8})
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merging mismatched configs succeeded, want error")
-	}
-}
-
-// TestHDRMergeCommutesBytes checks the serialization side of shard-order
-// independence on a deterministic workload: Merge(a,b) and Merge(b,a)
-// produce byte-identical MarshalBinary output (the fuzz test widens this).
-func TestHDRMergeCommutesBytes(t *testing.T) {
-	build := func() (a, b *HDRHistogram) {
-		a, b = NewHDRHistogram(HDRConfig{ExactCap: 64}), NewHDRHistogram(HDRConfig{ExactCap: 64})
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; i < 100; i++ { // past 2×ExactCap → merge spills
-			a.Observe(time.Duration(rng.Int63n(int64(time.Second))))
-			b.Observe(time.Duration(rng.Int63n(int64(time.Hour))))
-		}
-		return a, b
-	}
-	a1, b1 := build()
-	if err := a1.Merge(b1); err != nil {
-		t.Fatal(err)
-	}
-	a2, b2 := build()
-	if err := b2.Merge(a2); err != nil {
-		t.Fatal(err)
-	}
-	ab, err := a1.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, err := b2.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(ab, ba) {
-		t.Fatal("Merge(a,b) and Merge(b,a) serialize differently")
 	}
 }
 
