@@ -181,7 +181,9 @@ func TestGeneratorRealizesBurstIndex(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Fit: %v", err)
 		}
-		g, err := NewGenerator(sim, front, m, nil, nil)
+		var arrivals []time.Duration
+		sink := workload.SinkFunc(func(r *workload.Request) { arrivals = append(arrivals, r.Submitted) })
+		g, err := NewGenerator(sim, front, m, nil, sink)
 		if err != nil {
 			t.Fatalf("NewGenerator: %v", err)
 		}
@@ -190,7 +192,7 @@ func TestGeneratorRealizesBurstIndex(t *testing.T) {
 		if err := sim.Run(horizon); err != nil && err != des.ErrHorizon {
 			t.Fatalf("Run: %v", err)
 		}
-		counts := CountArrivals(g.Arrivals(), 30*time.Second, horizon)
+		counts := CountArrivals(arrivals, 30*time.Second, horizon)
 		return IndexOfDispersion(counts)
 	}
 

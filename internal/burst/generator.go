@@ -16,11 +16,10 @@ type Generator struct {
 	mix     *workload.Mix
 	sink    workload.Sink
 
-	hot      bool
-	stopped  bool
-	nextID   uint64
-	sent     int64
-	arrivals []time.Duration
+	hot     bool
+	stopped bool
+	nextID  uint64
+	sent    int64
 }
 
 // NewGenerator creates an MMPP generator; call Start to begin. A nil mix
@@ -49,10 +48,6 @@ func (g *Generator) Stop() { g.stopped = true }
 
 // Sent returns the number of requests emitted.
 func (g *Generator) Sent() int64 { return g.sent }
-
-// Arrivals returns the emission timestamps, for index-of-dispersion
-// estimation.
-func (g *Generator) Arrivals() []time.Duration { return g.arrivals }
 
 func (g *Generator) rate() float64 {
 	if g.hot {
@@ -112,6 +107,5 @@ func (g *Generator) fire() {
 	}
 	g.nextID++
 	g.sent++
-	g.arrivals = append(g.arrivals, req.Submitted)
 	g.front.Submit(g.sim, req, g.sink)
 }
