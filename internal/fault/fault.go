@@ -69,7 +69,7 @@ type LogFlush struct {
 	interval time.Duration
 	duration time.Duration
 	ticker   *des.Ticker
-	flushes  int
+	fired    int
 }
 
 // NewLogFlush creates a flush injector for vm that stalls it for duration
@@ -94,7 +94,7 @@ func (f *LogFlush) Start() {
 		return
 	}
 	f.ticker = des.NewTicker(f.sim, f.interval, func(time.Duration) {
-		f.flushes++
+		f.fired++
 		f.vm.Block(f.duration)
 	})
 }
@@ -106,11 +106,8 @@ func (f *LogFlush) Stop() {
 	}
 }
 
-// Flushes returns the number of flushes injected so far.
-func (f *LogFlush) Flushes() int { return f.flushes }
-
-// Fired implements Injector.
-func (f *LogFlush) Fired() int { return f.flushes }
+// Fired implements Injector: the number of flushes injected so far.
+func (f *LogFlush) Fired() int { return f.fired }
 
 // CPUHog periodically dumps a burst of CPU demand on a VM, saturating the
 // node it shares. It is the distilled form of the consolidated
@@ -122,7 +119,7 @@ type CPUHog struct {
 	interval time.Duration
 	demand   time.Duration
 	ticker   *des.Ticker
-	bursts   int
+	fired    int
 }
 
 // NewCPUHog creates a hog that submits demand of CPU work to vm every
@@ -146,7 +143,7 @@ func (h *CPUHog) Start() {
 		return
 	}
 	h.ticker = des.NewTicker(h.sim, h.interval, func(time.Duration) {
-		h.bursts++
+		h.fired++
 		h.vm.Submit(h.demand, nil)
 	})
 }
@@ -158,11 +155,8 @@ func (h *CPUHog) Stop() {
 	}
 }
 
-// Bursts returns the number of bursts injected so far.
-func (h *CPUHog) Bursts() int { return h.bursts }
-
-// Fired implements Injector.
-func (h *CPUHog) Fired() int { return h.bursts }
+// Fired implements Injector: the number of bursts injected so far.
+func (h *CPUHog) Fired() int { return h.fired }
 
 // GCPause models JVM stop-the-world collections: the VM freezes for a
 // pause whose length grows with the number of live threads, the non-linear
@@ -176,7 +170,7 @@ type GCPause struct {
 	perItem  time.Duration
 	loadFn   func() int
 	ticker   *des.Ticker
-	pauses   int
+	fired    int
 }
 
 // NewGCPause creates a GC injector: every interval (which must be
@@ -208,7 +202,7 @@ func (g *GCPause) Start() {
 		return
 	}
 	g.ticker = des.NewTicker(g.sim, g.interval, func(time.Duration) {
-		g.pauses++
+		g.fired++
 		pause := g.base
 		if g.loadFn != nil {
 			pause += time.Duration(g.loadFn()) * g.perItem
@@ -226,8 +220,5 @@ func (g *GCPause) Stop() {
 	}
 }
 
-// Pauses returns the number of collections injected so far.
-func (g *GCPause) Pauses() int { return g.pauses }
-
-// Fired implements Injector.
-func (g *GCPause) Fired() int { return g.pauses }
+// Fired implements Injector: the number of collections injected so far.
+func (g *GCPause) Fired() int { return g.fired }

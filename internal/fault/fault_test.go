@@ -110,8 +110,8 @@ func TestLogFlushStallsPeriodically(t *testing.T) {
 	f.Start()
 
 	run(t, sim, 95*time.Second)
-	if f.Flushes() != 3 {
-		t.Fatalf("flushes = %d, want 3 (at 30/60/90s)", f.Flushes())
+	if f.Fired() != 3 {
+		t.Fatalf("flushes = %d, want 3 (at 30/60/90s)", f.Fired())
 	}
 	u := vm.Usage()
 	want := 3 * 400 * time.Millisecond
@@ -126,8 +126,8 @@ func TestLogFlushStop(t *testing.T) {
 	f.Start()
 	sim.Schedule(2500*time.Millisecond, f.Stop)
 	run(t, sim, 10*time.Second)
-	if f.Flushes() != 2 {
-		t.Fatalf("flushes = %d, want 2", f.Flushes())
+	if f.Fired() != 2 {
+		t.Fatalf("flushes = %d, want 2", f.Fired())
 	}
 }
 
@@ -137,8 +137,8 @@ func TestLogFlushStartIdempotent(t *testing.T) {
 	f.Start()
 	f.Start()
 	run(t, sim, 1500*time.Millisecond)
-	if f.Flushes() != 1 {
-		t.Fatalf("flushes = %d, want 1 (no double ticker)", f.Flushes())
+	if f.Fired() != 1 {
+		t.Fatalf("flushes = %d, want 1 (no double ticker)", f.Fired())
 	}
 }
 
@@ -190,8 +190,8 @@ func TestCPUHogSaturatesSharedCore(t *testing.T) {
 		steady.Submit(100*time.Millisecond, func() { doneAt = sim.Now() })
 	})
 	run(t, sim, 20*time.Second)
-	if hog.Bursts() != 1 {
-		t.Fatalf("bursts = %d, want 1", hog.Bursts())
+	if hog.Fired() != 1 {
+		t.Fatalf("bursts = %d, want 1", hog.Fired())
 	}
 	// Sharing the core with the 400ms hog burst, the 100ms job takes 200ms.
 	want := 15*time.Second + 200*time.Millisecond
@@ -213,8 +213,8 @@ func TestGCPauseScalesWithLoad(t *testing.T) {
 
 	sim.Schedule(1500*time.Millisecond, func() { threads = 100 })
 	run(t, sim, 2500*time.Millisecond)
-	if g.Pauses() != 2 {
-		t.Fatalf("pauses = %d, want 2", g.Pauses())
+	if g.Fired() != 2 {
+		t.Fatalf("pauses = %d, want 2", g.Fired())
 	}
 	// First pause 10ms (0 threads), second 110ms (100 threads).
 	u := vm.Usage()
