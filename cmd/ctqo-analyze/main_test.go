@@ -12,38 +12,12 @@ import (
 	"ctqosim/internal/span"
 )
 
-func TestParseTier(t *testing.T) {
-	tests := []struct {
-		give    string
-		want    core.Tier
-		wantErr bool
-	}{
-		{give: "web", want: core.TierWeb},
-		{give: "app", want: core.TierApp},
-		{give: "db", want: core.TierDB},
-		{give: "disk", wantErr: true},
-		{give: "", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := parseTier(tt.give)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("parseTier(%q) error = %v, wantErr %v", tt.give, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("parseTier(%q) = %v, want %v", tt.give, got, tt.want)
-		}
-	}
-}
-
 func TestRunValidatesFlags(t *testing.T) {
 	tests := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"-nx", "7"}, "nx must be"},
-		{[]string{"-bottleneck", "nowhere"}, "bottleneck must be"},
-		{[]string{"-kind", "magnetic"}, "kind must be"},
+		{nil, "no scenario given"},
 		{[]string{"-scenario", "fig99"}, "unknown scenario"},
 	}
 	for _, tt := range tests {
@@ -55,9 +29,11 @@ func TestRunValidatesFlags(t *testing.T) {
 }
 
 func TestRunEndToEnd(t *testing.T) {
-	// A short real analysis run through the CLI path.
+	// A short real analysis run through the CLI path, of a scenario file:
+	// the CTQO matrix cell with NX=1 and a CPU millibottleneck in the app
+	// tier.
 	err := run([]string{
-		"-nx", "1", "-bottleneck", "app", "-kind", "cpu",
+		"-scenario", filepath.Join("..", "..", "internal", "core", "scenarios", "cells", "nx1-cpu-app.json"),
 		"-duration", (20 * time.Second).String(),
 	})
 	if err != nil {
