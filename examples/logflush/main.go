@@ -19,32 +19,10 @@ import (
 	"ctqosim/internal/scenario"
 )
 
-// loadScenario resolves the document to run: an on-disk file when a path
-// is given, the named embedded registry scenario otherwise.
-func loadScenario(path, fallback string) (core.Config, *scenario.Document, error) {
-	var doc *scenario.Document
-	if path != "" {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return core.Config{}, nil, err
-		}
-		if doc, err = scenario.Parse(path, data); err != nil {
-			return core.Config{}, nil, err
-		}
-	} else {
-		doc = core.ScenarioDocs()[fallback]
-		if doc == nil {
-			return core.Config{}, nil, fmt.Errorf("embedded scenario %q missing", fallback)
-		}
-	}
-	cfg, err := core.FromScenario(doc)
-	return cfg, doc, err
-}
-
 func main() {
-	file := flag.String("scenario", "", "scenario file to run instead of the embedded fig5 document")
+	ref := flag.String("scenario", "fig5", "registered scenario or scenario file to run")
 	flag.Parse()
-	cfg, doc, err := loadScenario(*file, "fig5")
+	cfg, doc, err := core.ResolveScenario(*ref)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -218,6 +218,29 @@ func TestGeneratedScenariosProperty(t *testing.T) {
 	}
 }
 
+// TestResolveScenario checks both ways in: a registry name brings its
+// document along for the assertions, a path that exists on disk loads
+// that file, and anything else is an unknown scenario.
+func TestResolveScenario(t *testing.T) {
+	cfg, doc, err := ResolveScenario("fig3")
+	if err != nil {
+		t.Fatalf("ResolveScenario(fig3): %v", err)
+	}
+	if doc == nil || cfg.Name != doc.Name || cfg.Name != Scenarios()["fig3"].Name {
+		t.Fatalf("fig3 resolved to config %q with document %+v", cfg.Name, doc)
+	}
+	cfg, doc, err = ResolveScenario("scenarios/cells/nx1-cpu-app.json")
+	if err != nil {
+		t.Fatalf("ResolveScenario(cell file): %v", err)
+	}
+	if doc == nil || cfg.Name != doc.Name || cfg.NX != ntier.NX1 {
+		t.Fatalf("cell file resolved to config %q (NX=%v) with document %+v", cfg.Name, cfg.NX, doc)
+	}
+	if _, _, err := ResolveScenario("no-such-scenario"); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
+		t.Fatalf("unknown name: err = %v, want an unknown-scenario error", err)
+	}
+}
+
 // TestScenarioRegistryParsesAndCompiles walks every embedded file —
 // registry, templates and matrix cells — through parse and compile, so a
 // malformed committed file fails fast even if no preset loads it.
