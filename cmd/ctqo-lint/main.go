@@ -1,8 +1,7 @@
-// Command ctqo-lint runs the repo's thirteen analyzers — the determinism
-// family (wallclock, seededrand, maporder, nilsafe, sharedmut,
-// exhaustive, chanselect), the hot-path allocation family (allocs,
-// hotpath, deferloop) and the interprocedural call-graph family (purity,
-// goroleak, floatdet) — over the given packages. It is the mechanical
+// Command ctqo-lint runs the repo's eight analyzers — the determinism
+// family (wallclock, seededrand, maporder, sharedmut, exhaustive), the
+// hot-path allocation family (allocs, hotpath) and the call-graph purity
+// check (purity) — over the given packages. It is the mechanical
 // enforcement of DESIGN.md's determinism contract (§§1–11), hot-path
 // allocation contract (§12) and call-graph purity contract (§15), and
 // runs in CI next to go vet.

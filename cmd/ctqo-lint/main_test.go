@@ -200,12 +200,11 @@ func TestRunBenchout(t *testing.T) {
 }
 
 // TestRunRepoIsClean pins the audited state of this repository: the
-// linter — all thirteen analyzers, including the facts-propagating
-// sharedmut and the call-graph family (purity, goroleak, floatdet) —
-// over the real module must exit 0. A regression that reintroduces
-// wall-clock reads, unseeded randomness, a shared-Config write, an
-// impure Tweak reach, an unjoined goroutine or a map-order float sum
-// fails here, not just in CI.
+// linter — all eight analyzers, including the facts-propagating
+// sharedmut and the call-graph purity check — over the real module must
+// exit 0. A regression that reintroduces wall-clock reads, unseeded
+// randomness, a shared-Config write, an impure Tweak reach or a
+// map-order float sum fails here, not just in CI.
 //
 // TestRepoCleanHotpath below re-checks with only the performance family
 // enabled, so a hot-path regression is attributed to the right family
@@ -241,9 +240,7 @@ func TestRepoCleanHotpath(t *testing.T) {
 	root := filepath.Dir(filepath.Dir(wd)) // cmd/ctqo-lint -> repo root
 	args := []string{
 		"-wallclock=false", "-seededrand=false", "-maporder=false",
-		"-nilsafe=false", "-sharedmut=false", "-exhaustive=false",
-		"-chanselect=false", "-purity=false", "-goroleak=false",
-		"-floatdet=false",
+		"-sharedmut=false", "-exhaustive=false", "-purity=false",
 		"./...",
 	}
 	var code int

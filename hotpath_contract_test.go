@@ -372,8 +372,8 @@ func funcKey(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// runPerfLint runs the performance-analysis family (allocs, hotpath,
-// deferloop) over the kernel packages and returns the findings. It
+// runPerfLint runs the performance-analysis family (allocs, hotpath)
+// over the kernel packages and returns the findings. It
 // mirrors cmd/ctqo-lint: the dependency closure is analyzed in order so
 // cross-package AllocsFacts propagate, but only kernel-package findings
 // are returned.
@@ -404,7 +404,7 @@ func runPerfLint(t *testing.T) []lint.Finding {
 	for _, p := range paths {
 		requested[p] = true
 	}
-	active := []*analysis.Analyzer{analyzers.Allocs, analyzers.Hotpath, analyzers.Deferloop}
+	active := []*analysis.Analyzer{analyzers.Allocs, analyzers.Hotpath}
 	facts := analysis.NewStore()
 	var findings []lint.Finding
 	for _, path := range order {

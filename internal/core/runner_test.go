@@ -118,12 +118,20 @@ func TestRunnerDoEmptyAndEachSlotOnce(t *testing.T) {
 
 	const n = 32
 	counts := make([]int, n)
+	before := runtime.NumGoroutine()
 	err := NewRunner(4).Do(n, func(slot int) error {
 		counts[slot]++ // per-slot write, the documented confinement rule
 		return nil
 	})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
+	}
+	// Every worker Do started has exited: a worker leaves just after its
+	// wg.Done, so wait up to 5 s for the count to come back.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Do, %d after", before, runtime.NumGoroutine())
+		}
 	}
 	for i, c := range counts {
 		if c != 1 {

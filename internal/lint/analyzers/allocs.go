@@ -71,11 +71,11 @@ func (f *AllocsFact) String() string {
 // the compiler: composite literals whose address escapes, make/new,
 // slice and map literals, append (may grow), interface boxing of
 // non-pointer values, capturing closures, method values, string
-// concatenation and string<->[]byte conversions, go statements, and
-// calls to known-allocating stdlib functions (fmt, errors, strings
-// builders, sort.Slice...). Dynamic calls — interface methods and func
-// values — are invisible to the summary and form the contract's
-// documented measurement boundary (DESIGN.md §12).
+// concatenation and string<->[]byte conversions, go statements, defers
+// inside loops, and calls to known-allocating stdlib functions (fmt,
+// errors, strings builders, sort.Slice...). Dynamic calls — interface
+// methods and func values — are invisible to the summary and form the
+// contract's documented measurement boundary (DESIGN.md §12).
 var Allocs = &analysis.Analyzer{
 	Name: "allocs",
 	Doc: "compute bottom-up per-function allocation summaries " +
@@ -226,6 +226,17 @@ func (s *allocsState) scan(sum *allocSummary) bool {
 			if s.add(sum, n.Pos(), &allocSite{what: "go statement"}) {
 				grew = true
 			}
+		case *ast.ForStmt, *ast.RangeStmt:
+			// A defer in a loop heap-allocates a frame per iteration that
+			// only runs at return (open-coded defers need straight-line
+			// code). One inside a literal runs per call of the literal.
+			ast.Inspect(n, func(m ast.Node) bool {
+				if d, ok := m.(*ast.DeferStmt); ok && s.add(sum, d.Pos(), &allocSite{what: "defer in loop"}) {
+					grew = true
+				}
+				_, lit := m.(*ast.FuncLit)
+				return !lit
+			})
 		case *ast.CallExpr:
 			if s.scanCall(sum, n) {
 				grew = true

@@ -1,22 +1,18 @@
 // Package analyzers holds the ctqo-lint checks that keep the simulator
-// reproducible and fast: no wall-clock reads in simulated-time packages,
-// no global (or time-seeded) math/rand, no order-dependent map iteration
-// feeding reports, nil-safe tracer methods so disabled tracing stays
-// free, no writes through shared Config pointer fields or captured state
-// in worker-run closures (sharedmut, a cross-package facts analysis), no
-// enum switches that silently drop members (exhaustive), no multi-case
-// selects in sim-time packages (chanselect) — plus the performance
-// family enforcing the hot-path allocation contract (DESIGN.md §12):
-// allocs (bottom-up cross-package AllocsFact summaries), hotpath
-// (//lint:hotpath functions must have an allocation-free transitive call
-// graph, within an optional allocs=N budget) and deferloop (no defer or
-// named-return closures in hot loops) — and the interprocedural family
-// built on the analysis package's call-graph engine: purity (//lint:pure
-// functions and //lint:nocapturewrite closures must reach no shared
-// write, I/O or nondeterminism, with the call chain rendered), goroleak
-// (every goroutine spawned by the sweep runner or live harness needs a
-// visible join) and floatdet (no order-dependent float accumulation or
-// comparison where numbers must replay bit-for-bit).
+// reproducible and fast, one check per contract. The determinism family
+// (DESIGN.md §8): no wall-clock reads or multi-case selects in
+// simulated-time packages (wallclock), no global (or time-seeded)
+// math/rand (seededrand), no map iteration order reaching output, slice
+// order or float arithmetic (maporder), no writes through shared Config
+// pointer fields or captured state in worker-run closures (sharedmut, a
+// cross-package facts analysis), no enum switches that silently drop
+// members (exhaustive). The hot-path allocation family (§12): allocs
+// computes bottom-up cross-package AllocsFact summaries, and hotpath
+// requires //lint:hotpath functions to have an allocation-free
+// transitive call graph, within an optional allocs=N budget. On the
+// call-graph engine (§15): purity (//lint:pure functions and
+// //lint:nocapturewrite closures must reach no shared write, I/O or
+// nondeterminism, with the call chain rendered).
 //
 // The checks encode the repo's determinism contract (see DESIGN.md):
 // the paper's CTQO results are only reproducible if a fixed seed replays
@@ -39,10 +35,8 @@ import (
 // (drivers also honour Hotpath's Requires when the list is filtered).
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		Wallclock, Seededrand, Maporder, Nilsafe,
-		Sharedmut, Exhaustive, Chanselect,
-		Allocs, Hotpath, Deferloop,
-		Purity, Goroleak, Floatdet,
+		Wallclock, Seededrand, Maporder, Sharedmut, Exhaustive,
+		Allocs, Hotpath, Purity,
 	}
 }
 

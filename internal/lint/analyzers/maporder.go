@@ -20,22 +20,46 @@ var orderedSinks = map[string]bool{
 	"Observe": true, "Record": true,
 }
 
+// floatEqualityPackages are where a float result feeds the paper's
+// replayable numbers: the sim-time packages, the HDR/percentile pipeline
+// and the analytical model.
+var floatEqualityPackages = append([]string{
+	"ctqosim/internal/metrics",
+	"ctqosim/internal/analytic",
+}, SimTimePackages...)
+
 // Maporder flags map iteration whose body has order-dependent effects:
 // appending to a slice that is never sorted afterwards, writing
-// CSV/JSON/SVG output, or concatenating strings. These make reports,
-// metrics and Perfetto exports differ between identical runs.
+// CSV/JSON/SVG output, concatenating strings, accumulating floats (+=
+// and friends, or x = x + ...: float arithmetic does not associate, so
+// even a sum into a scalar depends on the order) or calling Merge.
+// These make reports, metrics and Perfetto exports differ between
+// identical runs. In floatEqualityPackages it also flags == and !=
+// between two non-constant floats, which is rounding- and
+// order-sensitive after accumulation; comparing with a constant (a
+// v == 0 sentinel) tests an exact stored value and stays legal.
 var Maporder = &analysis.Analyzer{
 	Name: "maporder",
-	Doc: "flag range-over-map loops that append to unsorted slices or " +
-		"emit ordered output; sort the keys first",
+	Doc: "flag range-over-map loops that append to unsorted slices, " +
+		"emit ordered output, accumulate floats or merge shards, and " +
+		"float equality between non-constant operands where numbers " +
+		"must replay; sort the keys first",
 	Run: runMaporder,
 }
 
 func runMaporder(pass *analysis.Pass) (any, error) {
+	floatEq := pass.Pkg != nil && inPackages(pass.Pkg.Path(), floatEqualityPackages)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			var list []ast.Stmt
 			switch s := n.(type) {
+			case *ast.BinaryExpr:
+				if floatEq && (s.Op == token.EQL || s.Op == token.NEQ) &&
+					isVariableFloat(pass.TypesInfo, s.X) && isVariableFloat(pass.TypesInfo, s.Y) {
+					pass.Reportf(s.OpPos,
+						"%s between non-constant floats is rounding-sensitive: compare with an epsilon or on integer representations", s.Op)
+				}
+				return true
 			case *ast.BlockStmt:
 				list = s.List
 			case *ast.CaseClause:
@@ -86,6 +110,7 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 // following the loop in its enclosing block, consulted to accept the
 // canonical collect-keys-then-sort pattern.
 func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
+	info := pass.TypesInfo
 	var appendTargets []string
 	reported := false
 	report := func(format string, args ...any) {
@@ -104,21 +129,33 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 			if orderedSinks[name] {
 				report("map iteration feeds ordered output via %s: iterate sorted keys instead", name)
 			}
+			if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && name == "Merge" {
+				if m, ok := info.Selections[sel]; ok && m.Kind() == types.MethodVal {
+					report("map iteration merges via Merge in hash order: merge shards in index order instead")
+				}
+			}
 		case *ast.AssignStmt:
 			switch n.Tok {
-			case token.ADD_ASSIGN:
-				if len(n.Lhs) == 1 && isStringExpr(pass.TypesInfo, n.Lhs[0]) {
+			case token.ADD_ASSIGN, token.SUB_ASSIGN, token.MUL_ASSIGN, token.QUO_ASSIGN:
+				// An assignment operation has exactly one operand each side.
+				if n.Tok == token.ADD_ASSIGN && isStringExpr(info, n.Lhs[0]) {
 					report("string built up in map iteration order: iterate sorted keys instead")
+				} else if isFloatType(typeOf(info, n.Lhs[0])) {
+					report("float accumulated in map iteration order: iterate sorted keys instead")
 				}
 			case token.ASSIGN, token.DEFINE:
+				if n.Tok == token.ASSIGN && len(n.Lhs) == 1 && len(n.Rhs) == 1 &&
+					isFloatType(typeOf(info, n.Lhs[0])) && foldsVar(info, n.Rhs[0], selectedVar(info, n.Lhs[0])) {
+					report("float accumulated in map iteration order: iterate sorted keys instead")
+				}
 				for i, rhs := range n.Rhs {
-					if i >= len(n.Lhs) || !isAppendCall(pass.TypesInfo, rhs) {
+					if i >= len(n.Lhs) || !isAppendCall(info, rhs) {
 						continue
 					}
 					lhs := unparen(n.Lhs[i])
 					// Appending into a map-keyed bucket (m[k] = append(m[k], v))
 					// is per-key and order-insensitive.
-					if idx, ok := lhs.(*ast.IndexExpr); ok && isMapType(pass.TypesInfo, idx.X) {
+					if idx, ok := lhs.(*ast.IndexExpr); ok && isMapType(info, idx.X) {
 						continue
 					}
 					appendTargets = append(appendTargets, types.ExprString(lhs))
@@ -131,7 +168,7 @@ func checkMapRange(pass *analysis.Pass, rs *ast.RangeStmt, rest []ast.Stmt) {
 		return
 	}
 	for _, target := range appendTargets {
-		if !sortedAfter(pass.TypesInfo, rest, target) {
+		if !sortedAfter(info, rest, target) {
 			report("map iteration appends to %s in nondeterministic order and it is never sorted afterwards", target)
 			return
 		}
@@ -171,6 +208,55 @@ func isStringExpr(info *types.Info, e ast.Expr) bool {
 	}
 	basic, ok := tv.Type.Underlying().(*types.Basic)
 	return ok && basic.Info()&types.IsString != 0
+}
+
+// isFloatType reports whether t's underlying type is float32/float64.
+func isFloatType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	basic, ok := t.Underlying().(*types.Basic)
+	return ok && basic.Info()&types.IsFloat != 0
+}
+
+// isVariableFloat reports whether e is a float expression that is not
+// a compile-time constant.
+func isVariableFloat(info *types.Info, e ast.Expr) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Value == nil && isFloatType(tv.Type)
+}
+
+// foldsVar reports whether e is an arithmetic chain with v as one
+// operand: the x = x + delta accumulation shape.
+func foldsVar(info *types.Info, e ast.Expr, v *types.Var) bool {
+	b, ok := unparen(e).(*ast.BinaryExpr)
+	if !ok || v == nil {
+		return false
+	}
+	switch b.Op {
+	case token.ADD, token.SUB, token.MUL, token.QUO:
+	default:
+		return false
+	}
+	for _, side := range []ast.Expr{b.X, b.Y} {
+		if selectedVar(info, side) == v || foldsVar(info, side, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// selectedVar resolves an identifier or field selector to its variable.
+func selectedVar(info *types.Info, e ast.Expr) *types.Var {
+	switch e := unparen(e).(type) {
+	case *ast.Ident:
+		v, _ := info.Uses[e].(*types.Var)
+		return v
+	case *ast.SelectorExpr:
+		v, _ := info.Uses[e.Sel].(*types.Var)
+		return v
+	}
+	return nil
 }
 
 // sortedAfter reports whether a sort/slices call mentioning target (by

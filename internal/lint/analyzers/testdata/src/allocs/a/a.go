@@ -74,6 +74,12 @@ func MethodValue(b *box) func() int { // want MethodValue:`allocs\(method value\
 
 func (b *box) get() int { return b.n }
 
+func DeferLoop(fs []func()) { // want DeferLoop:`allocs\(defer in loop\)`
+	for _, f := range fs {
+		defer f()
+	}
+}
+
 // Transitive: the summary flows through a same-package call; the call
 // site becomes the caller's single site.
 func Caller() map[string]int { // want Caller:`allocs\(call to a.MakeMap\)`

@@ -37,19 +37,25 @@ var wallclockFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
-// Wallclock forbids host-clock reads inside simulated-time packages: a
-// single stray time.Now in a hot path silently breaks seed-for-seed
-// replay of the CTQO scenarios.
+// Wallclock forbids the runtime's nondeterminism inside simulated-time
+// packages: host-clock reads (a single stray time.Now in a hot path
+// silently breaks seed-for-seed replay of the CTQO scenarios) and
+// select statements with two or more channel cases, between which the
+// runtime picks with an unseeded random draw. Sim-time code drains
+// channels in an explicit order: sequential receives, or a single-case
+// select with a default for a non-blocking poll.
 var Wallclock = &analysis.Analyzer{
 	Name: "wallclock",
-	Doc: "forbid time.Now/Since/Sleep/After/Tick/NewTimer/NewTicker in " +
-		"sim-time packages; simulated components must read the DES clock",
+	Doc: "forbid time.Now/Since/Sleep/After/Tick/NewTimer/NewTicker and " +
+		"multi-case selects in sim-time packages; simulated components " +
+		"must read the DES clock and drain channels in a fixed order",
 	Run: runWallclock,
 }
 
-// inSimTime reports whether pkgPath falls under a sim-time prefix.
-func inSimTime(pkgPath string) bool {
-	for _, p := range SimTimePackages {
+// inPackages reports whether pkgPath is one of the prefixes or lies
+// below one.
+func inPackages(pkgPath string, prefixes []string) bool {
+	for _, p := range prefixes {
 		if pkgPath == p || strings.HasPrefix(pkgPath, p+"/") {
 			return true
 		}
@@ -58,22 +64,32 @@ func inSimTime(pkgPath string) bool {
 }
 
 func runWallclock(pass *analysis.Pass) (any, error) {
-	if pass.Pkg == nil || !inSimTime(pass.Pkg.Path()) {
+	if pass.Pkg == nil || !inPackages(pass.Pkg.Path(), SimTimePackages) {
 		return nil, nil
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.Ident:
+				fn := funcUse(pass.TypesInfo, n)
+				if fn != nil && fn.Pkg().Path() == "time" && wallclockFuncs[fn.Name()] {
+					pass.Reportf(n.Pos(),
+						"wall-clock time.%s in sim-time package %s: read the simulator clock instead",
+						fn.Name(), pass.Pkg.Path())
+				}
+			case *ast.SelectStmt:
+				comm := 0
+				for _, stmt := range n.Body.List {
+					if cc, ok := stmt.(*ast.CommClause); ok && cc.Comm != nil {
+						comm++
+					}
+				}
+				if comm >= 2 {
+					pass.Reportf(n.Pos(),
+						"select with %d channel cases in sim-time package %s: runtime select order is unseeded randomness; drain channels in an explicit order",
+						comm, pass.Pkg.Path())
+				}
 			}
-			fn := funcUse(pass.TypesInfo, id)
-			if fn == nil || fn.Pkg().Path() != "time" || !wallclockFuncs[fn.Name()] {
-				return true
-			}
-			pass.Reportf(id.Pos(),
-				"wall-clock time.%s in sim-time package %s: read the simulator clock instead",
-				fn.Name(), pass.Pkg.Path())
 			return true
 		})
 	}

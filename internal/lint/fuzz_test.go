@@ -24,8 +24,8 @@ func FuzzParseAllowNames(f *testing.F) {
 	f.Add("//lint:allow  maporder   extra   spacing")
 	f.Add("//lint:allow ,,, odd name list")
 	f.Add("/*lint:allow exhaustive block comment*/")
-	f.Add("//lint:nilsafe")
-	f.Add("//lint:allow chanselect")
+	f.Add("//lint:hotpath")
+	f.Add("//lint:allow purity")
 	f.Fuzz(func(t *testing.T, text string) {
 		names := parseAllowNames(text)
 

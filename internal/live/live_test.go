@@ -1,12 +1,30 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
 // fastRTO keeps the tests quick while preserving the retry mechanism.
 const fastRTO = 100 * time.Millisecond
+
+// checkNoLeak records the goroutine count and, in a cleanup that runs
+// after every one the test registers later (the server closes), waits up
+// to 5 s for the count to come back: a goroutine a server or client
+// started that has not exited by then fails the test. Call it first.
+func checkNoLeak(t *testing.T) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Errorf("%d goroutines before the test, %d after", before, runtime.NumGoroutine())
+				return
+			}
+		}
+	})
+}
 
 func serveTier(t *testing.T, cfg Config) *Server {
 	t.Helper()
@@ -151,6 +169,7 @@ func TestSyncTierDropsBeyondMaxSysQDepth(t *testing.T) {
 }
 
 func TestAsyncTierAbsorbsSameBurst(t *testing.T) {
+	checkNoLeak(t)
 	// Same worker count, but a lightweight queue: the burst that made the
 	// sync tier drop is absorbed without a single drop.
 	s := serveTier(t, Config{Sync: false, Workers: 2, Queue: 1000})
@@ -171,6 +190,7 @@ func TestAsyncTierAbsorbsSameBurst(t *testing.T) {
 }
 
 func TestAsyncWorkerNotHeldAcrossDownstreamCall(t *testing.T) {
+	checkNoLeak(t)
 	// One async worker upstream of a slow-but-wide db tier: if the worker
 	// were held across the downstream call, the 8 requests would take
 	// 8×80ms serialized; released workers let the db serve them in
@@ -237,6 +257,7 @@ func TestClientGivesUp(t *testing.T) {
 }
 
 func TestServerCloseIsClean(t *testing.T) {
+	checkNoLeak(t)
 	s, err := Serve(Config{Addr: "127.0.0.1:0", Sync: true, Workers: 2, Queue: 2})
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -252,9 +273,35 @@ func TestServerCloseIsClean(t *testing.T) {
 	if _, err := client.Do(Request{ID: 2}); err == nil {
 		t.Fatal("request succeeded against a closed server")
 	}
+
+	// An async tier's Close also joins a continuation still in its
+	// downstream call: once Close returns, the request has been answered.
+	db := serveTier(t, Config{Sync: true, Workers: 1, Queue: 1})
+	app := serveTier(t, Config{Sync: false, Workers: 1, Queue: 1, Downstream: db.Addr(), RTO: fastRTO})
+	replied := make(chan error, 1)
+	go func() {
+		c := Client{Target: app.Addr(), RTO: fastRTO, MaxAttempts: 1, IOTimeout: 2 * time.Second}
+		_, err := c.Do(Request{ID: 3, Downstream: []time.Duration{200 * time.Millisecond}})
+		replied <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); db.Depth() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the downstream call never reached db")
+		}
+	}
+	if err := app.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if got := app.Stats().Completed(); got != 1 {
+		t.Errorf("async Close returned with its continuation in flight: completed = %d, want 1", got)
+	}
+	if err := <-replied; err != nil {
+		t.Fatalf("in-flight request: %v", err)
+	}
 }
 
 func TestDeployTopology(t *testing.T) {
+	checkNoLeak(t)
 	topo, err := Deploy(TopologySpec{Sync: true, Workers: 4, Queue: 8, RTO: fastRTO, IOTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatalf("Deploy: %v", err)
@@ -316,6 +363,7 @@ func TestDeploySyncVsAsyncContrast(t *testing.T) {
 }
 
 func TestDeployNXLevelsOnSockets(t *testing.T) {
+	checkNoLeak(t)
 	// The paper's NX sweep on real sockets: under the same burst the drop
 	// site follows the last synchronous tier until NX=3 removes it.
 	runLevel := func(nx int) *Topology {

@@ -349,7 +349,7 @@ func (a Assertion) check(out Outcome) CheckResult {
 
 // trimFloat renders a float without a trailing ".000000".
 func trimFloat(v float64) string {
-	//lint:allow floatdet exact integer-representability check, not an accumulation compare
+	//lint:allow maporder exact integer-representability check, not an accumulation compare
 	if v == float64(int64(v)) {
 		return fmt.Sprintf("%d", int64(v))
 	}

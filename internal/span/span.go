@@ -116,10 +116,8 @@ func (s Span) Duration() time.Duration {
 }
 
 // Trace is one request's span tree, stored as a flat slice indexed by ID.
-// Exported methods are nil-receiver safe (enforced by ctqo-lint) so a
+// Exported methods are nil-receiver safe (pinned by TestNilSafety) so a
 // disabled tracer's nil traces cost callers nothing.
-//
-//lint:nilsafe
 type Trace struct {
 	// RequestID echoes the workload request.
 	RequestID uint64

@@ -3,6 +3,7 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -72,7 +73,34 @@ func TestTraceTreeAndSelfTimes(t *testing.T) {
 	}
 }
 
+// TestNilSafety pins the contract that keeps disabled tracing free:
+// every exported method of a nil *Tracer or *Trace can be called without
+// panicking, so instrumented code passes nil handles around without
+// branching. The loop calls each method in both method sets with
+// zero-valued arguments, so a method added later is covered too.
 func TestNilSafety(t *testing.T) {
+	for _, recv := range []reflect.Value{reflect.ValueOf((*Tracer)(nil)), reflect.ValueOf((*Trace)(nil))} {
+		for i := 0; i < recv.NumMethod(); i++ {
+			m := recv.Type().Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1) // In(0) is the receiver
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j + 1))
+			}
+			call := recv.Method(i).Call
+			if m.Type.IsVariadic() {
+				call = recv.Method(i).CallSlice
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("nil %s.%s panicked: %v", recv.Type(), m.Name, r)
+					}
+				}()
+				call(args)
+			}()
+		}
+	}
+
 	var tr *Tracer
 	tc := tr.StartRequest(1, "x")
 	if tc != nil {
