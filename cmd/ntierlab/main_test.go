@@ -234,10 +234,12 @@ func TestSimstatsSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	benchPath := dir + "/BENCH_parallel.json"
 	profPath := dir + "/cpu.pprof"
-	// The gated runs simulate 60 s, about a quarter second of wall time
-	// each: a 5 s run lasts some 25 ms, short enough that a busy CPU
-	// alone can halve its requests/s against the baseline.
-	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "60s",
+	// The gated runs simulate 240 s, a quarter second to a second of
+	// wall time each depending on the host: at 60 s a run took 60–250 ms,
+	// so a few descheduled milliseconds could halve the second run's
+	// requests/s against the first. A 5 s run lasts some 25 ms, short
+	// enough that a busy CPU alone can halve its requests/s.
+	args := []string{"simstats", "-scenario", "fig1-wl4000", "-duration", "240s",
 		"-benchout", benchPath, "-cpuprofile", profPath}
 	if err := run(args); err != nil {
 		t.Fatalf("simstats: %v", err)
@@ -277,7 +279,7 @@ func TestSimstatsSubcommand(t *testing.T) {
 	// Second run compares against the baseline just recorded: identical
 	// work lands around 1.0x, far above the 0.5 default floor.
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
-		"-duration", "60s", "-benchout", benchPath}); err != nil {
+		"-duration", "240s", "-benchout", benchPath}); err != nil {
 		t.Fatalf("simstats against baseline: %v", err)
 	}
 
@@ -288,7 +290,7 @@ func TestSimstatsSubcommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := run([]string{"simstats", "-scenario", "fig1-wl4000",
-		"-duration", "60s", "-benchout", benchPath, "-bench-floor", "1000"}); err == nil {
+		"-duration", "240s", "-benchout", benchPath, "-bench-floor", "1000"}); err == nil {
 		t.Fatal("simstats with -bench-floor=1000 succeeded, want the enforced gate to fail")
 	}
 	after, err := os.ReadFile(benchPath)
@@ -299,13 +301,13 @@ func TestSimstatsSubcommand(t *testing.T) {
 		t.Fatal("failed gate overwrote the recorded baseline")
 	}
 
-	// A 5 s run is other work than the 60 s baseline: the gate must fail
+	// A 5 s run is other work than the 240 s baseline: the gate must fail
 	// at the default floor, name the duration, and leave the file as it
 	// was.
 	err = run([]string{"simstats", "-scenario", "fig1-wl4000",
 		"-duration", "5s", "-benchout", benchPath})
-	if err == nil || !strings.Contains(err.Error(), "duration 5s, baseline 60s") {
-		t.Fatalf("simstats against a 60 s baseline with a 5 s run: %v, want a duration mismatch", err)
+	if err == nil || !strings.Contains(err.Error(), "duration 5s, baseline 240s") {
+		t.Fatalf("simstats against a 240 s baseline with a 5 s run: %v, want a duration mismatch", err)
 	}
 	after, err = os.ReadFile(benchPath)
 	if err != nil {

@@ -17,51 +17,6 @@ import (
 	"time"
 )
 
-// IndexOfDispersion returns the index of dispersion for counts of an
-// arrival process, estimated from per-window arrival counts:
-// I = Var(N) / E(N). A Poisson process has I = 1; bursty traffic has
-// I >> 1. It returns 0 for fewer than two windows or a zero mean.
-func IndexOfDispersion(counts []int) float64 {
-	if len(counts) < 2 {
-		return 0
-	}
-	var sum float64
-	for _, c := range counts {
-		sum += float64(c)
-	}
-	mean := sum / float64(len(counts))
-	if mean == 0 {
-		return 0
-	}
-	var sq float64
-	for _, c := range counts {
-		d := float64(c) - mean
-		sq += d * d
-	}
-	variance := sq / float64(len(counts)-1)
-	return variance / mean
-}
-
-// CountArrivals buckets arrival timestamps into windows of the given
-// width over [0, horizon).
-func CountArrivals(arrivals []time.Duration, window, horizon time.Duration) []int {
-	if window <= 0 || horizon <= 0 {
-		return nil
-	}
-	n := int(horizon / window)
-	if n == 0 {
-		return nil
-	}
-	counts := make([]int, n)
-	for _, a := range arrivals {
-		idx := int(a / window)
-		if idx >= 0 && idx < n {
-			counts[idx]++
-		}
-	}
-	return counts
-}
-
 // MMPP2 is a two-state Markov-modulated Poisson process: arrivals are
 // Poisson at RateHot while in the hot state and RateCold in the cold
 // state; the state holds for an exponential time with the given means.

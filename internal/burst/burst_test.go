@@ -11,6 +11,51 @@ import (
 	"ctqosim/internal/workload"
 )
 
+// indexOfDispersion returns the index of dispersion for counts of an
+// arrival process, estimated from per-window arrival counts:
+// I = Var(N) / E(N). A Poisson process has I = 1; bursty traffic has
+// I >> 1. It returns 0 for fewer than two windows or a zero mean.
+func indexOfDispersion(counts []int) float64 {
+	if len(counts) < 2 {
+		return 0
+	}
+	var sum float64
+	for _, c := range counts {
+		sum += float64(c)
+	}
+	mean := sum / float64(len(counts))
+	if mean == 0 {
+		return 0
+	}
+	var sq float64
+	for _, c := range counts {
+		d := float64(c) - mean
+		sq += d * d
+	}
+	variance := sq / float64(len(counts)-1)
+	return variance / mean
+}
+
+// countArrivals buckets arrival timestamps into windows of the given
+// width over [0, horizon).
+func countArrivals(arrivals []time.Duration, window, horizon time.Duration) []int {
+	if window <= 0 || horizon <= 0 {
+		return nil
+	}
+	n := int(horizon / window)
+	if n == 0 {
+		return nil
+	}
+	counts := make([]int, n)
+	for _, a := range arrivals {
+		idx := int(a / window)
+		if idx >= 0 && idx < n {
+			counts[idx]++
+		}
+	}
+	return counts
+}
+
 func TestIndexOfDispersionPoissonLike(t *testing.T) {
 	// Counts drawn as a constant sequence have zero variance → I = 0;
 	// a Poisson-ish sequence has I ≈ 1.
@@ -18,7 +63,7 @@ func TestIndexOfDispersionPoissonLike(t *testing.T) {
 	for i := range constant {
 		constant[i] = 10
 	}
-	if got := IndexOfDispersion(constant); got != 0 {
+	if got := indexOfDispersion(constant); got != 0 {
 		t.Fatalf("constant counts I = %v, want 0", got)
 	}
 
@@ -31,7 +76,7 @@ func TestIndexOfDispersionPoissonLike(t *testing.T) {
 			alt[i] = 11
 		}
 	}
-	got := IndexOfDispersion(alt)
+	got := indexOfDispersion(alt)
 	want := (100.0 / 99.0) / 10.0 // sample variance ≈ 1.0101, mean 10
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("I = %v, want %v", got, want)
@@ -39,13 +84,13 @@ func TestIndexOfDispersionPoissonLike(t *testing.T) {
 }
 
 func TestIndexOfDispersionEdgeCases(t *testing.T) {
-	if IndexOfDispersion(nil) != 0 {
+	if indexOfDispersion(nil) != 0 {
 		t.Fatal("nil counts should give 0")
 	}
-	if IndexOfDispersion([]int{5}) != 0 {
+	if indexOfDispersion([]int{5}) != 0 {
 		t.Fatal("single window should give 0")
 	}
-	if IndexOfDispersion([]int{0, 0, 0}) != 0 {
+	if indexOfDispersion([]int{0, 0, 0}) != 0 {
 		t.Fatal("zero-mean counts should give 0")
 	}
 }
@@ -57,14 +102,14 @@ func TestCountArrivals(t *testing.T) {
 		5 * time.Second, 5100 * time.Millisecond, // window 5
 		11 * time.Second, // beyond horizon, dropped
 	}
-	counts := CountArrivals(arrivals, time.Second, 10*time.Second)
+	counts := countArrivals(arrivals, time.Second, 10*time.Second)
 	if len(counts) != 10 {
 		t.Fatalf("windows = %d, want 10", len(counts))
 	}
 	if counts[0] != 2 || counts[1] != 1 || counts[5] != 2 {
 		t.Fatalf("counts = %v", counts)
 	}
-	if CountArrivals(arrivals, 0, time.Second) != nil {
+	if countArrivals(arrivals, 0, time.Second) != nil {
 		t.Fatal("zero window should return nil")
 	}
 }
@@ -192,8 +237,8 @@ func TestGeneratorRealizesBurstIndex(t *testing.T) {
 		if err := sim.Run(horizon); err != nil && err != des.ErrHorizon {
 			t.Fatalf("Run: %v", err)
 		}
-		counts := CountArrivals(arrivals, 30*time.Second, horizon)
-		return IndexOfDispersion(counts)
+		counts := countArrivals(arrivals, 30*time.Second, horizon)
+		return indexOfDispersion(counts)
 	}
 
 	poisson := measure(1)

@@ -133,13 +133,6 @@ func (m *Mix) Pick(rng *rand.Rand) Class {
 	return m.classes[len(m.classes)-1]
 }
 
-// Classes returns a copy of the registered classes.
-func (m *Mix) Classes() []Class {
-	out := make([]Class, len(m.classes))
-	copy(out, m.classes)
-	return out
-}
-
 // MeanDemands returns the mix's expected CPU demand per request at each
 // tier — the quantity that, multiplied by throughput, gives tier
 // utilization.

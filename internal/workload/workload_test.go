@@ -66,8 +66,8 @@ func TestMixPickEmpty(t *testing.T) {
 
 func TestMixZeroWeightIgnored(t *testing.T) {
 	mix := NewMix().Add(Class{Name: "a"}, 0).Add(Class{Name: "b"}, 1)
-	if len(mix.Classes()) != 1 {
-		t.Fatalf("classes = %v", mix.Classes())
+	if len(mix.classes) != 1 {
+		t.Fatalf("classes = %v", mix.classes)
 	}
 }
 
