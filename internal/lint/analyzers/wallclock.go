@@ -13,6 +13,7 @@ import (
 // deliberately absent: they measure real machines.
 var SimTimePackages = []string{
 	"ctqosim/internal/des",
+	"ctqosim/internal/cpu",
 	"ctqosim/internal/simnet",
 	"ctqosim/internal/server",
 	"ctqosim/internal/core",
@@ -20,6 +21,7 @@ var SimTimePackages = []string{
 	"ctqosim/internal/workload",
 	"ctqosim/internal/scenario",
 	"ctqosim/internal/fault",
+	"ctqosim/internal/ntier",
 }
 
 // wallclockFuncs are the package-level time functions that read or wait

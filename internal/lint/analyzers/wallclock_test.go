@@ -10,6 +10,8 @@ import (
 func TestWallclock(t *testing.T) {
 	// Flagged and //lint:allow cases inside a sim-time package.
 	analysistest.Run(t, "testdata", analyzers.Wallclock, "ctqosim/internal/des")
+	// The processor-sharing model runs on the simulated clock too.
+	analysistest.Run(t, "testdata", analyzers.Wallclock, "ctqosim/internal/cpu")
 	// The live harness is outside the sim-time set: identical calls and
 	// selects are allowed there.
 	analysistest.RunExpectClean(t, "testdata", analyzers.Wallclock, "ctqosim/internal/live")
