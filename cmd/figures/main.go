@@ -66,6 +66,10 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Parsing stops at a stray word, which would drop the flags after it.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		return err

@@ -144,3 +144,14 @@ func TestBenchoutRecordsComparison(t *testing.T) {
 		t.Errorf("pool shape not recorded: %+v", rec)
 	}
 }
+
+// TestRunRejectsStrayArgument: flag parsing stops at the first non-flag
+// word, so a stray word must fail rather than silently drop the flags
+// after it. -fig none selects no figure, so a command that ignored the
+// word would finish at once and fail the test.
+func TestRunRejectsStrayArgument(t *testing.T) {
+	err := run([]string{"-out", t.TempDir(), "-fig", "none", "stray", "-quick"})
+	if err == nil || !strings.Contains(err.Error(), `unexpected argument "stray"`) {
+		t.Fatalf("run with a stray argument = %v, want an unexpected-argument error", err)
+	}
+}

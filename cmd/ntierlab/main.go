@@ -3,12 +3,10 @@
 // Usage:
 //
 //	ntierlab list
-//	ntierlab run <scenario> [-scenario-file file.json] [-duration 60s]
-//	              [-seed 1] [-csv dir] [-json]
-//	              [-retention all|bounded] [-simstats]
+//	ntierlab run <name|file> [-duration 60s] [-seed 1] [-json] [-csv dir]
+//	              [-spans] [-exemplars N] [-perfetto file] [-waterfall file]
+//	              [-retention all|bounded] [-simstats] [-benchout file]
 //	              [-cpuprofile file] [-memprofile file]
-//	ntierlab scenario run <file|name> [-duration 60s] [-seed 1] [-json]
-//	              [-csv dir] [-benchout file]
 //	ntierlab scenario validate <file>...
 //	ntierlab scenario generate [-seed 1] [-o file.json]
 //	ntierlab predict <rate req/s> <burst duration> <capacity>
@@ -21,12 +19,16 @@
 //	                [-retention all|bounded] [-benchout file]
 //	                [-cpuprofile file] [-memprofile file]
 //
-// scenario is the declarative engine's front door: run executes one
-// scenario file (or registry name), prints the summary and evaluates the
-// file's assertions — a failing assertion exits non-zero; validate
-// parses and compiles files without running them; generate emits a
-// seeded random stress scenario. run, sweep and simstats also accept
-// -scenario-file wherever a registry name is accepted.
+// run is the one way to run a scenario. Its argument, like every
+// scenario argument here, is a registry name (see list) or a scenario
+// file, resolved by core.ResolveScenario: a path that exists on disk is
+// a file; the 16 CTQO matrix cells are files under
+// internal/core/scenarios/cells/. It prints the Section IV story of the
+// run and evaluates the file's assertions: a failing one exits non-zero.
+// -exemplars, -perfetto and -waterfall turn spans on.
+//
+// scenario validate parses and compiles files without running them;
+// scenario generate emits a seeded random stress scenario.
 //
 // The multi-run subcommands (fig12, matrix, sweep) fan their
 // independent simulations across a core.Runner worker pool: -parallel 0
@@ -92,7 +94,7 @@ func run(args []string) error {
 	}
 	switch args[0] {
 	case "list":
-		return list()
+		return list(args[1:])
 	case "run":
 		return runScenario(args[1:])
 	case "scenario":
@@ -112,7 +114,10 @@ func run(args []string) error {
 	}
 }
 
-func list() error {
+func list(args []string) error {
+	if err := parseFlags(flag.NewFlagSet("list", flag.ContinueOnError), args); err != nil {
+		return err
+	}
 	all := scenarios()
 	names := make([]string, 0, len(all))
 	for name := range all {
@@ -125,111 +130,17 @@ func list() error {
 	return nil
 }
 
-func runScenario(args []string) error {
-	fs := flag.NewFlagSet("run", flag.ContinueOnError)
-	duration := fs.Duration("duration", 0, "override measured duration")
-	seed := fs.Int64("seed", 0, "override RNG seed")
-	csvDir := fs.String("csv", "", "write timeline CSVs into this directory")
-	asJSON := fs.Bool("json", false, "emit the machine-readable summary instead of text")
-	spans := fs.Bool("spans", false, "record per-request span traces and print the critical-path breakdown")
-	retention := fs.String("retention", "", "telemetry retention: all (default, exact) or bounded (constant-memory)")
-	withStats := fs.Bool("simstats", false, "profile the DES kernel and report events/second")
-	scenarioFile := scenarioFileFlag(fs)
-	cpuProf, memProf := profileFlags(fs)
-
-	name, rest := splitLeadingName(args)
-	if err := fs.Parse(rest); err != nil {
+// parseFlags parses a subcommand's flags and rejects any argument left
+// over: flag parsing stops at the first non-flag word, so a stray word
+// would silently drop every flag after it.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if name == "" && *scenarioFile == "" {
-		return fmt.Errorf("usage: ntierlab run <scenario> [flags]")
+	if fs.NArg() > 0 {
+		return fmt.Errorf("%s: unexpected argument %q", fs.Name(), fs.Arg(0))
 	}
-	cfg, doc, err := resolveScenario(name, *scenarioFile)
-	if err != nil {
-		return err
-	}
-	if *duration > 0 {
-		cfg.Duration = *duration
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	if *spans {
-		cfg.Spans = true
-	}
-	ret, err := parseRetention(*retention)
-	if err != nil {
-		return err
-	}
-	cfg.Retention = ret
-	cfg.SimStats = *withStats
-
-	stopProf, err := startProfiling(*cpuProf, *memProf)
-	if err != nil {
-		return err
-	}
-	defer stopProf()
-
-	start := time.Now()
-	res, err := core.New(cfg).Run()
-	if err != nil {
-		return err
-	}
-	if *asJSON {
-		data, err := res.JSON()
-		if err != nil {
-			return err
-		}
-		fmt.Println(string(data))
-		return evaluateAssertions(doc, res, true)
-	}
-	fmt.Printf("simulated %v in %v wall time\n\n",
-		res.End, time.Since(start).Round(time.Millisecond))
-	fmt.Println(res.Summary())
-	if res.SimStats != nil {
-		fmt.Println("kernel self-profile:")
-		fmt.Println("  " + strings.ReplaceAll(res.SimStats.String(), "\n", "\n  "))
-		fmt.Println()
-	}
-	if res.Report != nil {
-		fmt.Println(res.Report)
-	}
-	if res.SpanBreakdown != nil {
-		fmt.Println(res.SpanBreakdown)
-	}
-	printHistogram(res)
-	if *csvDir != "" {
-		if err := core.WriteCSVs(res, *csvDir); err != nil {
-			return err
-		}
-		fmt.Printf("timelines written to %s\n", *csvDir)
-	}
-	return evaluateAssertions(doc, res, false)
-}
-
-// scenarioFileFlag registers the shared declarative-scenario flag on a
-// subcommand that also accepts registry names.
-func scenarioFileFlag(fs *flag.FlagSet) *string {
-	return fs.String("scenario-file", "",
-		"load the scenario from this declarative file instead of naming a registry entry")
-}
-
-// printHistogram renders the Fig. 1 style per-second summary.
-func printHistogram(res *core.Result) {
-	h := res.Histogram()
-	perSecond := make(map[int]int64)
-	for _, i := range h.NonZeroBins() {
-		perSecond[int(h.BinStart(i)/time.Second)] += h.Count(i)
-	}
-	secs := make([]int, 0, len(perSecond))
-	for s := range perSecond {
-		secs = append(secs, s)
-	}
-	sort.Ints(secs)
-	fmt.Println("response-time frequency by second (semi-log shape of Fig. 1):")
-	for _, s := range secs {
-		fmt.Printf("  [%2d-%2ds) %8d\n", s, s+1, perSecond[s])
-	}
+	return nil
 }
 
 func predict(args []string) error {
@@ -264,7 +175,7 @@ func fig12(args []string) error {
 	fs := flag.NewFlagSet("fig12", flag.ContinueOnError)
 	pointsFlag := fs.String("points", "", "comma-separated concurrency levels")
 	parallel := parallelFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	var points []int
@@ -297,7 +208,7 @@ func parallelFlag(fs *flag.FlagSet) *int {
 }
 
 // profileFlags registers the shared pprof flags on a subcommand's flag
-// set. Pass the returned pointers to startProfiling after fs.Parse.
+// set. Pass the returned pointers to startProfiling after parseFlags.
 func profileFlags(fs *flag.FlagSet) (cpu, mem *string) {
 	cpu = fs.String("cpuprofile", "", "write a CPU pprof profile to this file")
 	mem = fs.String("memprofile", "", "write a heap pprof profile to this file on exit")
@@ -361,8 +272,7 @@ func parseSeedRange(s string) (start int64, count int, err error) {
 
 func sweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	scenarioName := fs.String("scenario", "", "scenario to sweep (see: ntierlab list)")
-	scenarioFile := scenarioFileFlag(fs)
+	scenarioName := fs.String("scenario", "", "scenario to sweep: a registry name (see: ntierlab list) or a scenario file")
 	seedsFlag := fs.String("seeds", "1..100", "seed range lo..hi (inclusive), or a count N meaning 1..N")
 	duration := fs.Duration("duration", 0, "override measured duration")
 	shard := fs.Int("shard", 0,
@@ -374,13 +284,13 @@ func sweep(args []string) error {
 	retention := fs.String("retention", "", "telemetry retention: all (default, exact) or bounded (constant-memory)")
 	parallel := parallelFlag(fs)
 	cpuProf, memProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	if *scenarioName == "" && *scenarioFile == "" {
-		return fmt.Errorf("usage: ntierlab sweep -scenario <name> -seeds 1..500 [flags]")
+	if *scenarioName == "" {
+		return fmt.Errorf("usage: ntierlab sweep -scenario <name|file> -seeds 1..500 [flags]")
 	}
-	cfg, _, err := resolveScenario(*scenarioName, *scenarioFile)
+	cfg, _, err := core.ResolveScenario(*scenarioName)
 	if err != nil {
 		return err
 	}
@@ -566,8 +476,7 @@ func readSimstatsBaseline(path string) (simstatsRecord, bool) {
 
 func simstats(args []string) error {
 	fs := flag.NewFlagSet("simstats", flag.ContinueOnError)
-	scenarioName := fs.String("scenario", "fig3", "scenario to profile (see: ntierlab list)")
-	scenarioFile := scenarioFileFlag(fs)
+	scenarioName := fs.String("scenario", "fig3", "scenario to profile: a registry name (see: ntierlab list) or a scenario file")
 	duration := fs.Duration("duration", 0, "override measured duration")
 	seed := fs.Int64("seed", 0, "override RNG seed")
 	retention := fs.String("retention", "bounded",
@@ -577,15 +486,10 @@ func simstats(args []string) error {
 	benchFloor := fs.Float64("bench-floor", simstatsFloorRatio,
 		"fail when requests/s drops below this fraction of the recorded baseline, or when the baseline ran other work (0 or less records without comparing)")
 	cpuProf, memProf := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	label := *scenarioName
-	if *scenarioFile != "" {
-		label = *scenarioFile
-		*scenarioName = ""
-	}
-	cfg, _, err := resolveScenario(*scenarioName, *scenarioFile)
+	cfg, _, err := core.ResolveScenario(*scenarioName)
 	if err != nil {
 		return err
 	}
@@ -640,7 +544,7 @@ func simstats(args []string) error {
 	}
 	record := simstatsRecord{
 		Benchmark:         "ntierlab-simstats",
-		Scenario:          label,
+		Scenario:          *scenarioName,
 		Seed:              defaulted.Seed,
 		DurationSeconds:   defaulted.Duration.Seconds(),
 		Retention:         retName,
@@ -683,7 +587,7 @@ func matrix(args []string) error {
 	fs := flag.NewFlagSet("matrix", flag.ContinueOnError)
 	duration := fs.Duration("duration", 45*time.Second, "measured duration per cell")
 	parallel := parallelFlag(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	fmt.Println("running the full CTQO grid (4 architectures × 2 tiers × 2 kinds)...")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -31,6 +32,7 @@ func TestScenarioTableComplete(t *testing.T) {
 }
 
 func TestRunDispatchErrors(t *testing.T) {
+	dir := t.TempDir()
 	tests := []struct {
 		args []string
 		want string
@@ -38,7 +40,28 @@ func TestRunDispatchErrors(t *testing.T) {
 		{nil, "usage"},
 		{[]string{"bogus"}, "unknown command"},
 		{[]string{"run"}, "usage"},
+		{[]string{"run", "-json"}, "usage"},
 		{[]string{"run", "no-such-scenario"}, "unknown scenario"},
+		{[]string{"run", "fig99"}, "unknown scenario"},
+		{[]string{"run", "fig1-wl4000", "-json", "-exemplars", "2"}, "-json"},
+		{[]string{"run", "fig1-wl4000", "-exemplars", "-1"}, "exemplars"},
+		{[]string{"run", "fig1-wl4000", "-duration", "1s",
+			"-perfetto", filepath.Join(dir, "no-such-dir", "t.json")}, "no-such-dir"},
+		// fig1-wl4000 keeps no request over the tail threshold in 5 s, so
+		// there is no exemplar to draw.
+		{[]string{"run", "fig1-wl4000", "-duration", "5s",
+			"-waterfall", filepath.Join(dir, "w.svg")}, "no tail exemplar"},
+		// Flag parsing stops at the first non-flag word, so a stray word
+		// must fail rather than silently drop the flags after it. The
+		// cheap flags go before the stray word, so a command that ignored
+		// it would finish quickly and fail the case.
+		{[]string{"run", "fig1-wl4000", "-duration", "1s", "typo", "-duration", "5s"}, "unexpected argument \"typo\""},
+		{[]string{"sweep", "-scenario", "fig1-wl4000", "-seeds", "1", "-duration", "1s", "stray"}, "unexpected argument"},
+		{[]string{"simstats", "-scenario", "fig1-wl4000", "-duration", "1s", "stray"}, "unexpected argument"},
+		{[]string{"fig12", "-points", "100", "stray"}, "unexpected argument"},
+		{[]string{"matrix", "-duration", "1s", "stray"}, "unexpected argument"},
+		{[]string{"list", "extra"}, "unexpected argument"},
+		{[]string{"scenario", "generate", "-seed", "1", "-o", filepath.Join(dir, "gen.json"), "stray"}, "unexpected argument"},
 		{[]string{"predict"}, "usage"},
 		{[]string{"predict", "x", "400ms", "278"}, "rate"},
 		{[]string{"predict", "1000", "x", "278"}, "duration"},

@@ -12,35 +12,6 @@ import (
 	"ctqosim/internal/span"
 )
 
-func TestRunValidatesFlags(t *testing.T) {
-	tests := []struct {
-		args []string
-		want string
-	}{
-		{nil, "no scenario given"},
-		{[]string{"-scenario", "fig99"}, "unknown scenario"},
-	}
-	for _, tt := range tests {
-		err := run(tt.args)
-		if err == nil || !strings.Contains(err.Error(), tt.want) {
-			t.Errorf("run(%v) = %v, want containing %q", tt.args, err, tt.want)
-		}
-	}
-}
-
-func TestRunEndToEnd(t *testing.T) {
-	// A short real analysis run through the CLI path, of a scenario file:
-	// the CTQO matrix cell with NX=1 and a CPU millibottleneck in the app
-	// tier.
-	err := run([]string{
-		"-scenario", filepath.Join("..", "..", "internal", "core", "scenarios", "cells", "nx1-cpu-app.json"),
-		"-duration", (20 * time.Second).String(),
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-}
-
 // TestRunSpanFlags drives the fig3 consolidation scenario (shortened: the
 // first burst train lands at 15s and 18s, so 25s of measurement already
 // produces the 3s and 6s clusters) through every span flag and checks the
@@ -51,9 +22,9 @@ func TestRunSpanFlags(t *testing.T) {
 	perfetto := filepath.Join(dir, "trace.json")
 	waterfall := filepath.Join(dir, "tail.svg")
 	err := run([]string{
-		"-scenario", "fig3",
+		"run", "fig3",
 		"-duration", (25 * time.Second).String(),
-		"-breakdown", "-spans", "-exemplars", "1",
+		"-exemplars", "1",
 		"-perfetto", perfetto, "-waterfall", waterfall,
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"os"
@@ -63,13 +64,11 @@ func TestScenarioDispatchErrors(t *testing.T) {
 	}{
 		{[]string{"scenario"}, "usage"},
 		{[]string{"scenario", "bogus"}, "unknown scenario subcommand"},
-		{[]string{"scenario", "run"}, "usage"},
-		{[]string{"scenario", "run", "no-such-scenario"}, "unknown scenario"},
+		{[]string{"scenario", "run", good}, "ntierlab run"},
 		{[]string{"scenario", "validate"}, "usage"},
 		{[]string{"scenario", "validate", filepath.Join(dir, "missing.json")}, "missing.json"},
-		{[]string{"run", "fig3", "-scenario-file", good}, "not both"},
-		{[]string{"run", "-scenario-file", filepath.Join(dir, "missing.json")}, "missing.json"},
-		{[]string{"sweep", "-scenario", "fig3", "-scenario-file", good}, "not both"},
+		{[]string{"run", filepath.Join(dir, "missing.json")}, "missing.json"},
+		{[]string{"sweep", "-scenario", filepath.Join(dir, "missing.json")}, "missing.json"},
 	}
 	for _, tt := range tests {
 		_, err := captureStdout(t, func() error { return run(tt.args) })
@@ -120,7 +119,7 @@ func TestScenarioValidate(t *testing.T) {
 	}
 }
 
-// TestScenarioRunEndToEnd runs a scenario file through the CLI: the JSON
+// TestScenarioRunEndToEnd runs a scenario file through run: the JSON
 // summary must parse, the assertions must pass, and -benchout must record
 // the wall clock under the scenario_run key.
 func TestScenarioRunEndToEnd(t *testing.T) {
@@ -131,10 +130,10 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 	}
 	bench := filepath.Join(dir, "bench.json")
 	out, err := captureStdout(t, func() error {
-		return run([]string{"scenario", "run", file, "-json", "-benchout", bench})
+		return run([]string{"run", file, "-json", "-benchout", bench})
 	})
 	if err != nil {
-		t.Fatalf("scenario run: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	var summary struct {
 		Scenario string `json:"scenario"`
@@ -171,15 +170,16 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = captureStdout(t, func() error {
-		return run([]string{"scenario", "run", fileBad})
+		return run([]string{"run", fileBad})
 	})
 	if err == nil || !strings.Contains(err.Error(), "assertions failed") {
 		t.Errorf("failing assertion: err = %v, want assertions failed", err)
 	}
 }
 
-// TestRunScenarioFileFlag checks the -scenario-file integration on the
-// plain run subcommand, including assertion evaluation.
+// TestRunScenarioFileFlag checks that run takes a scenario file wherever
+// it takes a registry name: the tiny file's summary and assertion report,
+// and a CTQO matrix cell (NX=1, a CPU millibottleneck in the app tier).
 func TestRunScenarioFileFlag(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "tiny.json")
@@ -187,12 +187,81 @@ func TestRunScenarioFileFlag(t *testing.T) {
 		t.Fatal(err)
 	}
 	out, err := captureStdout(t, func() error {
-		return run([]string{"run", "-scenario-file", file})
+		return run([]string{"run", file})
 	})
 	if err != nil {
-		t.Fatalf("run -scenario-file: %v", err)
+		t.Fatalf("run %s: %v", file, err)
 	}
 	if got := string(out); !strings.Contains(got, "cli-tiny") || !strings.Contains(got, "assertions passed") {
 		t.Errorf("run output missing summary or assertion report:\n%s", got)
+	}
+
+	cell := filepath.Join("..", "..", "internal", "core", "scenarios", "cells", "nx1-cpu-app.json")
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"run", cell, "-duration", "20s"})
+	}); err != nil {
+		t.Fatalf("run %s: %v", cell, err)
+	}
+}
+
+// TestRunScenarioStdoutIsDeterministic runs the same file twice: stdout
+// depends on the simulation alone, so the two runs print the same bytes,
+// and no wall-clock reading reaches them (that is -simstats' and
+// -benchout's job).
+func TestRunScenarioStdoutIsDeterministic(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "tiny.json")
+	if err := os.WriteFile(file, []byte(tinyScenario), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var outs [2][]byte
+	for i := range outs {
+		out, err := captureStdout(t, func() error {
+			return run([]string{"run", file, "-spans"})
+		})
+		if err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		outs[i] = out
+	}
+	if !bytes.Equal(outs[0], outs[1]) {
+		t.Errorf("two runs of one file printed different stdout:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if bytes.Contains(outs[0], []byte("wall")) {
+		t.Errorf("run printed a wall-clock reading:\n%s", outs[0])
+	}
+}
+
+// TestRunJSONWritesEveryFile checks that -json changes only what stdout
+// carries, the document alone: the -csv, -perfetto, -waterfall and
+// -benchout files are written as they are in text mode.
+func TestRunJSONWritesEveryFile(t *testing.T) {
+	dir := t.TempDir()
+	csvDir := filepath.Join(dir, "csv")
+	perfetto := filepath.Join(dir, "trace.json")
+	waterfall := filepath.Join(dir, "tail.svg")
+	bench := filepath.Join(dir, "bench.json")
+	// fig1-wl4000 keeps tail exemplars from 10 s on, so the waterfall
+	// has a request to draw.
+	for _, tc := range []struct {
+		flags []string
+		files []string
+	}{
+		{[]string{"-csv", csvDir}, []string{filepath.Join(csvDir, "queues.csv"), filepath.Join(csvDir, "vlrt.csv")}},
+		{[]string{"-perfetto", perfetto, "-waterfall", waterfall, "-benchout", bench}, []string{perfetto, waterfall, bench}},
+	} {
+		args := append([]string{"run", "fig1-wl4000", "-duration", "10s", "-json"}, tc.flags...)
+		out, err := captureStdout(t, func() error { return run(args) })
+		if err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(out, &doc); err != nil {
+			t.Fatalf("run %v: stdout is not the JSON document alone: %v\n%s", args, err, out)
+		}
+		for _, path := range tc.files {
+			if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+				t.Errorf("run %v did not write %s: %v", args, path, err)
+			}
+		}
 	}
 }
