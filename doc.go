@@ -15,8 +15,10 @@
 // The library lives under internal/: the des simulation kernel, the cpu,
 // simnet, server, workload and fault substrates, the metrics and trace
 // measurement layers, the ntier topology builder, and the core experiment
-// facade. The cmd/ tools and examples/ programs regenerate every figure of
-// the paper's evaluation; bench_test.go holds one benchmark per figure
-// plus ablations. See DESIGN.md for the full inventory and EXPERIMENTS.md
-// for paper-vs-measured results.
+// facade. cmd/ntierlab run is the one way to run a scenario, a registry
+// name or a scenario file, and cmd/figures regenerates every figure of
+// the paper's evaluation; the examples/ programs tour the API, the
+// queueing-theory baseline and the real-socket harness. bench_test.go
+// holds one benchmark per figure plus ablations. See DESIGN.md for the
+// full inventory and EXPERIMENTS.md for paper-vs-measured results.
 package ctqosim
