@@ -39,12 +39,7 @@ func TestRunDispatchErrors(t *testing.T) {
 	}{
 		{nil, "usage"},
 		{[]string{"bogus"}, "unknown command"},
-		{[]string{"run"}, "usage"},
-		{[]string{"run", "-json"}, "usage"},
 		{[]string{"run", "no-such-scenario"}, "unknown scenario"},
-		{[]string{"run", "fig99"}, "unknown scenario"},
-		{[]string{"run", "fig1-wl4000", "-json", "-exemplars", "2"}, "-json"},
-		{[]string{"run", "fig1-wl4000", "-exemplars", "-1"}, "exemplars"},
 		{[]string{"run", "fig1-wl4000", "-duration", "1s",
 			"-perfetto", filepath.Join(dir, "no-such-dir", "t.json")}, "no-such-dir"},
 		// fig1-wl4000 keeps no request over the tail threshold in 5 s, so

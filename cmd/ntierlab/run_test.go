@@ -12,6 +12,40 @@ import (
 	"ctqosim/internal/span"
 )
 
+// TestRunValidatesFlags checks the errors run reports before it simulates
+// anything: a missing or unknown scenario reference and the flag
+// combinations it refuses.
+func TestRunValidatesFlags(t *testing.T) {
+	tests := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"run"}, "usage"},
+		{[]string{"run", "-json"}, "usage"},
+		{[]string{"run", "fig99"}, "unknown scenario"},
+		{[]string{"run", "fig1-wl4000", "-json", "-exemplars", "2"}, "-json"},
+		{[]string{"run", "fig1-wl4000", "-exemplars", "-1"}, "exemplars"},
+	}
+	for _, tt := range tests {
+		err := run(tt.args)
+		if err == nil || !strings.Contains(err.Error(), tt.want) {
+			t.Errorf("run(%v) = %v, want containing %q", tt.args, err, tt.want)
+		}
+	}
+}
+
+// TestRunEndToEnd is a short real analysis run through the CLI path, of a
+// scenario file: the CTQO matrix cell with NX=1 and a CPU millibottleneck
+// in the app tier.
+func TestRunEndToEnd(t *testing.T) {
+	cell := filepath.Join("..", "..", "internal", "core", "scenarios", "cells", "nx1-cpu-app.json")
+	if _, err := captureStdout(t, func() error {
+		return run([]string{"run", cell, "-duration", (20 * time.Second).String()})
+	}); err != nil {
+		t.Fatalf("run %s: %v", cell, err)
+	}
+}
+
 // TestRunSpanFlags drives the fig3 consolidation scenario (shortened: the
 // first burst train lands at 15s and 18s, so 25s of measurement already
 // produces the 3s and 6s clusters) through every span flag and checks the

@@ -178,8 +178,7 @@ func TestScenarioRunEndToEnd(t *testing.T) {
 }
 
 // TestRunScenarioFileFlag checks that run takes a scenario file wherever
-// it takes a registry name: the tiny file's summary and assertion report,
-// and a CTQO matrix cell (NX=1, a CPU millibottleneck in the app tier).
+// it takes a registry name: the tiny file's summary and assertion report.
 func TestRunScenarioFileFlag(t *testing.T) {
 	dir := t.TempDir()
 	file := filepath.Join(dir, "tiny.json")
@@ -194,13 +193,6 @@ func TestRunScenarioFileFlag(t *testing.T) {
 	}
 	if got := string(out); !strings.Contains(got, "cli-tiny") || !strings.Contains(got, "assertions passed") {
 		t.Errorf("run output missing summary or assertion report:\n%s", got)
-	}
-
-	cell := filepath.Join("..", "..", "internal", "core", "scenarios", "cells", "nx1-cpu-app.json")
-	if _, err := captureStdout(t, func() error {
-		return run([]string{"run", cell, "-duration", "20s"})
-	}); err != nil {
-		t.Fatalf("run %s: %v", cell, err)
 	}
 }
 
