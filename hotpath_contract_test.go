@@ -372,11 +372,10 @@ func funcKey(fd *ast.FuncDecl) string {
 	return fd.Name.Name
 }
 
-// runPerfLint runs the performance-analysis family (allocs, hotpath)
-// over the kernel packages and returns the findings. It
-// mirrors cmd/ctqo-lint: the dependency closure is analyzed in order so
-// cross-package AllocsFacts propagate, but only kernel-package findings
-// are returned.
+// runPerfLint runs the hotpath analyzer over the kernel packages and
+// returns the findings. It mirrors cmd/ctqo-lint: the dependency closure
+// is analyzed in order so cross-package AllocsFacts propagate, but only
+// kernel-package findings are returned.
 func runPerfLint(t *testing.T) []lint.Finding {
 	t.Helper()
 	cwd, err := os.Getwd()
@@ -404,7 +403,7 @@ func runPerfLint(t *testing.T) []lint.Finding {
 	for _, p := range paths {
 		requested[p] = true
 	}
-	active := []*analysis.Analyzer{analyzers.Allocs, analyzers.Hotpath}
+	active := []*analysis.Analyzer{analyzers.Hotpath}
 	facts := analysis.NewStore()
 	var findings []lint.Finding
 	for _, path := range order {

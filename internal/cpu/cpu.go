@@ -188,8 +188,8 @@ func (v *VM) Submit(demand time.Duration, done func()) {
 		// the completion fire from the event loop, never inside Submit.
 		remaining = 2 * doneEpsilon
 	}
-	v.rem = append(v.rem, remaining) //lint:allow allocs amortized: the job slices grow to the VM's peak run queue, then are reused
-	v.done = append(v.done, done)    //lint:allow allocs amortized: the job slices grow to the VM's peak run queue, then are reused
+	v.rem = append(v.rem, remaining) //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
+	v.done = append(v.done, done)    //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
 	if remaining < v.minRemaining {
 		v.minRemaining = remaining
 	}
@@ -293,7 +293,7 @@ func (n *Node) reschedule() {
 		for k, r := range vm.rem {
 			if r <= doneEpsilon {
 				if done := vm.done[k]; done != nil {
-					completed = append(completed, done) //lint:allow allocs amortized: the buffer grows to the most jobs one event completes, then is reused
+					completed = append(completed, done) //lint:allow hotpath amortized: the buffer grows to the most jobs one event completes, then is reused
 				}
 				continue
 			}
@@ -364,7 +364,7 @@ func (n *Node) allocations() {
 	for i, vm := range n.vms {
 		key := -1
 		if vm.blocked == 0 && len(vm.rem) > 0 {
-			active = append(active, i) //lint:allow allocs amortized: grows to one entry per VM, then is reused
+			active = append(active, i) //lint:allow hotpath amortized: grows to one entry per VM, then is reused
 			key = 0
 			if n.policy == JobProportional {
 				key = len(vm.rem)
@@ -398,7 +398,7 @@ func (n *Node) allocations() {
 				capped = true
 				alloc[i] = vm.vcpus
 			} else {
-				stillActive = append(stillActive, i) //lint:allow allocs in place: filters active within its own backing array
+				stillActive = append(stillActive, i) //lint:allow hotpath in place: filters active within its own backing array
 			}
 		}
 		if !capped {

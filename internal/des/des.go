@@ -172,7 +172,7 @@ func (s *Simulator) take() *event {
 		s.free = e.next
 		return e
 	}
-	return &event{} //lint:allow allocs pool warm-up: one object per concurrent pending event, reused forever after
+	return &event{} //lint:allow hotpath pool warm-up: one object per concurrent pending event, reused forever after
 }
 
 // release ends an event's current scheduling with the given state and

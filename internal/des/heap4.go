@@ -42,7 +42,7 @@ type heap4 struct {
 //
 //lint:hotpath
 func (h *heap4) push(n heapNode) {
-	h.a = append(h.a, n) //lint:allow allocs amortized: the backing array doubles, then is reused for the run's lifetime
+	h.a = append(h.a, n) //lint:allow hotpath amortized: the backing array doubles, then is reused for the run's lifetime
 	a := h.a
 	i := len(a) - 1
 	for i > 0 {

@@ -82,7 +82,7 @@ func (w *wheel) takeNode() *wheelNode {
 		n.next = nil
 		return n
 	}
-	return &wheelNode{} //lint:allow allocs pool warm-up: one node per concurrent parked timer, reused forever after
+	return &wheelNode{} //lint:allow hotpath pool warm-up: one node per concurrent parked timer, reused forever after
 }
 
 // putNode wipes a node and pushes it onto the freelist.

@@ -73,8 +73,7 @@ func TestStoreFactTypeKeying(t *testing.T) {
 	a.ExportObjectFact(obj, &testFact{N: 1})
 
 	// The fact type is the namespace: a second analyzer that declares the
-	// same fact type sees the first's export. This is the deliberate
-	// cross-analyzer channel (hotpath imports allocs' AllocsFact).
+	// same fact type sees the first's export.
 	var got testFact
 	if !b.ImportObjectFact(obj, &got) || got.N != 1 {
 		t.Error("analyzer b cannot see analyzer a's fact of a shared declared type")
@@ -111,23 +110,6 @@ func TestStoreEntriesDeterministic(t *testing.T) {
 	// x's two facts sort by type name: otherFact before testFact.
 	if _, ok := entries[0].Fact.(*otherFact); !ok {
 		t.Errorf("entry 0 fact is %T, want *otherFact", entries[0].Fact)
-	}
-}
-
-func TestExpandRequires(t *testing.T) {
-	base := &Analyzer{Name: "base"}
-	mid := &Analyzer{Name: "mid", Requires: []*Analyzer{base}}
-	top := &Analyzer{Name: "top", Requires: []*Analyzer{mid, base}}
-
-	got := Expand([]*Analyzer{top, base})
-	want := []string{"base", "mid", "top"}
-	if len(got) != len(want) {
-		t.Fatalf("Expand returned %d analyzers, want %d", len(got), len(want))
-	}
-	for i, a := range got {
-		if a.Name != want[i] {
-			t.Errorf("Expand[%d] = %s, want %s", i, a.Name, want[i])
-		}
 	}
 }
 

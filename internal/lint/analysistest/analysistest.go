@@ -21,16 +21,14 @@
 // A clause of the form name:"regexp" is a fact expectation instead: the
 // object called name declared on that line must carry an exported fact
 // whose fmt.Sprint matches the pattern (the x/tools convention, used by
-// the allocs fixtures to pin AllocsFact summaries):
+// the allocs and purity fixtures to pin AllocsFact and EffectsFact
+// summaries):
 //
 //	func Grow(s []int) []int { // want Grow:`allocs\(append may grow\)`
 //
 // Unclaimed fact expectations fail the test; facts without expectations
 // are ignored (facts are internal currency — most fixtures care only
 // about the diagnostics they feed).
-//
-// The analyzer's Requires closure runs with it, sharing the fact store,
-// so fixtures for fact-consuming analyzers (hotpath) work unmodified.
 package analysistest
 
 import (

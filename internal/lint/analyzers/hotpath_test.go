@@ -19,8 +19,8 @@ func TestHotpathAllowed(t *testing.T) {
 	analysistest.RunExpectClean(t, "testdata", Hotpath, "hotpath/allowed")
 }
 
-// TestDeferloop pins the defer-in-loop site allocs took over from
-// deferloop, reported by hotpath directly and through a callee.
+// TestDeferloop pins the defer-in-loop site hotpath took over from
+// deferloop, reported directly and through a callee.
 func TestDeferloop(t *testing.T) {
 	analysistest.Run(t, "testdata", Hotpath, "hotpath/loops")
 }
@@ -97,7 +97,7 @@ func TestParseHotpathDirective(t *testing.T) {
 		{"//lint:hotpathX", false, 0, false},
 		{"//lint:hotpath2", false, 0, false},
 		{"// lint:hotpath", false, 0, false},
-		{"//lint:allow allocs", false, 0, false},
+		{"//lint:allow hotpath", false, 0, false},
 		{"", false, 0, false},
 	}
 	for _, tt := range tests {
@@ -122,7 +122,7 @@ func FuzzParseHotpathDirective(f *testing.F) {
 		"//lint:hotpath allocs=00",
 		"//lint:hotpath frames=1",
 		"//lint:hotpathX",
-		"//lint:allow allocs cold branch",
+		"//lint:allow hotpath cold branch",
 		"//lint:hotpath\tallocs=9999999999999999999",
 		"",
 	} {

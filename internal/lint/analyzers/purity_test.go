@@ -11,11 +11,11 @@ import (
 )
 
 func TestPurity(t *testing.T) {
-	analysistest.Run(t, "testdata", Purity, "purity/flagged", "purity/deep")
+	analysistest.Run(t, "testdata", Effects, "purity/flagged", "purity/deep")
 }
 
 func TestPurityAllowed(t *testing.T) {
-	analysistest.RunExpectClean(t, "testdata", Purity, "purity/allowed")
+	analysistest.RunExpectClean(t, "testdata", Effects, "purity/allowed")
 }
 
 // TestPurityChain pins the rendered call chain for the fixture where a
@@ -35,7 +35,7 @@ func TestPurityChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("load %s: %v", p, err)
 		}
-		fs, err := lint.RunPackage(l, pkg, []*analysis.Analyzer{Purity}, "", facts, nil)
+		fs, err := lint.RunPackage(l, pkg, []*analysis.Analyzer{Effects}, "", facts, nil)
 		if err != nil {
 			t.Fatalf("run %s: %v", p, err)
 		}

@@ -97,5 +97,5 @@ func double(n int) int { return 2 * n }
 // A suppressed site never enters the summary: Allowed has no fact, so
 // hot callers of it stay clean (the cold-branch convention).
 func Allowed() map[string]int {
-	return make(map[string]int) //lint:allow allocs cold start-up path, runs once
+	return make(map[string]int) //lint:allow hotpath cold start-up path, runs once
 }

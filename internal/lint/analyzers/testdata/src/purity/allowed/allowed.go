@@ -27,7 +27,7 @@ var debugHits int
 
 //lint:pure
 func Counted(s *Spec) {
-	//lint:allow purity debug-only counter, excluded from replay identity
+	//lint:allow effects debug-only counter, excluded from replay identity
 	debugHits++
 	SetParam(s)
 }

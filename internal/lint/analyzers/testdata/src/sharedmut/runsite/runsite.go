@@ -60,6 +60,6 @@ func batch() conf.Config {
 
 // allowed demonstrates the escape hatch.
 func allowed(cfg *conf.Config) {
-	//lint:allow sharedmut fixture demonstrates the escape hatch
+	//lint:allow effects fixture demonstrates the escape hatch
 	cfg.Mix.Total = 4
 }

@@ -17,7 +17,7 @@ import (
 func FuzzParseAllowNames(f *testing.F) {
 	f.Add("//lint:allow wallclock the live harness reads real time")
 	f.Add("//lint:allow wallclock,seededrand two at once")
-	f.Add("//lint:allow\tsharedmut tab separator")
+	f.Add("//lint:allow\teffects tab separator")
 	f.Add("//lint:allow")
 	f.Add("//lint:allowx not a directive")
 	f.Add("// lint:allow leading space disqualifies")
@@ -25,7 +25,7 @@ func FuzzParseAllowNames(f *testing.F) {
 	f.Add("//lint:allow ,,, odd name list")
 	f.Add("/*lint:allow exhaustive block comment*/")
 	f.Add("//lint:hotpath")
-	f.Add("//lint:allow purity")
+	f.Add("//lint:allow effects")
 	f.Fuzz(func(t *testing.T, text string) {
 		names := parseAllowNames(text)
 

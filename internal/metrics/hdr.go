@@ -174,7 +174,7 @@ func (h *HDRHistogram) ObserveN(d time.Duration, n int64) {
 		if len(h.exact)+int(n) <= h.cfg.ExactCap {
 			h.sorted = nil
 			for i := int64(0); i < n; i++ {
-				h.exact = append(h.exact, d) //lint:allow allocs exact side, bounded by ExactCap (spills once) or unlimited by the caller's choice
+				h.exact = append(h.exact, d) //lint:allow hotpath exact side, bounded by ExactCap (spills once) or unlimited by the caller's choice
 			}
 			return
 		}
@@ -189,7 +189,7 @@ func (h *HDRHistogram) spill() {
 	if h.spilled {
 		return
 	}
-	h.counts = make([]int64, numBuckets(h.cfg.SigBits)) //lint:allow allocs one-time spill to the fixed dense array
+	h.counts = make([]int64, numBuckets(h.cfg.SigBits)) //lint:allow hotpath one-time spill to the fixed dense array
 	for _, v := range h.exact {
 		h.counts[h.bucketIdx(v)]++
 	}

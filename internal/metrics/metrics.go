@@ -94,7 +94,7 @@ func (r *Recorder) Record(req *workload.Request) {
 		return
 	}
 	if r.hdr == nil {
-		r.initAggregates() //lint:allow allocs first record initializes the fixed aggregates
+		r.initAggregates() //lint:allow hotpath first record initializes the fixed aggregates
 	}
 	rt := req.ResponseTime()
 	r.hdr.Observe(rt)
@@ -113,7 +113,7 @@ func (r *Recorder) Record(req *workload.Request) {
 	}
 	ca := r.classes[req.Class.Name]
 	if ca == nil {
-		ca = r.newClass(req.Class.Name) //lint:allow allocs first request of a class; the class mix is fixed
+		ca = r.newClass(req.Class.Name) //lint:allow hotpath first request of a class; the class mix is fixed
 	}
 	ca.hdr.Observe(rt)
 	if req.VLRT() {
@@ -146,7 +146,7 @@ func growCount(s []int, idx int) []int {
 		return s
 	}
 	for len(s) <= idx {
-		s = append(s, 0) //lint:allow allocs the window count grows with the horizon, not the request count
+		s = append(s, 0) //lint:allow hotpath the window count grows with the horizon, not the request count
 	}
 	s[idx]++
 	return s

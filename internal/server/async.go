@@ -92,7 +92,7 @@ func (a *AsyncServer) TryAccept(call *simnet.Call) bool {
 	a.stats.Accepted++
 	t, ok := tasks.Get().(*task)
 	if !ok {
-		t = newTask() //lint:allow allocs pool warm-up: one task per admitted, unfinished request, recycled when it replies
+		t = newTask() //lint:allow hotpath pool warm-up: one task per admitted, unfinished request, recycled when it replies
 	}
 	t.srv, t.call, t.transport = a, call, a.transport
 	t.prog = a.plan(call.Payload, t.prog)

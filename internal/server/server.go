@@ -166,7 +166,7 @@ type fifo[T any] struct {
 func (q *fifo[T]) len() int { return len(q.items) - q.head }
 
 func (q *fifo[T]) push(x T) {
-	q.items = append(q.items, x) //lint:allow allocs amortized: the queue grows to its peak length, then is reused
+	q.items = append(q.items, x) //lint:allow hotpath amortized: the queue grows to its peak length, then is reused
 }
 
 func (q *fifo[T]) pop() T {

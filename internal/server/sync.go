@@ -217,7 +217,7 @@ func (s *SyncServer) startOnThread(call *simnet.Call) {
 	s.busy++
 	v, ok := visits.Get().(*visit)
 	if !ok {
-		v = newVisit() //lint:allow allocs pool warm-up: one visit per concurrently held thread, recycled when it replies
+		v = newVisit() //lint:allow hotpath pool warm-up: one visit per concurrently held thread, recycled when it replies
 	}
 	v.srv, v.call, v.transport = s, call, s.transport
 	v.prog = s.plan(call.Payload, v.prog)

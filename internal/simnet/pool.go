@@ -31,7 +31,7 @@ func (p *ConnPool) Acquire(fn func()) {
 		fn()
 		return
 	}
-	p.waiters = append(p.waiters, fn) //lint:allow allocs amortized: the queue grows to the peak number of waiters, then is reused
+	p.waiters = append(p.waiters, fn) //lint:allow hotpath amortized: the queue grows to the peak number of waiters, then is reused
 }
 
 // Release returns a connection to the pool, handing it to the oldest waiter

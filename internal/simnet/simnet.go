@@ -175,7 +175,7 @@ func (t *Transport) Send(dst Admission, call *Call) {
 		r.DroppedAt(dst.Name())
 	}
 	if t.KeepDrops {
-		t.drops = append(t.drops, Drop{At: t.sim.Now(), Server: dst.Name()}) //lint:allow allocs KeepDrops only: one record per drop, off on untraced runs
+		t.drops = append(t.drops, Drop{At: t.sim.Now(), Server: dst.Name()}) //lint:allow hotpath KeepDrops only: one record per drop, off on untraced runs
 	}
 
 	if call.Attempts >= t.maxAttempts() {
@@ -191,7 +191,7 @@ func (t *Transport) Send(dst Admission, call *Call) {
 	// own, attributed to the dropping server, closed when the retry fires.
 	gap := call.Trace.Start(span.KindRetransmit, dst.Name(), call.SpanID)
 	if gap != 0 {
-		call.Trace.Annotate(gap, fmt.Sprintf( //lint:allow allocs enabled-tracer annotation on the (already rare) drop path
+		call.Trace.Annotate(gap, fmt.Sprintf( //lint:allow hotpath enabled-tracer annotation on the (already rare) drop path
 			"attempt %d dropped by %s; waiting RTO", call.Attempts, dst.Name()))
 	}
 	call.retransGap = gap
@@ -207,7 +207,7 @@ func (t *Transport) Send(dst Admission, call *Call) {
 //lint:hotpath simnet delivery path
 func (c *Call) deliverer() func() {
 	if c.deliver == nil {
-		c.deliver = func() { //lint:allow allocs one callback per Call, bound on its first drop: never on clean delivery
+		c.deliver = func() { //lint:allow hotpath one callback per Call, bound on its first drop: never on clean delivery
 			c.Trace.End(c.retransGap)
 			c.retransGap = 0
 			c.transport.Send(c.dst, c)
@@ -253,7 +253,7 @@ func (t *Transport) TotalDrops() int64 {
 func (t *Transport) hop(name string) *HopStats {
 	s, ok := t.stats[name]
 	if !ok {
-		s = &HopStats{} //lint:allow allocs one accumulator per destination, first traffic only
+		s = &HopStats{} //lint:allow hotpath one accumulator per destination, first traffic only
 		t.stats[name] = s
 	}
 	return s

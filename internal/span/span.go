@@ -138,7 +138,7 @@ const lateSpan = "span: trace used after Tracer.Finish took it"
 // open, keeping the span slice's storage.
 func (t *Trace) reopen(reqID uint64, class string) {
 	t.RequestID, t.Class, t.finished = reqID, class, false
-	t.spans = append(t.spans[:0], Span{ //lint:allow allocs enabled tracer: a new trace's first span; a reopened one keeps its storage
+	t.spans = append(t.spans[:0], Span{ //lint:allow hotpath enabled tracer: a new trace's first span; a reopened one keeps its storage
 		ID: RootID, Kind: KindRequest, Tier: "client", Start: t.now(), End: open,
 	})
 }
@@ -162,7 +162,7 @@ func (t *Trace) Start(kind Kind, tier string, parent ID) ID {
 		panic(lateSpan)
 	}
 	id := ID(len(t.spans) + 1)
-	t.spans = append(t.spans, Span{ //lint:allow allocs enabled-tracer span; a nil trace records nothing
+	t.spans = append(t.spans, Span{ //lint:allow hotpath enabled-tracer span; a nil trace records nothing
 		ID: id, Parent: parent, Kind: kind, Tier: tier,
 		Start: t.now(), End: open,
 	})

@@ -126,7 +126,7 @@ func (tr *Tracer) StartRequest(reqID uint64, class string) *Trace {
 	if n := len(tr.free); n > 0 {
 		t, tr.free = tr.free[n-1], tr.free[:n-1]
 	} else {
-		t = &Trace{now: tr.now} //lint:allow allocs enabled tracer: a new trace only when none is free, as at warm-up and after each kept trace
+		t = &Trace{now: tr.now} //lint:allow hotpath enabled tracer: a new trace only when none is free, as at warm-up and after each kept trace
 	}
 	t.reopen(reqID, class)
 	return t
@@ -144,10 +144,10 @@ func (tr *Tracer) Finish(t *Trace) {
 		return
 	}
 	t.finish()
-	//lint:allow allocs enabled-tracer breakdown storage, grown a chunk at a time
+	//lint:allow hotpath enabled-tracer breakdown storage, grown a chunk at a time
 	tr.fold(t)
-	if freed := tr.sampler.Offer(t); freed != nil { //lint:allow allocs enabled-tracer sampling
-		tr.free = append(tr.free, freed) //lint:allow allocs enabled tracer: grows to the number of traces in flight at once
+	if freed := tr.sampler.Offer(t); freed != nil { //lint:allow hotpath enabled-tracer sampling
+		tr.free = append(tr.free, freed) //lint:allow hotpath enabled tracer: grows to the number of traces in flight at once
 	}
 }
 

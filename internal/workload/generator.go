@@ -187,7 +187,7 @@ func newClientCall() *clientCall {
 func (c *ClosedLoop) send(cycle func(), req *Request) {
 	cc, ok := clientCalls.Get().(*clientCall)
 	if !ok {
-		cc = newClientCall() //lint:allow allocs pool warm-up: one call per concurrently outstanding request, recycled at its reply
+		cc = newClientCall() //lint:allow hotpath pool warm-up: one call per concurrently outstanding request, recycled at its reply
 	}
 	cc.loop, cc.cycle, cc.req = c, cycle, req
 	cc.Payload, cc.SpanID = req, span.RootID
