@@ -20,6 +20,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,6 +65,9 @@ func run(args []string) error {
 	cpuProf := fs.String("cpuprofile", "", "write a CPU pprof profile to this file")
 	memProf := fs.String("memprofile", "", "write a heap pprof profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h: the flag set has printed the usage
+		}
 		return err
 	}
 	// Parsing stops at a stray word, which would drop the flags after it.

@@ -155,3 +155,15 @@ func TestRunRejectsStrayArgument(t *testing.T) {
 		t.Fatalf("run with a stray argument = %v, want an unexpected-argument error", err)
 	}
 }
+
+// TestRunHelpExitsZero pins -h: the flag set prints the usage and run
+// returns no error, so the command exits 0 without regenerating anything.
+func TestRunHelpExitsZero(t *testing.T) {
+	out := t.TempDir()
+	if err := run([]string{"-h", "-out", out}); err != nil {
+		t.Fatalf("run(-h) = %v, want nil", err)
+	}
+	if entries, err := os.ReadDir(out); err != nil || len(entries) != 0 {
+		t.Fatalf("run(-h) wrote %d file(s) to -out (err %v), want none", len(entries), err)
+	}
+}
