@@ -77,6 +77,17 @@ func runScenario(args []string) error {
 	cfg.Retention = ret
 	cfg.SimStats = *withStats
 
+	perfettoOut, err := createOutput(*perfetto)
+	if err != nil {
+		return err
+	}
+	defer perfettoOut.discard()
+	waterfallOut, err := createOutput(*waterfall)
+	if err != nil {
+		return err
+	}
+	defer waterfallOut.discard()
+
 	stopProf, err := startProfiling(*cpuProf, *memProf)
 	if err != nil {
 		return err
@@ -108,25 +119,25 @@ func runScenario(args []string) error {
 		}
 		fmt.Fprintf(notes, "timelines written to %s\n", *csvDir)
 	}
-	if *perfetto != "" {
+	if perfettoOut != nil {
 		// With no tail exemplar, the seeded reservoir of normal traces.
 		traces := res.TailExemplars(0)
 		if len(traces) == 0 {
 			traces = res.Spans.Reservoir()
 		}
-		if err := writeFile(*perfetto, func(w io.Writer) error {
+		if err := perfettoOut.write(func(w io.Writer) error {
 			return span.WriteTraceEvents(w, traces)
 		}); err != nil {
 			return err
 		}
 		fmt.Fprintf(notes, "wrote %d trace(s) to %s — load it at https://ui.perfetto.dev\n", len(traces), *perfetto)
 	}
-	if *waterfall != "" {
+	if waterfallOut != nil {
 		ex := res.TailExemplars(1)
 		if len(ex) == 0 {
 			return fmt.Errorf("waterfall: no tail exemplar to render")
 		}
-		if err := writeFile(*waterfall, func(w io.Writer) error {
+		if err := waterfallOut.write(func(w io.Writer) error {
 			return core.WriteWaterfallSVG(w, ex[0])
 		}); err != nil {
 			return err
@@ -246,17 +257,44 @@ func dropSummary(t *span.Trace) string {
 	return strings.Join(parts, ", ")
 }
 
-// writeFile creates path and fills it with write.
-func writeFile(path string, write func(io.Writer) error) error {
+// output is a file run writes after the simulation. It is created
+// before the simulation, so an unwritable path fails at once rather than
+// after the whole run.
+type output struct {
+	f *os.File
+}
+
+// createOutput creates the file at path; an empty path is no output.
+func createOutput(path string) (*output, error) {
+	if path == "" {
+		return nil, nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer f.Close()
-	if err := write(f); err != nil {
-		return fmt.Errorf("write %s: %w", path, err)
+	return &output{f: f}, nil
+}
+
+// write fills the file with fill and closes it.
+func (o *output) write(fill func(io.Writer) error) error {
+	f := o.f
+	o.f = nil
+	if err := fill(f); err != nil {
+		f.Close()
+		return fmt.Errorf("write %s: %w", f.Name(), err)
 	}
 	return f.Close()
+}
+
+// discard closes and removes a file the command did not write, as if
+// it had never been created.
+func (o *output) discard() {
+	if o == nil || o.f == nil {
+		return
+	}
+	o.f.Close()
+	os.Remove(o.f.Name())
 }
 
 // scenarioRunRecord is the "scenario_run" entry of the keyed bench file:

@@ -34,6 +34,38 @@ func TestRunValidatesFlags(t *testing.T) {
 	}
 }
 
+// TestRunOutputFilesFailFast pins when run opens its output files: an
+// unwritable -perfetto or -waterfall path fails before the simulation,
+// so nothing is printed, and a -waterfall file is removed again when the
+// run has no tail exemplar to draw.
+func TestRunOutputFilesFailFast(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "no-such-dir", "out")
+	for _, flag := range []string{"-perfetto", "-waterfall"} {
+		out, err := captureStdout(t, func() error {
+			return run([]string{"run", "fig3", flag, bad})
+		})
+		if err == nil || !strings.Contains(err.Error(), "no-such-dir") {
+			t.Errorf("run fig3 %s %s = %v, want an error naming the path", flag, bad, err)
+		}
+		if len(out) != 0 {
+			t.Errorf("run fig3 %s with an unwritable path printed %d bytes before failing:\n%s", flag, len(out), out)
+		}
+	}
+
+	// fig1-wl4000 keeps no request over the tail threshold in 5 s.
+	svg := filepath.Join(dir, "w.svg")
+	_, err := captureStdout(t, func() error {
+		return run([]string{"run", "fig1-wl4000", "-duration", "5s", "-waterfall", svg})
+	})
+	if err == nil || !strings.Contains(err.Error(), "no tail exemplar") {
+		t.Fatalf("run without a tail exemplar = %v, want a no-tail-exemplar error", err)
+	}
+	if _, err := os.Stat(svg); !os.IsNotExist(err) {
+		t.Fatalf("the -waterfall file of a run with no exemplar is left behind (stat: %v)", err)
+	}
+}
+
 // TestRunEndToEnd is a short real analysis run through the CLI path, of a
 // scenario file: the CTQO matrix cell with NX=1 and a CPU millibottleneck
 // in the app tier.
