@@ -173,7 +173,7 @@ func runAblation(b *testing.B, cfg core.Config) *core.Result {
 	b.ResetTimer()
 	var stats *core.SweepStats
 	for i := 0; i < b.N; i++ {
-		stats, err = core.NewRunner(0).Sweep(core.SweepConfig{Config: cfg, Seeds: benchReplications, ShardSize: 1})
+		stats, err = core.NewRunner(0).Sweep(core.SweepConfig{Config: cfg, Seeds: benchReplications})
 		if err != nil {
 			b.Fatal(err)
 		}

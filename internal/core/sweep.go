@@ -23,11 +23,6 @@ import (
 // is byte-identical for every worker count, because shard partitioning
 // depends only on (seeds, shard size) and merging happens in shard order.
 
-// DefaultSweepShardSize is the seeds-per-shard default. Small enough to
-// keep every worker busy on hundred-seed sweeps, large enough that shard
-// bookkeeping is noise next to a single DES run.
-const DefaultSweepShardSize = 25
-
 // MeanCI is a sample mean with a 95% confidence half-width.
 type MeanCI struct {
 	// Mean is the sample mean.
@@ -50,9 +45,10 @@ type SweepConfig struct {
 	// Seeds is the number of replications (seeds Seed..Seed+Seeds-1);
 	// values below 1 clamp to 1.
 	Seeds int
-	// ShardSize is seeds per shard; 0 defaults to DefaultSweepShardSize.
-	// The report is byte-identical across worker counts for any fixed
-	// shard size.
+	// ShardSize is seeds per shard; 0 means one seed per shard, so every
+	// sweep spreads across the pool. The report is byte-identical across
+	// worker counts for any fixed shard size, and one-seed shards merged
+	// in seed order give the same sums as one serial shard.
 	ShardSize int
 }
 
@@ -215,10 +211,7 @@ func (r *Runner) Sweep(sc SweepConfig) (*SweepStats, error) {
 	if n < 1 {
 		n = 1
 	}
-	shardSize := sc.ShardSize
-	if shardSize <= 0 {
-		shardSize = DefaultSweepShardSize
-	}
+	shardSize := max(sc.ShardSize, 1)
 	numShards := (n + shardSize - 1) / shardSize
 	valid := validSeedSpan(cfg.Seed, n)
 

@@ -48,27 +48,30 @@ func TestSweepClampsAndDefaults(t *testing.T) {
 	if stats.Requested != 1 || stats.Completed != 1 {
 		t.Fatalf("zero Seeds should clamp to 1, got %d/%d", stats.Requested, stats.Completed)
 	}
-	if stats.ShardSize != DefaultSweepShardSize {
-		t.Fatalf("shardSize = %d, want default %d", stats.ShardSize, DefaultSweepShardSize)
+	if stats.ShardSize != 1 || stats.Shards != 1 {
+		t.Fatalf("shards = %d × %d, want the default of one seed per shard", stats.Shards, stats.ShardSize)
 	}
 	if stats.Throughput.CI95 != 0 {
 		t.Fatalf("single-run CI half-width = %v, want 0", stats.Throughput.CI95)
 	}
 }
 
-// TestSweepFig3 runs the Fig. 3 scenario over three seeds, one per shard
-// so the runs spread across the pool: the mean throughput sits at the
-// paper's ~1000 req/s, the runs drop packets, the seeds differ, and the
-// CI brackets the mean.
+// TestSweepFig3 runs the Fig. 3 scenario over three seeds, by default one
+// per shard so the runs spread across the pool: the mean throughput sits
+// at the paper's ~1000 req/s, the runs drop packets, the seeds differ,
+// and the CI brackets the mean.
 func TestSweepFig3(t *testing.T) {
 	cfg := shorten(Figure3Config(), 20*time.Second)
 	cfg.Trace = false
-	stats, err := NewRunner(0).Sweep(SweepConfig{Config: cfg, Seeds: 3, ShardSize: 1})
+	stats, err := NewRunner(0).Sweep(SweepConfig{Config: cfg, Seeds: 3})
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
 	if stats.Completed != 3 || stats.Throughput.N != 3 {
 		t.Fatalf("completed = %d, throughput N = %d, want 3", stats.Completed, stats.Throughput.N)
+	}
+	if stats.Shards != 3 {
+		t.Fatalf("shards = %d × %d, want 3 one-seed shards", stats.Shards, stats.ShardSize)
 	}
 	if stats.Throughput.Min == stats.Throughput.Max {
 		t.Fatalf("all three runs had throughput %v: the seeds were reused", stats.Throughput.Min)
