@@ -98,7 +98,7 @@ func TestScheduleReleaseBeforeFire(t *testing.T) {
 // contract for the kernel: once the pool and the heap's backing array
 // are warm, Schedule+Step allocates nothing. The callback is bound once,
 // outside the measured loop — a fresh capturing closure per call would
-// allocate at the caller, which is exactly what the allocs analyzer
+// allocate at the caller, which is exactly what the hotpath analyzer
 // flags there.
 func TestScheduleZeroAllocSteadyState(t *testing.T) {
 	sim := NewSimulator(1)
