@@ -703,7 +703,7 @@ func (x effects) checkRoot(label string, body *ast.BlockStmt, done map[token.Pos
 		if done[s.pos] {
 			continue
 		}
-		site := x.renderOne(root, s)
+		site := x.renderOne(s)
 		if len(site.Chain) == 0 {
 			x.pass.Reportf(s.pos, "%s must stay pure: %s", label, s.what)
 			continue

@@ -168,8 +168,11 @@ func runHotpath(pass *analysis.Pass) (any, error) {
 			if !ok {
 				continue
 			}
+			// The budget counts every site of the function's summary; the
+			// fact keeps only the first maxSites of them to report.
+			n := len(a.byObj[fn].sites)
 			var fact AllocsFact
-			if !pass.ImportObjectFact(fn, &fact) || len(fact.Sites) <= spec.budget {
+			if n <= spec.budget || !pass.ImportObjectFact(fn, &fact) {
 				continue
 			}
 			for _, site := range fact.Sites {
@@ -177,7 +180,7 @@ func runHotpath(pass *analysis.Pass) (any, error) {
 					fd.Name.Name, site.What, site.File, site.Line)
 				if spec.budget > 0 {
 					msg = fmt.Sprintf("%s [budget allocs=%d exceeded: %d sites]",
-						msg, spec.budget, len(fact.Sites))
+						msg, spec.budget, n)
 				}
 				pass.Report(analysis.Diagnostic{
 					Pos:     fd.Name.Pos(),

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPurity(t *testing.T) {
-	analysistest.Run(t, "testdata", Effects, "purity/flagged", "purity/deep")
+	analysistest.Run(t, "testdata", Effects, "purity/flagged", "purity/deep", "purity/mutual")
 }
 
 func TestPurityAllowed(t *testing.T) {

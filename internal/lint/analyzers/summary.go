@@ -167,16 +167,16 @@ func (e *engine) render(sum *summary) []Site {
 	}
 	out := make([]Site, len(ordered))
 	for i, s := range ordered {
-		out[i] = e.renderOne(sum, s)
+		out[i] = e.renderOne(s)
 	}
 	return out
 }
 
-// renderOne resolves one site of sum.
-func (e *engine) renderOne(sum *summary, s *site) Site {
+// renderOne resolves one site.
+func (e *engine) renderOne(s *site) Site {
 	chain := s.chain
 	if s.callee != nil {
-		chain = e.chainFor(s.callee, map[*types.Func]bool{sum.fn: true})
+		chain = e.chainFor(s.callee, make(map[*types.Func]bool))
 	}
 	if len(chain) > maxChainDepth {
 		chain = chain[:maxChainDepth]
@@ -185,33 +185,32 @@ func (e *engine) renderOne(sum *summary, s *site) Site {
 	return Site{What: s.what, File: filepath.Base(p.Filename), Line: p.Line, Chain: chain}
 }
 
-// chainFor renders the call chain starting at a same-package callee,
-// following each function's first site by position through further
-// same-package calls, with a visited set guarding recursion.
+// chainFor renders the call chain starting at a same-package callee down
+// to a construct. At each function it follows the first site by position
+// that is a construct or calls a function not yet visited, and backs up
+// to the next site when a callee reaches only visited functions, so a
+// chain through mutual recursion still ends at the construct. It returns
+// nil when fn reaches nothing unvisited.
 func (e *engine) chainFor(fn *types.Func, visited map[*types.Func]bool) []string {
-	var chain []string
-	for fn != nil && len(chain) < maxChainDepth && !visited[fn] {
-		visited[fn] = true
-		sum, ok := e.byObj[fn]
-		if !ok || len(sum.sites) == 0 {
-			break
-		}
-		var first *site
-		for _, s := range sum.sites {
-			if first == nil || s.pos < first.pos {
-				first = s
-			}
-		}
-		p := e.pass.Fset.Position(first.pos)
-		chain = append(chain, renderSite(funcName(fn), first.what, filepath.Base(p.Filename), p.Line))
-		if first.callee != nil {
-			fn = first.callee
+	sum, ok := e.byObj[fn]
+	if !ok || visited[fn] {
+		return nil
+	}
+	visited[fn] = true
+	for _, s := range sorted(sum) {
+		if s.callee != nil && visited[s.callee] {
 			continue
 		}
-		chain = append(chain, first.chain...)
-		break
+		p := e.pass.Fset.Position(s.pos)
+		step := renderSite(funcName(fn), s.what, filepath.Base(p.Filename), p.Line)
+		if s.callee == nil {
+			return append([]string{step}, s.chain...)
+		}
+		if rest := e.chainFor(s.callee, visited); rest != nil {
+			return append([]string{step}, rest...)
+		}
 	}
-	return chain
+	return nil
 }
 
 // funcName renders a function as the last element of its package path

@@ -20,6 +20,20 @@ func Over() ([]int, map[string]int) { // want `function Over allocates: make sli
 	return s, m
 }
 
+// Six sites over a budget of four: the budget counts every site, though
+// only the first four are reported.
+//
+//lint:hotpath allocs=4
+func OverCap() { // want `function OverCap allocates: make slice \(budget\.go:\d+\) \[budget allocs=4 exceeded: 6 sites\]` `function OverCap allocates: make map \(budget\.go:\d+\) \[budget allocs=4 exceeded: 6 sites\]` `function OverCap allocates: make chan \(budget\.go:\d+\) \[budget allocs=4 exceeded: 6 sites\]` `function OverCap allocates: make slice \(budget\.go:\d+\) \[budget allocs=4 exceeded: 6 sites\]`
+	a := make([]int, 1)
+	b := make(map[int]int)
+	c := make(chan int)
+	d := make([]byte, 1)
+	e := make([]string, 1)
+	f := make(map[string]int)
+	_, _, _, _, _, _ = a, b, c, d, e, f
+}
+
 //lint:hotpath allocs=x // want `budget must be a non-negative integer`
 func BadBudget() {}
 
