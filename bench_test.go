@@ -22,6 +22,17 @@ import (
 // millibottleneck periods.
 const benchDuration = 45 * time.Second
 
+// registered returns the registry's scenario of that name, failing the
+// benchmark when there is none.
+func registered(b *testing.B, name string) core.Config {
+	b.Helper()
+	cfg, ok := core.Scenarios()[name]
+	if !ok {
+		b.Fatalf("no registered scenario %q", name)
+	}
+	return cfg
+}
+
 func runScenario(b *testing.B, cfg core.Config) *core.Result {
 	b.Helper()
 	cfg.Duration = benchDuration
@@ -39,10 +50,11 @@ func reportCommon(b *testing.B, res *core.Result) {
 	b.ReportMetric(float64(res.TotalDrops), "drops/run")
 }
 
-func benchFigure1(b *testing.B, clients int, paperTput float64, paperUtil int) {
+func benchFigure1(b *testing.B, scenario string, paperTput float64, paperUtil int) {
+	cfg := registered(b, scenario)
 	var res *core.Result
 	for i := 0; i < b.N; i++ {
-		res = runScenario(b, core.Figure1Config(clients))
+		res = runScenario(b, cfg)
 	}
 	reportCommon(b, res)
 	name, util := res.HighestMeanUtil()
@@ -59,9 +71,9 @@ func benchFigure1(b *testing.B, clients int, paperTput float64, paperUtil int) {
 	}
 }
 
-func BenchmarkFigure1_WL4000(b *testing.B) { benchFigure1(b, 4000, 572, 43) }
-func BenchmarkFigure1_WL7000(b *testing.B) { benchFigure1(b, 7000, 990, 75) }
-func BenchmarkFigure1_WL8000(b *testing.B) { benchFigure1(b, 8000, 1103, 85) }
+func BenchmarkFigure1_WL4000(b *testing.B) { benchFigure1(b, "fig1-wl4000", 572, 43) }
+func BenchmarkFigure1_WL7000(b *testing.B) { benchFigure1(b, "fig1-wl7000", 990, 75) }
+func BenchmarkFigure1_WL8000(b *testing.B) { benchFigure1(b, "fig1-wl8000", 1103, 85) }
 
 // benchCTQO runs a CTQO scenario and logs the drop attribution rows of the
 // figure's panel (c).
@@ -85,47 +97,47 @@ func benchCTQO(b *testing.B, cfg core.Config, paper string) {
 }
 
 func BenchmarkFigure3_UpstreamCTQO(b *testing.B) {
-	benchCTQO(b, core.Figure3Config(),
+	benchCTQO(b, registered(b, "fig3"),
 		"Tomcat millibottlenecks; Apache queue exceeds 278 (428 after spare); drops+VLRT at Apache")
 }
 
 func BenchmarkFigure5_LogFlush(b *testing.B) {
-	benchCTQO(b, core.Figure5Config(),
+	benchCTQO(b, registered(b, "fig5"),
 		"MySQL I/O stalls every 30s; chain MySQL->Tomcat->Apache; drops at Apache")
 }
 
 func BenchmarkFigure7_NX1(b *testing.B) {
-	benchCTQO(b, core.Figure7Config(),
+	benchCTQO(b, registered(b, "fig7"),
 		"no drops at Nginx; downstream CTQO drops at Tomcat (MaxSysQDepth 293)")
 }
 
 func BenchmarkFigure8_NX2MySQLBottleneck(b *testing.B) {
-	benchCTQO(b, core.Figure8Config(),
+	benchCTQO(b, registered(b, "fig8"),
 		"MySQL millibottleneck; downstream CTQO drops at MySQL (MaxSysQDepth 228)")
 }
 
 func BenchmarkFigure9_NX2BatchRelease(b *testing.B) {
-	benchCTQO(b, core.Figure9Config(),
+	benchCTQO(b, registered(b, "fig9"),
 		"XTomcat millibottleneck; batch release overflows MySQL (228)")
 }
 
 func BenchmarkFigure10_NX3CPUBottleneck(b *testing.B) {
-	benchCTQO(b, core.Figure10Config(),
+	benchCTQO(b, registered(b, "fig10"),
 		"same millibottleneck, all tiers async: no CTQO, no drops")
 }
 
 func BenchmarkFigure11_NX3IOBottleneck(b *testing.B) {
-	benchCTQO(b, core.Figure11Config(),
+	benchCTQO(b, registered(b, "fig11"),
 		"XMySQL I/O stalls, all tiers async: no CTQO, no drops")
 }
 
 func BenchmarkNX1MySQLBottleneck(b *testing.B) {
-	benchCTQO(b, core.NX1MySQLBottleneckConfig(),
+	benchCTQO(b, registered(b, "nx1-mysql"),
 		"(graphs omitted in the paper) MySQL millibottleneck under NX=1: upstream CTQO at Tomcat")
 }
 
 func BenchmarkAbstractClaim_AsyncAt83Percent(b *testing.B) {
-	benchCTQO(b, core.AsyncHighUtilConfig(),
+	benchCTQO(b, registered(b, "async-highutil"),
 		"all-async system: no CTQO or drops at utilization as high as 83%")
 }
 
@@ -206,7 +218,7 @@ func BenchmarkAblationRetransmitTimer(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			cfg := core.Figure1Config(7000)
+			cfg := registered(b, "fig1-wl7000")
 			cfg.Trace = false
 			cfg.RTO = v.rto
 			cfg.Backoff = v.backoff
@@ -222,7 +234,7 @@ func BenchmarkAblationBacklog(b *testing.B) {
 	for _, backlog := range []int{64, 128, 512} {
 		backlog := backlog
 		b.Run(fmt.Sprintf("backlog=%d", backlog), func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			cfg.Tweak = func(spec *ntier.SystemSpec) {
 				spec.Web.Backlog = backlog
@@ -240,7 +252,7 @@ func BenchmarkAblationThreadPool(b *testing.B) {
 	for _, threads := range []int{150, 600, 2000} {
 		threads := threads
 		b.Run(fmt.Sprintf("threads=%d", threads), func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			cfg.ThreadOverride = threads
 			cfg.OverheadPerThread = core.Figure12Overhead
@@ -256,7 +268,7 @@ func BenchmarkAblationBurstLength(b *testing.B) {
 	for _, size := range []int{150, 300, 450, 600} {
 		size := size
 		b.Run(fmt.Sprintf("burstCPU=%dms", size), func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			cfg.Consolidation = &core.ConsolidationSpec{
 				Tier:      core.TierApp,
@@ -277,7 +289,7 @@ func BenchmarkAblationConnPool(b *testing.B) {
 	for _, pool := range []int{25, 50, 200} {
 		pool := pool
 		b.Run(fmt.Sprintf("pool=%d", pool), func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			cfg.Tweak = func(spec *ntier.SystemSpec) {
 				spec.DBConnPool = pool
@@ -314,7 +326,7 @@ func BenchmarkAblationKernelProfile(b *testing.B) {
 	for i := range profiles {
 		p := profiles[i]
 		b.Run(p.Name, func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			cfg.Kernel = &p
 			res := runAblation(b, cfg)
@@ -330,11 +342,10 @@ func BenchmarkAblationKernelProfile(b *testing.B) {
 // BenchmarkAblationGCPause contrasts the GC millibottleneck source under
 // the synchronous and asynchronous architectures.
 func BenchmarkAblationGCPause(b *testing.B) {
-	for _, level := range []ntier.NX{ntier.NX0, ntier.NX3} {
-		level := level
-		b.Run(level.String(), func(b *testing.B) {
-			cfg := core.GCMillibottleneckConfig(level)
-			cfg.Trace = false
+	for _, name := range []string{"gc-sync", "gc-async"} {
+		cfg := registered(b, name)
+		cfg.Trace = false
+		b.Run(cfg.NX.String(), func(b *testing.B) {
 			runAblation(b, cfg)
 		})
 	}
@@ -355,7 +366,7 @@ func BenchmarkAblationLoadShedding(b *testing.B) {
 	for _, v := range variants {
 		v := v
 		b.Run(v.name, func(b *testing.B) {
-			cfg := core.Figure3Config()
+			cfg := registered(b, "fig3")
 			cfg.Trace = false
 			if v.timeout > 0 {
 				cfg.Tweak = func(spec *ntier.SystemSpec) {

@@ -42,13 +42,14 @@ func main() {
 	}
 }
 
-// figure couples a paper figure with its scenario and the checks that the
-// paper's qualitative claims hold.
+// figure couples a paper figure with its registered scenario and the
+// checks that the paper's qualitative claims hold.
 type figure struct {
-	id     string
-	paper  string // what the paper reports
-	cfg    core.Config
-	render func(res *core.Result) string
+	id       string
+	paper    string // what the paper reports
+	scenario string // name in core.Scenarios()
+	quick    time.Duration
+	render   func(res *core.Result) string
 }
 
 func run(args []string) error {
@@ -97,12 +98,23 @@ func run(args []string) error {
 func regenerate(outDir, only string, quick bool, workers int, simstats bool) error {
 	runner := core.NewRunner(workers)
 
+	scenarios := core.Scenarios()
 	var figs []figure
-	for _, fig := range figures(quick) {
-		if only == "" || fig.id == only {
-			fig.cfg.SimStats = simstats
-			figs = append(figs, fig)
+	var cfgs []core.Config
+	for _, fig := range figures() {
+		if only != "" && fig.id != only {
+			continue
 		}
+		cfg, ok := scenarios[fig.scenario]
+		if !ok {
+			return fmt.Errorf("figure %s: unknown scenario %q", fig.id, fig.scenario)
+		}
+		if quick {
+			cfg.Duration = fig.quick
+		}
+		cfg.SimStats = simstats
+		figs = append(figs, fig)
+		cfgs = append(cfgs, cfg)
 	}
 
 	var report strings.Builder
@@ -114,7 +126,7 @@ func regenerate(outDir, only string, quick bool, workers int, simstats bool) err
 	walls := make([]time.Duration, len(figs))
 	err := runner.Do(len(figs), func(i int) error {
 		start := time.Now()
-		res, err := core.New(figs[i].cfg).Run()
+		res, err := core.New(cfgs[i]).Run()
 		if err != nil {
 			return fmt.Errorf("figure %s: %w", figs[i].id, err)
 		}
@@ -221,13 +233,9 @@ func benchParallel(benchPath, outDir, only string, quick bool, workers int, sims
 	return nil
 }
 
-func figures(quick bool) []figure {
-	shorten := func(cfg core.Config, quickDur time.Duration) core.Config {
-		if quick {
-			cfg.Duration = quickDur
-		}
-		return cfg
-	}
+// figures lists the regenerated figures in report order, each with the
+// measured duration that -quick runs it for.
+func figures() []figure {
 	histRender := func(res *core.Result) string {
 		name, util := res.HighestMeanUtil()
 		return fmt.Sprintf("throughput %.0f req/s, highest avg CPU %.0f%% (%s), clusters at %v s, VLRT %d",
@@ -264,76 +272,88 @@ func figures(quick bool) []figure {
 
 	return []figure{
 		{
-			id:     "1a",
-			paper:  "WL 4000: 572 req/s, 43% CPU, multi-modal peaks near 0/3/6/9s",
-			cfg:    shorten(core.Figure1Config(4000), 60*time.Second),
-			render: histRender,
+			id:       "1a",
+			paper:    "WL 4000: 572 req/s, 43% CPU, multi-modal peaks near 0/3/6/9s",
+			scenario: "fig1-wl4000",
+			quick:    60 * time.Second,
+			render:   histRender,
 		},
 		{
-			id:     "1b",
-			paper:  "WL 7000: 990 req/s, 75% CPU, multi-modal peaks near 0/3/6/9s",
-			cfg:    shorten(core.Figure1Config(7000), 60*time.Second),
-			render: histRender,
+			id:       "1b",
+			paper:    "WL 7000: 990 req/s, 75% CPU, multi-modal peaks near 0/3/6/9s",
+			scenario: "fig1-wl7000",
+			quick:    60 * time.Second,
+			render:   histRender,
 		},
 		{
-			id:     "1c",
-			paper:  "WL 8000: 1103 req/s, 85% CPU, multi-modal peaks near 0/3/6/9s",
-			cfg:    shorten(core.Figure1Config(8000), 60*time.Second),
-			render: histRender,
+			id:       "1c",
+			paper:    "WL 8000: 1103 req/s, 85% CPU, multi-modal peaks near 0/3/6/9s",
+			scenario: "fig1-wl8000",
+			quick:    60 * time.Second,
+			render:   histRender,
 		},
 		{
-			id:     "3",
-			paper:  "upstream CTQO: Tomcat millibottlenecks fill Apache past 278 (428 after spare process); drops and VLRT at Apache",
-			cfg:    shorten(core.Figure3Config(), 45*time.Second),
-			render: ctqoRender,
+			id:       "3",
+			paper:    "upstream CTQO: Tomcat millibottlenecks fill Apache past 278 (428 after spare process); drops and VLRT at Apache",
+			scenario: "fig3",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "5",
-			paper:  "I/O millibottlenecks in MySQL every 30s; upstream CTQO chain MySQL->Tomcat->Apache; drops at Apache",
-			cfg:    shorten(core.Figure5Config(), 70*time.Second),
-			render: ctqoRender,
+			id:       "5",
+			paper:    "I/O millibottlenecks in MySQL every 30s; upstream CTQO chain MySQL->Tomcat->Apache; drops at Apache",
+			scenario: "fig5",
+			quick:    70 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "7",
-			paper:  "NX=1: no drops at Nginx; downstream CTQO drops at Tomcat (MaxSysQDepth 293)",
-			cfg:    shorten(core.Figure7Config(), 45*time.Second),
-			render: ctqoRender,
+			id:       "7",
+			paper:    "NX=1: no drops at Nginx; downstream CTQO drops at Tomcat (MaxSysQDepth 293)",
+			scenario: "fig7",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "8",
-			paper:  "NX=2: MySQL millibottleneck; downstream CTQO drops at MySQL (MaxSysQDepth 228)",
-			cfg:    shorten(core.Figure8Config(), 45*time.Second),
-			render: ctqoRender,
+			id:       "8",
+			paper:    "NX=2: MySQL millibottleneck; downstream CTQO drops at MySQL (MaxSysQDepth 228)",
+			scenario: "fig8",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "9",
-			paper:  "NX=2: XTomcat millibottleneck; batch release overflows MySQL (228); drops at MySQL",
-			cfg:    shorten(core.Figure9Config(), 45*time.Second),
-			render: ctqoRender,
+			id:       "9",
+			paper:    "NX=2: XTomcat millibottleneck; batch release overflows MySQL (228); drops at MySQL",
+			scenario: "fig9",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "10",
-			paper:  "NX=3: same CPU millibottleneck; no CTQO, no drops",
-			cfg:    shorten(core.Figure10Config(), 45*time.Second),
-			render: ctqoRender,
+			id:       "10",
+			paper:    "NX=3: same CPU millibottleneck; no CTQO, no drops",
+			scenario: "fig10",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "11",
-			paper:  "NX=3: I/O millibottleneck in XMySQL; no CTQO, no drops",
-			cfg:    shorten(core.Figure11Config(), 70*time.Second),
-			render: ctqoRender,
+			id:       "11",
+			paper:    "NX=3: I/O millibottleneck in XMySQL; no CTQO, no drops",
+			scenario: "fig11",
+			quick:    70 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "V-B-omitted",
-			paper:  "NX=1, MySQL millibottleneck: upstream CTQO, drops at Tomcat (graphs omitted in the paper)",
-			cfg:    shorten(core.NX1MySQLBottleneckConfig(), 45*time.Second),
-			render: ctqoRender,
+			id:       "V-B-omitted",
+			paper:    "NX=1, MySQL millibottleneck: upstream CTQO, drops at Tomcat (graphs omitted in the paper)",
+			scenario: "nx1-mysql",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 		{
-			id:     "abstract",
-			paper:  "all-async system shows no CTQO at utilization as high as 83%",
-			cfg:    shorten(core.AsyncHighUtilConfig(), 45*time.Second),
-			render: ctqoRender,
+			id:       "abstract",
+			paper:    "all-async system shows no CTQO at utilization as high as 83%",
+			scenario: "async-highutil",
+			quick:    45 * time.Second,
+			render:   ctqoRender,
 		},
 	}
 }

@@ -8,10 +8,13 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"ctqosim/internal/core"
 )
 
 func TestFigureTableCoversTheEvaluation(t *testing.T) {
-	figs := figures(true)
+	figs := figures()
+	scenarios := core.Scenarios()
 	want := map[string]bool{
 		"1a": false, "1b": false, "1c": false,
 		"3": false, "5": false, "7": false, "8": false, "9": false,
@@ -21,8 +24,11 @@ func TestFigureTableCoversTheEvaluation(t *testing.T) {
 		if _, ok := want[f.id]; ok {
 			want[f.id] = true
 		}
-		if f.paper == "" || f.render == nil {
+		if f.paper == "" || f.render == nil || f.quick <= 0 {
 			t.Errorf("figure %s incompletely described", f.id)
+		}
+		if _, ok := scenarios[f.scenario]; !ok {
+			t.Errorf("figure %s names unknown scenario %q", f.id, f.scenario)
 		}
 	}
 	for id, seen := range want {

@@ -45,7 +45,7 @@ func TestSimulationMatchesMVA(t *testing.T) {
 // measurement: the same run that queueing theory says cannot produce >3s
 // responses produces thousands of them via drops.
 func TestVLRTImpossibleUnderSteadyQueueing(t *testing.T) {
-	res := mustRun(t, shorten(Figure1Config(7000), 60*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig1-wl7000"), 60*time.Second))
 	_, util := res.HighestMeanUtil()
 
 	odds := analytic.VLRTOddsUnderQueueing(util, 750*time.Microsecond)

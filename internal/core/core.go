@@ -3,9 +3,13 @@
 // figure of the paper, and exposes the Section III arithmetic model that
 // predicts when a millibottleneck overflows a server's MaxSysQDepth.
 //
-// A typical use:
+// Every configuration of the evaluation is an embedded scenario file,
+// compiled into a Config and looked up by name in Scenarios(). A typical
+// use:
 //
-//	res, err := core.New(core.Figure3Config()).Run()
+//	cfg, ok := core.Scenarios()["fig3"]
+//	if !ok { ... }
+//	res, err := core.New(cfg).Run()
 //	fmt.Println(res.Summary())
 package core
 

@@ -11,7 +11,7 @@ import (
 )
 
 func TestWriteCSVs(t *testing.T) {
-	res := mustRun(t, shorten(Figure3Config(), 20*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 20*time.Second))
 	dir := t.TempDir()
 	if err := WriteCSVs(res, dir); err != nil {
 		t.Fatalf("WriteCSVs: %v", err)
@@ -93,7 +93,7 @@ func readCSV(t *testing.T, path string) [][]string {
 // TestEndToEndInvariants checks cross-cutting conservation laws on a run
 // that includes drops, retransmissions and all three tiers.
 func TestEndToEndInvariants(t *testing.T) {
-	res := mustRun(t, shorten(Figure3Config(), 30*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 30*time.Second))
 
 	// Every VLRT request is attributed to the tier that first dropped one
 	// of its packets: in every window the per-tier series sum to the whole
@@ -128,7 +128,7 @@ func TestEndToEndInvariants(t *testing.T) {
 }
 
 func TestWriteSVGs(t *testing.T) {
-	res := mustRun(t, shorten(Figure3Config(), 20*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 20*time.Second))
 	dir := t.TempDir()
 	if err := WriteSVGs(res, dir); err != nil {
 		t.Fatalf("WriteSVGs: %v", err)

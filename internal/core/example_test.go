@@ -27,7 +27,7 @@ func ExampleMinBurstForOverflow() {
 // Running a full experiment: the Fig. 3 consolidation scenario, shortened.
 // The simulation is deterministic, so the qualitative outcome is stable.
 func ExampleNew() {
-	cfg := core.Figure3Config()
+	cfg := core.Scenarios()["fig3"]
 	cfg.Duration = 20 * time.Second
 	cfg.Trace = false
 
@@ -49,7 +49,7 @@ func ExampleNew() {
 
 // The same millibottleneck against the fully asynchronous system.
 func ExampleNew_async() {
-	cfg := core.Figure3Config()
+	cfg := core.Scenarios()["fig3"]
 	cfg.NX = ntier.NX3
 	cfg.Duration = 20 * time.Second
 	cfg.Trace = false

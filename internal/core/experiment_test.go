@@ -18,6 +18,17 @@ func shorten(cfg Config, d time.Duration) Config {
 	return cfg
 }
 
+// registered returns the registry's scenario of that name, failing the
+// test when there is none.
+func registered(t testing.TB, name string) Config {
+	t.Helper()
+	cfg, ok := Scenarios()[name]
+	if !ok {
+		t.Fatalf("no registered scenario %q", name)
+	}
+	return cfg
+}
+
 func mustRun(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := New(cfg).Run()
@@ -70,7 +81,7 @@ func TestSteadyBaselineNoDrops(t *testing.T) {
 }
 
 func TestFigure1MultiModalDistribution(t *testing.T) {
-	res := mustRun(t, shorten(Figure1Config(7000), 90*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig1-wl7000"), 90*time.Second))
 
 	if res.Throughput < 850 || res.Throughput > 1100 {
 		t.Fatalf("throughput = %.0f, want ~990 req/s", res.Throughput)
@@ -96,7 +107,7 @@ func TestFigure1MultiModalDistribution(t *testing.T) {
 func TestFigure1LowUtilizationStillDrops(t *testing.T) {
 	// The headline of Section III: VLRT requests appear at moderate
 	// utilization, far from saturation.
-	res := mustRun(t, shorten(Figure1Config(4000), 90*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig1-wl4000"), 90*time.Second))
 	if res.VLRTCount == 0 {
 		t.Fatal("no VLRT requests at WL 4000; the paper reproduces them at 43% util")
 	}
@@ -107,7 +118,7 @@ func TestFigure1LowUtilizationStillDrops(t *testing.T) {
 }
 
 func TestFigure3UpstreamCTQO(t *testing.T) {
-	res := mustRun(t, Figure3Config())
+	res := mustRun(t, registered(t, "fig3"))
 
 	if res.DropsPerServer["steady-apache"] == 0 {
 		t.Fatalf("no drops at Apache; drops = %v", res.DropsPerServer)
@@ -136,7 +147,7 @@ func TestFigure3UpstreamCTQO(t *testing.T) {
 }
 
 func TestFigure5IOMillibottleneck(t *testing.T) {
-	res := mustRun(t, shorten(Figure5Config(), 70*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig5"), 70*time.Second))
 
 	if res.DropsPerServer["steady-apache"] == 0 {
 		t.Fatalf("no drops at Apache; drops = %v", res.DropsPerServer)
@@ -157,7 +168,7 @@ func TestFigure5IOMillibottleneck(t *testing.T) {
 }
 
 func TestFigure7DownstreamCTQOAtTomcat(t *testing.T) {
-	res := mustRun(t, Figure7Config())
+	res := mustRun(t, registered(t, "fig7"))
 
 	if res.DropsPerServer["steady-nginx"] != 0 {
 		t.Fatalf("the async web tier dropped packets: %v", res.DropsPerServer)
@@ -175,7 +186,7 @@ func TestFigure7DownstreamCTQOAtTomcat(t *testing.T) {
 }
 
 func TestFigure8DownstreamCTQOAtMySQL(t *testing.T) {
-	res := mustRun(t, Figure8Config())
+	res := mustRun(t, registered(t, "fig8"))
 
 	if res.DropsPerServer["steady-mysql"] == 0 {
 		t.Fatalf("no drops at MySQL; drops = %v", res.DropsPerServer)
@@ -189,7 +200,7 @@ func TestFigure8DownstreamCTQOAtMySQL(t *testing.T) {
 }
 
 func TestFigure9BatchReleaseOverflowsMySQL(t *testing.T) {
-	res := mustRun(t, Figure9Config())
+	res := mustRun(t, registered(t, "fig9"))
 
 	if res.DropsPerServer["steady-mysql"] == 0 {
 		t.Fatalf("no drops at MySQL; drops = %v", res.DropsPerServer)
@@ -207,7 +218,7 @@ func TestFigure9BatchReleaseOverflowsMySQL(t *testing.T) {
 }
 
 func TestFigure10NoCTQO(t *testing.T) {
-	res := mustRun(t, Figure10Config())
+	res := mustRun(t, registered(t, "fig10"))
 
 	if res.TotalDrops != 0 {
 		t.Fatalf("NX=3 dropped %d packets under the same millibottleneck", res.TotalDrops)
@@ -225,7 +236,7 @@ func TestFigure10NoCTQO(t *testing.T) {
 }
 
 func TestFigure11NoCTQOUnderIOStall(t *testing.T) {
-	res := mustRun(t, shorten(Figure11Config(), 70*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig11"), 70*time.Second))
 
 	if res.TotalDrops != 0 || res.VLRTCount != 0 {
 		t.Fatalf("NX=3 under I/O stalls: drops=%d vlrt=%d, want 0/0",
@@ -238,7 +249,7 @@ func TestFigure11NoCTQOUnderIOStall(t *testing.T) {
 }
 
 func TestNX1MySQLBottleneckUpstreamAtTomcat(t *testing.T) {
-	res := mustRun(t, NX1MySQLBottleneckConfig())
+	res := mustRun(t, registered(t, "nx1-mysql"))
 
 	if res.DropsPerServer["steady-tomcat"] == 0 {
 		t.Fatalf("no drops at Tomcat; drops = %v", res.DropsPerServer)
@@ -252,7 +263,7 @@ func TestNX1MySQLBottleneckUpstreamAtTomcat(t *testing.T) {
 }
 
 func TestAsyncHighUtilizationNoDrops(t *testing.T) {
-	res := mustRun(t, AsyncHighUtilConfig())
+	res := mustRun(t, registered(t, "async-highutil"))
 
 	_, util := res.HighestMeanUtil()
 	if util < 0.78 {
@@ -282,31 +293,8 @@ func TestFigure12Shape(t *testing.T) {
 	}
 }
 
-func TestDeterminismAcrossRuns(t *testing.T) {
-	cfg := shorten(Figure3Config(), 30*time.Second)
-	a := mustRun(t, cfg)
-	b := mustRun(t, cfg)
-	if a.TotalDrops != b.TotalDrops || a.VLRTCount != b.VLRTCount ||
-		a.Recorder.Len() != b.Recorder.Len() {
-		t.Fatalf("runs diverged: drops %d/%d vlrt %d/%d n %d/%d",
-			a.TotalDrops, b.TotalDrops, a.VLRTCount, b.VLRTCount,
-			a.Recorder.Len(), b.Recorder.Len())
-	}
-}
-
-func TestSeedChangesOutcome(t *testing.T) {
-	cfg := shorten(Figure3Config(), 30*time.Second)
-	a := mustRun(t, cfg)
-	cfg.Seed = 99
-	b := mustRun(t, cfg)
-	if a.Recorder.Mean() == b.Recorder.Mean() && a.TotalDrops == b.TotalDrops &&
-		a.Recorder.Len() == b.Recorder.Len() {
-		t.Fatal("different seeds produced identical results; RNG not wired through")
-	}
-}
-
 func TestSummaryRendering(t *testing.T) {
-	res := mustRun(t, shorten(Figure3Config(), 30*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 30*time.Second))
 	s := res.Summary()
 	for _, want := range []string{"figure-3", "throughput", "VLRT", "dropped packets", "p99"} {
 		if !strings.Contains(s, want) {
@@ -317,7 +305,7 @@ func TestSummaryRendering(t *testing.T) {
 
 func TestVLRTSeriesAlignsWithBursts(t *testing.T) {
 	// VLRT requests appear around burst times (15s periods), not uniformly.
-	res := mustRun(t, shorten(Figure3Config(), 40*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 40*time.Second))
 	series := res.VLRTSeries("steady-apache")
 	var total, nonZeroWindows int
 	for _, c := range series {
@@ -337,7 +325,7 @@ func TestVLRTSeriesAlignsWithBursts(t *testing.T) {
 }
 
 func TestTweakHook(t *testing.T) {
-	cfg := shorten(Figure3Config(), 20*time.Second)
+	cfg := shorten(registered(t, "fig3"), 20*time.Second)
 	cfg.Trace = false
 	cfg.Tweak = func(spec *ntier.SystemSpec) {
 		spec.Web.Backlog = 1024 // deep backlog swallows the burst
@@ -353,7 +341,7 @@ func TestGCMillibottleneckSyncVsAsync(t *testing.T) {
 	// drops and VLRT requests; the asynchronous one absorbs them — the
 	// paper's claim that the async fix is agnostic to the millibottleneck
 	// cause (Section II, third class).
-	syncRes := mustRun(t, shorten(GCMillibottleneckConfig(ntier.NX0), 40*time.Second))
+	syncRes := mustRun(t, shorten(registered(t, "gc-sync"), 40*time.Second))
 	if syncRes.TotalDrops == 0 || syncRes.VLRTCount == 0 {
 		t.Fatalf("sync under GC: drops=%d vlrt=%d, want CTQO",
 			syncRes.TotalDrops, syncRes.VLRTCount)
@@ -362,7 +350,7 @@ func TestGCMillibottleneckSyncVsAsync(t *testing.T) {
 		t.Fatalf("no upstream CTQO from the GC stall:\n%s", syncRes.Report)
 	}
 
-	asyncRes := mustRun(t, shorten(GCMillibottleneckConfig(ntier.NX3), 40*time.Second))
+	asyncRes := mustRun(t, shorten(registered(t, "gc-async"), 40*time.Second))
 	if asyncRes.TotalDrops != 0 || asyncRes.VLRTCount != 0 {
 		t.Fatalf("async under GC: drops=%d vlrt=%d, want 0/0",
 			asyncRes.TotalDrops, asyncRes.VLRTCount)
@@ -373,7 +361,7 @@ func TestKernelProfileChangesBehaviour(t *testing.T) {
 	// RHEL6 (the paper): drops with 3s retransmission. Modern Linux:
 	// the huge backlog absorbs the burst (bufferbloat trade-off) — no
 	// drops but the burst is served late from a deep queue.
-	base := shorten(Figure3Config(), 30*time.Second)
+	base := shorten(registered(t, "fig3"), 30*time.Second)
 	base.Trace = false
 
 	rhel := base
@@ -446,7 +434,7 @@ func TestVLRTIsClassBlind(t *testing.T) {
 	// themselves" — the tail is caused by drops at admission, so even the
 	// cheapest static requests land in it. Verify the VLRT population
 	// spans all interaction classes, including Static.
-	res := mustRun(t, shorten(Figure1Config(7000), 60*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig1-wl7000"), 60*time.Second))
 	classes := res.Recorder.ByClass()
 	if len(classes) != 4 {
 		t.Fatalf("classes = %d, want the 4 RUBBoS interactions", len(classes))
@@ -462,32 +450,11 @@ func TestVLRTIsClassBlind(t *testing.T) {
 	}
 }
 
-func TestEveryScenarioIsDeterministic(t *testing.T) {
-	// Every registry scenario, run twice at a short duration, must be
-	// byte-for-byte reproducible in its headline counters.
-	for name, cfg := range Scenarios() {
-		name, cfg := name, cfg
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg.Duration = 12 * time.Second
-			cfg.Trace = false
-			a := mustRun(t, cfg)
-			b := mustRun(t, cfg)
-			if a.TotalDrops != b.TotalDrops || a.VLRTCount != b.VLRTCount ||
-				a.Recorder.Len() != b.Recorder.Len() {
-				t.Fatalf("scenario %s diverged: drops %d/%d vlrt %d/%d n %d/%d",
-					name, a.TotalDrops, b.TotalDrops, a.VLRTCount, b.VLRTCount,
-					a.Recorder.Len(), b.Recorder.Len())
-			}
-		})
-	}
-}
-
 func TestSubmissionMixScenario(t *testing.T) {
 	// The CTQO phenomena are mix-independent: the read-write submission
 	// mix under the same consolidation bursts still drops at Apache in
 	// NX=0 and nowhere in NX=3.
-	base := shorten(Figure3Config(), 30*time.Second)
+	base := shorten(registered(t, "fig3"), 30*time.Second)
 	base.Trace = false
 	base.Mix = workload.SubmissionMix()
 

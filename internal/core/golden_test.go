@@ -80,24 +80,27 @@ func goldenKeys(t *testing.T) []string {
 	return keys
 }
 
-// goldenConfig returns the run a golden key names. An embedded file runs
-// at seed 1 on the golden horizon; a "#bounded" key runs it with trace
-// and spans off under bounded retention. A "generated/<seed>" key
-// compiles scenario.Generate(seed) and runs it as the document says, at
-// its own seed and horizon.
-func goldenConfig(key string) (Config, error) {
+// goldenConfig returns the run a golden key names and, for a generated
+// key, the document whose assertions it must pass. An embedded file runs
+// at seed 1 on the golden horizon with spans on; a "#bounded" key runs it
+// with trace and spans off under bounded retention. A
+// "generated/<seed>" key compiles scenario.Generate(seed) and runs it as
+// the document says, at its own seed and horizon.
+func goldenConfig(key string) (Config, *scenario.Document, error) {
 	if s, ok := strings.CutPrefix(key, "generated/"); ok {
 		seed, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return Config{}, err
+			return Config{}, nil, err
 		}
-		return FromScenario(scenario.Generate(seed))
+		doc := scenario.Generate(seed)
+		cfg, err := FromScenario(doc)
+		return cfg, doc, err
 	}
 	path, variant, _ := strings.Cut(key, "#")
 	cfg := mustScenario(path)
+	cfg.Spans = variant == ""
 	if variant == "bounded" {
 		cfg.Trace = false
-		cfg.Spans = false
 		cfg.Retention = metrics.RetainBounded
 	}
 	cfg.Seed = 1
@@ -106,26 +109,56 @@ func goldenConfig(key string) (Config, error) {
 	if strings.HasPrefix(path, "scenarios/templates/") {
 		cfg.Clients = goldenConcurrency
 	}
-	return cfg, nil
+	return cfg, nil, nil
 }
 
 // goldenRow runs the key's configuration (goldenConfig) and renders its
 // readable row plus a SHA-256 over the Summarize JSON (with SimStats
 // off), every response time in record order and, on a traced run, the
-// rendered CTQO report. It fails if the run breaks a conservation law
-// (checkConservation).
-func goldenRow(key string) (string, error) {
-	cfg, err := goldenConfig(key)
+// rendered CTQO report. It fails if the run panics, naming the key, if
+// it breaks a conservation law (checkConservation), or if a generated
+// document's assertions fail. An embedded file's row also fails when no
+// trace finished; a file that does not register spans has its breakdown
+// and spans echo stripped before hashing, and the row ends with a
+// SHA-256 over the file's own defaulted effective config, taken before
+// goldenConfig moves it to the golden horizon.
+func goldenRow(key string) (row string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s: %v", key, r)
+		}
+	}()
+	cfg, doc, err := goldenConfig(key)
 	if err != nil {
 		return "", fmt.Errorf("%s: %w", key, err)
 	}
 	cfg.SimStats = true
 	res, err := New(cfg).Run()
 	if err != nil {
-		return "", err
+		return "", fmt.Errorf("%s: %w", key, err)
 	}
 	if err := checkConservation(res); err != nil {
 		return "", fmt.Errorf("%s: %w", key, err)
+	}
+	if doc != nil {
+		if report := scenario.Evaluate(doc.Assertions, res.Outcome()); !report.Pass() {
+			return "", fmt.Errorf("%s: assertions failed:\n%s", key, report)
+		}
+	}
+	var config string
+	if path, variant, _ := strings.Cut(key, "#"); doc == nil && variant == "" {
+		if res.Spans.Finished() == 0 {
+			return "", fmt.Errorf("%s: no trace finished", key)
+		}
+		own := mustScenario(path)
+		if !own.Spans {
+			res.SpanBreakdown, res.Config.Spans = nil, false
+		}
+		js, err := json.Marshal(effectiveConfig(own.withDefaults()))
+		if err != nil {
+			return "", err
+		}
+		config = fmt.Sprintf(" config=%x", sha256.Sum256(js))
 	}
 	st := res.SimStats
 	res.SimStats, res.Config.SimStats = nil, false
@@ -155,10 +188,10 @@ func goldenRow(key string) (string, error) {
 		drops[i] = fmt.Sprintf("%s:%d", name, res.DropsPerServer[name])
 	}
 	rec := res.Recorder
-	return fmt.Sprintf("%s req=%d thr=%.3f p50=%v p99=%v p999=%v vlrt=%d drops=[%s] events=%d/%d peak=%d sha256=%x",
+	return fmt.Sprintf("%s req=%d thr=%.3f p50=%v p99=%v p999=%v vlrt=%d drops=[%s] events=%d/%d peak=%d sha256=%x%s",
 		key, rec.Len(), res.Throughput, rec.Percentile(0.50), rec.Percentile(0.99), rec.Percentile(0.999),
 		res.VLRTCount, strings.Join(drops, ","), st.EventsExecuted, st.EventsScheduled, st.PeakPending,
-		h.Sum(nil)), nil
+		h.Sum(nil), config), nil
 }
 
 // checkConservation checks the run's conservation laws. Every steady and
@@ -235,8 +268,12 @@ func checkKeptDrops(res *Result) error {
 // TestGoldenScenarios pins the behaviour of every embedded scenario file
 // and of the generated seeds across commits: a refactor that claims to
 // change no behaviour must leave every row and digest in
-// testdata/golden.txt unchanged. Run with -update to re-pin after an
-// intended behaviour change.
+// testdata/golden.txt unchanged. It is the one run of each file and seed,
+// and makes every per-run check there (goldenRow): determinism against the
+// committed bytes, conservation, span ownership (a span recorded on a
+// finished trace panics), each file's own config and the generated
+// documents' assertions. Run with -update to re-pin after an intended
+// behaviour change.
 func TestGoldenScenarios(t *testing.T) {
 	keys := goldenKeys(t)
 	rows := make([]string, len(keys))

@@ -7,7 +7,7 @@ import (
 )
 
 func TestResultJSON(t *testing.T) {
-	res := mustRun(t, shorten(Figure3Config(), 25*time.Second))
+	res := mustRun(t, shorten(registered(t, "fig3"), 25*time.Second))
 	data, err := res.JSON()
 	if err != nil {
 		t.Fatalf("JSON: %v", err)
@@ -52,7 +52,7 @@ func TestResultJSON(t *testing.T) {
 }
 
 func TestResultJSONWithoutTrace(t *testing.T) {
-	cfg := shorten(Figure3Config(), 20*time.Second)
+	cfg := shorten(registered(t, "fig3"), 20*time.Second)
 	cfg.Trace = false
 	res := mustRun(t, cfg)
 	data, err := res.JSON()

@@ -63,7 +63,7 @@ func TestSweepByteIdentityBothRetentions(t *testing.T) {
 // level: everything countable is identical, and percentiles agree within
 // the HDR histogram's configured relative error.
 func TestBoundedRunMatchesExact(t *testing.T) {
-	base := shorten(Figure3Config(), 20*time.Second)
+	base := shorten(registered(t, "fig3"), 20*time.Second)
 	exact := mustRun(t, base)
 
 	cfg := base

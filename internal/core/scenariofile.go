@@ -19,8 +19,8 @@ import (
 
 // scenarioFS embeds every committed scenario file: the named registry at
 // the top level, the Fig. 12 sweep templates, and the CTQO matrix cells.
-// The presets in scenarios.go are loaded from here, so the files are the
-// single source of truth for the paper's experiment parameters.
+// The files are the single source of truth for the paper's experiment
+// parameters.
 //
 //go:embed scenarios
 var scenarioFS embed.FS
@@ -173,8 +173,8 @@ func compileMix(entries []scenario.MixEntry) (*workload.Mix, error) {
 }
 
 // compileTweak folds the per-tier overrides into a spec tweak; nil when no
-// override changes anything, so override-free documents compile to configs
-// with a nil Tweak, byte-identical to the legacy Go presets. The returned
+// override changes anything, so an override-free document compiles to a
+// config with a nil Tweak, as a hand-built Config has. The returned
 // closure runs under the Tweak contract: it may only write through the
 // spec handed to it.
 //
@@ -387,8 +387,9 @@ func tierServer(sys *ntier.System, t Tier) server.Server {
 }
 
 // mustScenario loads and compiles an embedded scenario file. The files
-// are committed and covered by tests, so a failure here is a build defect;
-// panicking keeps the preset constructors' signatures unchanged.
+// are committed and covered by tests, so a failure here is a build defect,
+// and panicking keeps the registry's and Figure12Config's signatures
+// free of an error no caller could handle.
 func mustScenario(path string) Config {
 	data, err := scenarioFS.ReadFile(path)
 	if err != nil {

@@ -39,7 +39,7 @@ func TestFromScenarioTweakOverrides(t *testing.T) {
 	}
 
 	// A present-but-empty override must not manufacture a Tweak, or the
-	// compiled config would diverge from the legacy preset shape.
+	// compiled config would carry a no-op closure.
 	doc.Fleet.App = &scenario.TierOverride{}
 	cfg, err = FromScenario(doc)
 	if err != nil {
@@ -166,58 +166,6 @@ func TestChaosScenarioEndToEnd(t *testing.T) {
 	}
 }
 
-// TestGeneratedScenariosProperty is the stress-generator property test:
-// 100 seeded random scenarios must validate, compile, run without panic
-// or deadlock, satisfy their generated assertions, and reproduce byte-
-// identically on a second run — all through the worker pool, so the
-// check also exercises pool scheduling under -race.
-func TestGeneratedScenariosProperty(t *testing.T) {
-	const n = 100
-	cfgs := make([]Config, 0, n)
-	docs := make([]*scenario.Document, 0, n)
-	for seed := int64(1); seed <= n; seed++ {
-		doc := scenario.Generate(seed)
-		if err := doc.Validate(); err != nil {
-			t.Fatalf("Generate(%d) invalid: %v", seed, err)
-		}
-		cfg, err := FromScenario(doc)
-		if err != nil {
-			t.Fatalf("Generate(%d) does not compile: %v", seed, err)
-		}
-		cfgs = append(cfgs, cfg)
-		docs = append(docs, doc)
-	}
-
-	run := func() [][]byte {
-		t.Helper()
-		results, err := NewRunner(0).Run(cfgs)
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		out := make([][]byte, len(results))
-		for i, res := range results {
-			js, err := res.JSON()
-			if err != nil {
-				t.Fatalf("JSON: %v", err)
-			}
-			out[i] = js
-			if report := scenario.Evaluate(docs[i].Assertions, res.Outcome()); !report.Pass() {
-				t.Errorf("seed %d: generated assertions failed:\n%s", i+1, report)
-			}
-		}
-		return out
-	}
-
-	first := run()
-	second := run()
-	for i := range first {
-		if !bytes.Equal(first[i], second[i]) {
-			t.Errorf("seed %d: generated scenario not reproducible:\n%s",
-				i+1, firstDiff(first[i], second[i]))
-		}
-	}
-}
-
 // TestResolveScenario checks both ways in: a registry name brings its
 // document along for the assertions, a path that exists on disk loads
 // that file, and anything else is an unknown scenario.
@@ -243,7 +191,7 @@ func TestResolveScenario(t *testing.T) {
 
 // TestScenarioRegistryParsesAndCompiles walks every embedded file —
 // registry, templates and matrix cells — through parse and compile, so a
-// malformed committed file fails fast even if no preset loads it.
+// malformed committed file fails fast, before any run loads it.
 func TestScenarioRegistryParsesAndCompiles(t *testing.T) {
 	paths := []string{}
 	for _, dir := range []string{"scenarios", "scenarios/templates", "scenarios/cells"} {

@@ -6,75 +6,9 @@ import (
 	"ctqosim/internal/ntier"
 )
 
-// Scenario presets, one per paper figure. Each constructor loads its
-// embedded scenario file (internal/core/scenarios/) and applies only the
-// parameter the constructor's signature varies — the files are the source
-// of truth, and TestScenarioFilesMatchLegacyPresets pins them to the
-// original hand-written values. Durations are chosen so each run spans
-// many millibottleneck periods; Fig. 1 runs longer to populate the
-// histogram tail.
-
-// Figure1Config reproduces one panel of Fig. 1: the multi-modal
-// response-time histogram of the fully synchronous system under VM
-// consolidation, at the given client population (the paper uses 4000,
-// 7000 and 8000; the registry embeds one file per panel).
-func Figure1Config(clients int) Config {
-	cfg := mustScenario("scenarios/fig1-wl7000.json")
-	cfg.Name = fmt.Sprintf("figure-1 WL %d", clients)
-	cfg.Clients = clients
-	return cfg
-}
-
-// Figure3Config reproduces Fig. 3: upstream CTQO from CPU millibottlenecks
-// in SysSteady-Tomcat, co-located with SysBursty-MySQL; drops at Apache.
-func Figure3Config() Config {
-	return mustScenario("scenarios/fig3.json")
-}
-
-// Figure5Config reproduces Fig. 5: upstream CTQO from I/O millibottlenecks
-// (collectl log flush every 30s in MySQL), with the app tier scaled to 4
-// cores so the app tier is no longer the bottleneck.
-func Figure5Config() Config {
-	return mustScenario("scenarios/fig5.json")
-}
-
-// Figure7Config reproduces Fig. 7: NX=1 (Nginx-Tomcat-MySQL) with
-// millibottlenecks in Tomcat — no upstream CTQO at Nginx, but downstream
-// CTQO and drops at Tomcat.
-func Figure7Config() Config {
-	return mustScenario("scenarios/fig7.json")
-}
-
-// Figure8Config reproduces Fig. 8: NX=2 (Nginx-XTomcat-MySQL) with
-// millibottlenecks in MySQL — downstream CTQO and drops at MySQL.
-func Figure8Config() Config {
-	return mustScenario("scenarios/fig8.json")
-}
-
-// Figure9Config reproduces Fig. 9: NX=2 with millibottlenecks in XTomcat —
-// the post-millibottleneck batch release overflows MySQL.
-func Figure9Config() Config {
-	return mustScenario("scenarios/fig9.json")
-}
-
-// Figure10Config reproduces Fig. 10: NX=3 with millibottlenecks in
-// XTomcat — no CTQO, no drops.
-func Figure10Config() Config {
-	return mustScenario("scenarios/fig10.json")
-}
-
-// Figure11Config reproduces Fig. 11: NX=3 with I/O millibottlenecks in
-// XMySQL — no CTQO, no drops.
-func Figure11Config() Config {
-	return mustScenario("scenarios/fig11.json")
-}
-
-// NX1MySQLBottleneckConfig reproduces the experiment the paper describes
-// but omits for space in Section V-B: NX=1 with millibottlenecks in
-// MySQL, causing upstream CTQO at Tomcat.
-func NX1MySQLBottleneckConfig() Config {
-	return mustScenario("scenarios/nx1-mysql.json")
-}
+// The paper's evaluation is the embedded scenario files (Scenarios); only
+// Fig. 12 needs Go, to fill its sync and async templates with a level and a
+// concurrency.
 
 // Figure12Overhead is the calibrated per-thread CPU inflation that decays
 // the 2000-thread synchronous system from ≈1159 to ≈374 req/s over
@@ -141,22 +75,4 @@ func (r *Runner) Figure12(concurrencies []int) ([]ThroughputPoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// AsyncHighUtilConfig checks the abstract's headline claim: with all three
-// tiers asynchronous, CTQO and dropped packets remain absent at utilization
-// as high as 83% (WL 8000), despite the same millibottlenecks.
-func AsyncHighUtilConfig() Config {
-	return mustScenario("scenarios/async-highutil.json")
-}
-
-// GCMillibottleneckConfig reproduces the millibottleneck source of the
-// authors' earlier TRIOS'14 study, cited by Section II as a cause this
-// paper's solution is agnostic to: periodic JVM garbage collections in the
-// app tier stall it long enough to trigger CTQO in the synchronous system.
-func GCMillibottleneckConfig(level ntier.NX) Config {
-	cfg := mustScenario("scenarios/gc-sync.json")
-	cfg.Name = fmt.Sprintf("GC millibottleneck under %s", level)
-	cfg.NX = level
-	return cfg
 }

@@ -61,7 +61,7 @@ func TestSweepClampsAndDefaults(t *testing.T) {
 // at the paper's ~1000 req/s, the runs drop packets, the seeds differ,
 // and the CI brackets the mean.
 func TestSweepFig3(t *testing.T) {
-	cfg := shorten(Figure3Config(), 20*time.Second)
+	cfg := shorten(registered(t, "fig3"), 20*time.Second)
 	cfg.Trace = false
 	stats, err := NewRunner(0).Sweep(SweepConfig{Config: cfg, Seeds: 3})
 	if err != nil {
