@@ -6,10 +6,13 @@
 // reproducible given the same inputs and RNG seed.
 //
 // The scheduler is split by distance-to-due: events park in a three-level
-// hierarchical timer wheel (wheel.go) for O(1) insertion — the paper's
-// 3 s RTO retransmissions above all — and are promoted one 65 µs bucket
-// at a time into a cache-friendly 4-ary min-heap (heap4.go) that only
-// ever orders the events about to fire. Events are pooled, and Schedule
+// hierarchical timer wheel (wheel.go) for O(1) insertion — above all the
+// closed loop's think timers, one per client, seconds out, which make up
+// most of the pending set (retransmissions are scheduled only after a
+// drop and never cancelled) — and are promoted one 65 µs bucket at a time
+// into a cache-friendly 4-ary min-heap (heap4.go) that only ever orders
+// the events about to fire. A heap-only scheduler ran the registered
+// scenarios about a fifth slower (DESIGN.md §14). Events are pooled, and Schedule
 // hands back a small Timer value rather than the event itself.
 // Cancellation is O(1) and lazy: a cancelled event's queued node becomes
 // a tombstone, dropped when the scheduler reaches it. DESIGN.md §14
