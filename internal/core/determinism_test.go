@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -10,6 +12,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,21 +75,61 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunSeedSensitivity is the complementary check: a different seed
-// must change the run's outcome, or the determinism test above would pass
-// vacuously on a simulator that ignores its seed. It compares the
+// seedPair runs the fig3 scenario for 30 s at seeds 7 and 8, once for
+// both seed tests below. Explicit seeds: a zero seed defaults to 1.
+var seedPair = sync.OnceValues(func() ([2]*Result, error) {
+	var runs [2]*Result
+	cfg, ok := Scenarios()["fig3"]
+	if !ok {
+		return runs, errors.New(`no registered scenario "fig3"`)
+	}
+	cfg = shorten(cfg, 30*time.Second)
+	for i, seed := range []int64{7, 8} {
+		cfg.Seed = seed
+		res, err := New(cfg).Run()
+		if err != nil {
+			return runs, err
+		}
+		runs[i] = res
+	}
+	return runs, nil
+})
+
+// TestSeedChangesOutcome is the complementary check: a different seed
+// must change the run's outcome, or the determinism test above would
+// pass vacuously on a simulator that ignores its seed. It compares the
 // response times in record order, the drops per server and the request
 // count, none of which echoes the seed.
-func TestRunSeedSensitivity(t *testing.T) {
-	cfg := shorten(registered(t, "fig3"), 30*time.Second)
-	// Explicit seeds: a zero seed defaults to 1.
-	cfg.Seed = 7
-	a := mustRun(t, cfg)
-	cfg.Seed = 8
-	b := mustRun(t, cfg)
+func TestSeedChangesOutcome(t *testing.T) {
+	runs, err := seedPair()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	a, b := runs[0], runs[1]
 	if slices.Equal(a.Recorder.ResponseTimes(), b.Recorder.ResponseTimes()) &&
 		maps.Equal(a.DropsPerServer, b.DropsPerServer) && a.Recorder.Len() == b.Recorder.Len() {
 		t.Error("seeds 7 and 8 gave the same response times, drops and request count; the seed is not wired through")
+	}
+}
+
+// TestRunSeedSensitivity makes the same check on the -json summary:
+// with its seed echo (seed and effectiveConfig.seed) cleared, the
+// summaries of seeds 7 and 8 must still differ.
+func TestRunSeedSensitivity(t *testing.T) {
+	runs, err := seedPair()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var js [2][]byte
+	for i, res := range runs {
+		s := Summarize(res)
+		s.Seed, s.EffectiveConfig.Seed = 0, 0
+		if js[i], err = json.Marshal(s); err != nil {
+			t.Fatalf("JSON: %v", err)
+		}
+	}
+	if bytes.Equal(js[0], js[1]) {
+		t.Error("seeds 7 and 8 gave the same summary JSON without its seed echo; the seed is not wired through")
 	}
 }
 
