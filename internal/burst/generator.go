@@ -11,15 +11,12 @@ import (
 // the open-loop counterpart of the paper's burst-index workloads.
 type Generator struct {
 	sim     *des.Simulator
-	front   workload.Frontend
+	out     *workload.Sender
 	process MMPP2
 	mix     *workload.Mix
-	sink    workload.Sink
 
 	hot     bool
 	stopped bool
-	nextID  uint64
-	sent    int64
 }
 
 // NewGenerator creates an MMPP generator; call Start to begin. A nil mix
@@ -32,7 +29,7 @@ func NewGenerator(sim *des.Simulator, front workload.Frontend, process MMPP2, mi
 		mix = workload.DefaultMix()
 	}
 	return &Generator{
-		sim: sim, front: front, process: process, mix: mix, sink: sink,
+		sim: sim, out: workload.NewSender(sim, front, sink), process: process, mix: mix,
 	}, nil
 }
 
@@ -47,7 +44,7 @@ func (g *Generator) Start() {
 func (g *Generator) Stop() { g.stopped = true }
 
 // Sent returns the number of requests emitted.
-func (g *Generator) Sent() int64 { return g.sent }
+func (g *Generator) Sent() int64 { return g.out.Sent() }
 
 func (g *Generator) rate() float64 {
 	if g.hot {
@@ -99,13 +96,4 @@ func (g *Generator) scheduleArrival() {
 	})
 }
 
-func (g *Generator) fire() {
-	req := &workload.Request{
-		ID:        g.nextID,
-		Class:     g.mix.Pick(g.sim.Rand()),
-		Submitted: g.sim.Now(),
-	}
-	g.nextID++
-	g.sent++
-	g.front.Submit(g.sim, req, g.sink)
-}
+func (g *Generator) fire() { g.out.Send(g.mix.Pick(g.sim.Rand())) }

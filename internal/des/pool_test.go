@@ -3,38 +3,42 @@ package des
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
-// freeLen counts the events sitting on the simulator's freelist.
-func freeLen(s *Simulator) int {
-	n := 0
-	for e := s.free; e != nil; e = e.next {
-		n++
-	}
-	return n
-}
-
 // TestScheduleFreelistReuse pins the pool mechanics: fired events land on
-// the freelist and the next Schedule takes from it instead of allocating.
+// the freelist and the next Schedule takes from it, so it gets one of
+// the drained events' objects.
 func TestScheduleFreelistReuse(t *testing.T) {
 	sim := NewSimulator(1)
 	nop := func() {}
+	drained := make(map[*event]bool)
 	for i := 0; i < 3; i++ {
-		sim.Schedule(time.Duration(i)*time.Microsecond, nop)
+		drained[sim.Schedule(time.Duration(i)*time.Microsecond, nop).ev] = true
 	}
 	for sim.Step() {
 	}
-	if n := freeLen(sim); n != 3 {
-		t.Fatalf("freelist after draining 3 events = %d, want 3", n)
+	if len(drained) != 3 {
+		t.Fatalf("3 pending events shared %d objects, want 3", len(drained))
 	}
-	sim.Schedule(time.Microsecond, nop)
-	if n := freeLen(sim); n != 2 {
-		t.Errorf("freelist after reusing one slot = %d events, want 2", n)
+	if tm := sim.Schedule(time.Microsecond, nop); !drained[tm.ev] {
+		t.Error("Schedule after the drain did not reuse a drained event's object")
 	}
-	for sim.Step() {
-	}
-	if n := freeLen(sim); n != 3 {
-		t.Errorf("freelist after re-draining = %d events, want 3", n)
+}
+
+// TestPoolChunkFillsSizeClass pins the arithmetic behind poolChunk: a
+// chunk of events or wheel nodes, with the 8-byte header Go adds to a
+// pointer-holding object over 512 bytes, fits the 4096-byte size class,
+// and one more object would not.
+func TestPoolChunkFillsSizeClass(t *testing.T) {
+	const class, header = 4096, 8
+	for name, size := range map[string]uintptr{
+		"event":     unsafe.Sizeof(event{}),
+		"wheelNode": unsafe.Sizeof(wheelNode{}),
+	} {
+		if n := poolChunk * size; n+header > class || n+size+header <= class {
+			t.Errorf("%s: %d × %d B chunk does not just fill the %d B size class", name, poolChunk, size, class)
+		}
 	}
 }
 
@@ -73,24 +77,25 @@ func TestCancelledSlotReusedBeforeReclaim(t *testing.T) {
 
 // TestScheduleReleaseBeforeFire pins that the slot is recycled before the
 // callback runs: a self-rescheduling event chain reuses one event object
-// forever instead of growing the pool.
+// forever, so all of its timers name one event.
 func TestScheduleReleaseBeforeFire(t *testing.T) {
 	sim := NewSimulator(1)
 	count := 0
+	events := make(map[*event]bool)
 	var hop func()
 	hop = func() {
 		if count++; count < 100 {
-			sim.Schedule(time.Microsecond, hop)
+			events[sim.Schedule(time.Microsecond, hop).ev] = true
 		}
 	}
-	sim.Schedule(0, hop)
+	events[sim.Schedule(0, hop).ev] = true
 	for sim.Step() {
 	}
 	if count != 100 {
 		t.Fatalf("chain fired %d times, want 100", count)
 	}
-	if n := freeLen(sim); n != 1 {
-		t.Errorf("self-rescheduling chain grew the pool to %d events, want 1", n)
+	if len(events) != 1 {
+		t.Errorf("self-rescheduling chain's 100 timers named %d events, want 1", len(events))
 	}
 }
 

@@ -72,17 +72,22 @@ type wheel struct {
 //lint:hotpath
 func (w *wheel) resident() int { return w.count0 + w.count1 + w.count2 + w.countOver }
 
-// takeNode pops the node freelist, heap-allocating only while the pool
-// warms up.
+// takeNode pops the node freelist, refilling it with a chunk of nodes
+// only while the pool warms up.
 //
 //lint:hotpath
 func (w *wheel) takeNode() *wheelNode {
-	if n := w.free; n != nil {
-		w.free = n.next
-		n.next = nil
-		return n
+	if w.free == nil {
+		chunk := new([poolChunk]wheelNode) //lint:allow hotpath pool warm-up: one chunk per poolChunk concurrent parked timers, reused forever after
+		for i := range len(chunk) - 1 {
+			chunk[i].next = &chunk[i+1]
+		}
+		w.free = &chunk[0]
 	}
-	return &wheelNode{} //lint:allow hotpath pool warm-up: one node per concurrent parked timer, reused forever after
+	n := w.free
+	w.free = n.next
+	n.next = nil
+	return n
 }
 
 // putNode wipes a node and pushes it onto the freelist.

@@ -73,11 +73,12 @@ func TestEndToEndRequestAllLevels(t *testing.T) {
 			sim := des.NewSimulator(1)
 			sys := NewCluster(sim).Build(Spec("s", level))
 
-			rec := make([]*workload.Request, 0, 1)
+			// Record must not keep the request, so the sink copies it.
+			rec := make([]workload.Request, 0, 1)
 			cl := workload.NewClosedLoop(sim, sys.Frontend(), workload.ClosedLoopConfig{
 				Clients:   20,
 				ThinkTime: 500 * time.Millisecond,
-				Sink:      workload.SinkFunc(func(r *workload.Request) { rec = append(rec, r) }),
+				Sink:      workload.SinkFunc(func(r *workload.Request) { rec = append(rec, *r) }),
 			})
 			cl.Start()
 			run(t, sim, 10*time.Second)

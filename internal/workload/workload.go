@@ -39,7 +39,10 @@ type Class struct {
 
 // Request is one end-to-end client request. It is the payload that travels
 // the whole invocation chain, so transport drops on any hop are attributed
-// to it (it implements simnet.DropRecorder).
+// to it (it implements simnet.DropRecorder). A generator's request rides
+// in its recycled call, held by value: the next request reuses it once a
+// Sink has recorded it, so nothing may keep a *Request after its Record
+// returns.
 type Request struct {
 	// ID is unique within a generator.
 	ID uint64
@@ -87,6 +90,9 @@ func (r *Request) VLRT() bool {
 func (r *Request) DroppedBy() string { return r.droppedBy }
 
 // Sink receives completed requests; implemented by the metrics recorder.
+// Record must not keep the *Request after it returns: the request lives
+// in its generator's recycled call, and the next request overwrites it.
+// A sink that needs a request later copies it.
 type Sink interface {
 	Record(*Request)
 }

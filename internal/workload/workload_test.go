@@ -185,6 +185,68 @@ func TestClosedLoopGiveUpCountsFailed(t *testing.T) {
 	}
 }
 
+// gateServer refuses every packet before opensAt, noting the request it
+// belongs to, and admits every later one, replying at once.
+type gateServer struct {
+	instantServer
+	opensAt time.Duration
+	refused map[uint64]bool
+}
+
+func (g *gateServer) Name() string { return "gate" }
+
+func (g *gateServer) TryAccept(call *simnet.Call) bool {
+	if g.sim.Now() < g.opensAt {
+		g.refused[call.Payload.(*Request).ID] = true
+		return false
+	}
+	return g.instantServer.TryAccept(call)
+}
+
+// TestRecycledCallStartsClean pins the recycling half of the Sink
+// ownership rule: a request rides in a recycled call, so each new request
+// must start clean, with no failure or drop attribution left by the
+// request the call carried before. The gate refuses every packet for the
+// first second and the transport makes one attempt, so the first
+// requests fail, dropped at the gate; their calls then carry the
+// requests the gate admits.
+func TestRecycledCallStartsClean(t *testing.T) {
+	sim := des.NewSimulator(7)
+	gate := &gateServer{instantServer: instantServer{sim: sim}, opensAt: time.Second, refused: make(map[uint64]bool)}
+	fr := front(sim, gate)
+	fr.Transport.MaxAttempts = 1
+	var last uint64
+	var failed, admitted int
+	cl := NewClosedLoop(sim, fr, ClosedLoopConfig{
+		Clients:   5,
+		ThinkTime: 20 * time.Millisecond,
+		Sink: SinkFunc(func(r *Request) {
+			if failed+admitted > 0 && r.ID <= last {
+				t.Fatalf("request %d recorded after request %d: IDs must strictly increase", r.ID, last)
+			}
+			last = r.ID
+			if gate.refused[r.ID] {
+				failed++
+				if !r.Failed || r.DroppedBy() != "gate" {
+					t.Fatalf("refused request %d: Failed = %v, DroppedBy = %q, want true and gate", r.ID, r.Failed, r.DroppedBy())
+				}
+				return
+			}
+			admitted++
+			if r.Failed || r.DroppedBy() != "" {
+				t.Fatalf("admitted request %d: Failed = %v, DroppedBy = %q, want false and none: its recycled call kept the last request's state", r.ID, r.Failed, r.DroppedBy())
+			}
+		}),
+	})
+	cl.Start()
+	if err := sim.Run(3 * time.Second); err != nil && err != des.ErrHorizon {
+		t.Fatalf("Run: %v", err)
+	}
+	if failed == 0 || admitted == 0 {
+		t.Fatalf("%d refused and %d admitted requests recorded, want both", failed, admitted)
+	}
+}
+
 func TestBurstModulationIncreasesVariance(t *testing.T) {
 	arrivalsPerSecond := func(burst *BurstSpec) []int {
 		sim := des.NewSimulator(3)
