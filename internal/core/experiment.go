@@ -200,6 +200,8 @@ func (e *Experiment) Run() (*Result, error) {
 		pauser.Start()
 	}
 
+	end := cfg.WarmUp + cfg.Duration
+	mon.Reserve(end)
 	mon.Start()
 
 	// --- scenario event script --------------------------------------------
@@ -217,7 +219,6 @@ func (e *Experiment) Run() (*Result, error) {
 	if cfg.SimStats {
 		prof = sim.StartProfile()
 	}
-	end := cfg.WarmUp + cfg.Duration
 	if err := sim.Run(end); err != nil && err != des.ErrHorizon {
 		return nil, fmt.Errorf("simulate %s: %w", cfg.Name, err)
 	}

@@ -416,6 +416,30 @@ func TestMonitorStop(t *testing.T) {
 	}
 }
 
+// TestMonitorReserveSizesSeries pins Reserve: a run to the reserved
+// horizon fills every watched series without regrowing it.
+func TestMonitorReserveSizesSeries(t *testing.T) {
+	sim := des.NewSimulator(1)
+	mon := NewMonitor(sim, 50*time.Millisecond)
+	mon.WatchServer(&fakeDepth{name: "s"})
+	mon.WatchVM("vm", cpu.NewNode(sim, "n", 1).AddVM("vm", 1, 1))
+	mon.Reserve(time.Second)
+	mon.Start()
+	series := map[string]*Series{"queue": mon.Queue("s"), "util": mon.Util("vm"), "iowait": mon.IOWait("vm")}
+	caps := make(map[string]int)
+	for name, s := range series {
+		caps[name] = cap(s.Values)
+	}
+	if err := sim.Run(time.Second); err != nil && err != des.ErrHorizon {
+		t.Fatalf("Run: %v", err)
+	}
+	for name, s := range series {
+		if len(s.Values) != 20 || cap(s.Values) != caps[name] {
+			t.Errorf("%s: %d samples in capacity %d, want 20 in the reserved %d", name, len(s.Values), cap(s.Values), caps[name])
+		}
+	}
+}
+
 func TestMonitorDefaultInterval(t *testing.T) {
 	sim := des.NewSimulator(1)
 	mon := NewMonitor(sim, 0)

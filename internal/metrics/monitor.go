@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"time"
 
 	"ctqosim/internal/cpu"
@@ -102,9 +103,10 @@ type Monitor struct {
 	servers []DepthSampler
 	vms     []*watchedVM
 
-	queues map[string]*Series
-	utils  map[string]*Series
-	iowait map[string]*Series
+	queues  map[string]*Series
+	utils   map[string]*Series
+	iowait  map[string]*Series
+	watched []*Series // every series the watches created, for Reserve
 
 	ticker *des.Ticker
 }
@@ -134,7 +136,22 @@ func NewMonitor(sim *des.Simulator, interval time.Duration) *Monitor {
 func (m *Monitor) Interval() time.Duration { return m.interval }
 
 // newSeries creates an empty series at the monitor's interval.
-func (m *Monitor) newSeries() *Series { return &Series{Interval: m.interval} }
+func (m *Monitor) newSeries() *Series {
+	s := &Series{Interval: m.interval}
+	m.watched = append(m.watched, s)
+	return s
+}
+
+// Reserve sizes every watched series for a run whose horizon is until,
+// so that sampling the run allocates nothing: each series is allocated
+// once, at its final length, instead of regrown as it fills. Call it
+// after the last watch; a run past until grows its series as usual.
+func (m *Monitor) Reserve(until time.Duration) {
+	n := int(until / m.interval)
+	for _, s := range m.watched {
+		s.Values = slices.Grow(s.Values, max(n-len(s.Values), 0))
+	}
+}
 
 // WatchServer samples s.Depth() every interval into the queue series named
 // after the server.
