@@ -63,15 +63,14 @@ type Recorder struct {
 	SeriesWindow time.Duration
 
 	// Aggregates, created on the first record.
-	hdr          *HDRHistogram
-	vlrt         int
-	failed       int
+	all          classAccum // every request's
 	classes      map[string]*classAccum
 	vlrtAll      []int
 	vlrtByServer map[string][]int
 }
 
-// classAccum is the per-class aggregate behind ByClass.
+// classAccum is the aggregate of a set of requests: all of them, or one
+// class's, behind ByClass.
 type classAccum struct {
 	hdr    *HDRHistogram
 	vlrt   int
@@ -93,40 +92,35 @@ func (r *Recorder) Record(req *workload.Request) {
 	if req.Submitted < r.WarmUp {
 		return
 	}
-	if r.hdr == nil {
+	if r.all.hdr == nil {
 		r.initAggregates() //lint:allow hotpath first record initializes the fixed aggregates
-	}
-	rt := req.ResponseTime()
-	r.hdr.Observe(rt)
-	if req.Failed {
-		r.failed++
-	}
-	if req.VLRT() {
-		r.vlrt++
-		if r.SeriesWindow > 0 {
-			idx := int((req.Submitted - r.WarmUp) / r.SeriesWindow)
-			r.vlrtAll = growCount(r.vlrtAll, idx)
-			if s := req.DroppedBy(); s != "" {
-				r.vlrtByServer[s] = growCount(r.vlrtByServer[s], idx)
-			}
-		}
 	}
 	ca := r.classes[req.Class.Name]
 	if ca == nil {
 		ca = r.newClass(req.Class.Name) //lint:allow hotpath first request of a class; the class mix is fixed
 	}
-	ca.hdr.Observe(rt)
-	if req.VLRT() {
-		ca.vlrt++
+	rt, vlrt := req.ResponseTime(), req.VLRT()
+	for _, acc := range [...]*classAccum{&r.all, ca} {
+		acc.hdr.Observe(rt)
+		if vlrt {
+			acc.vlrt++
+		}
+		if req.Failed {
+			acc.failed++
+		}
 	}
-	if req.Failed {
-		ca.failed++
+	if vlrt && r.SeriesWindow > 0 {
+		idx := int((req.Submitted - r.WarmUp) / r.SeriesWindow)
+		r.vlrtAll = growCount(r.vlrtAll, idx)
+		if s := req.DroppedBy(); s != "" {
+			r.vlrtByServer[s] = growCount(r.vlrtByServer[s], idx)
+		}
 	}
 }
 
 // initAggregates creates the aggregates on the first record.
 func (r *Recorder) initAggregates() {
-	r.hdr = NewHDRHistogram(r.Retention.hdrConfig())
+	r.all.hdr = NewHDRHistogram(r.Retention.hdrConfig())
 	r.classes = make(map[string]*classAccum)
 	r.vlrtByServer = make(map[string][]int)
 }
@@ -154,20 +148,20 @@ func growCount(s []int, idx int) []int {
 
 // Len returns the number of recorded requests.
 func (r *Recorder) Len() int {
-	if r.hdr == nil {
+	if r.all.hdr == nil {
 		return 0
 	}
-	return int(r.hdr.Count())
+	return int(r.all.hdr.Count())
 }
 
 // ResponseTimes returns a new slice of the recorded response times in
 // record order, or nil once the histogram has spilled (bounded retention
 // past DefaultHDRExactCap requests).
 func (r *Recorder) ResponseTimes() []time.Duration {
-	if r.hdr == nil || !r.hdr.Exact() {
+	if r.all.hdr == nil || !r.all.hdr.Exact() {
 		return nil
 	}
-	return append([]time.Duration(nil), r.hdr.exact...)
+	return append([]time.Duration(nil), r.all.hdr.exact...)
 }
 
 // Throughput returns completed requests per second over the window
@@ -183,10 +177,10 @@ func (r *Recorder) Throughput(until time.Duration) float64 {
 // Mean returns the mean response time (exact in both retention modes:
 // sums never degrade under bucketing).
 func (r *Recorder) Mean() time.Duration {
-	if r.hdr == nil {
+	if r.all.hdr == nil {
 		return 0
 	}
-	return r.hdr.Mean()
+	return r.all.hdr.Mean()
 }
 
 // NearestRank returns the 0-based index of the p-quantile of n ascending
@@ -210,19 +204,19 @@ func NearestRank(p float64, n int) int {
 // the nearest-rank method (rank ceil(p*n)): exact while the histogram
 // keeps every value, within its RelativeError once spilled.
 func (r *Recorder) Percentile(p float64) time.Duration {
-	if r.hdr == nil {
+	if r.all.hdr == nil {
 		return 0
 	}
-	return r.hdr.Quantile(p)
+	return r.all.hdr.Quantile(p)
 }
 
 // VLRTCount returns the number of recorded requests slower than the
 // 3-second threshold.
-func (r *Recorder) VLRTCount() int { return r.vlrt }
+func (r *Recorder) VLRTCount() int { return r.all.vlrt }
 
 // FailedCount returns the number of requests that never completed
 // successfully.
-func (r *Recorder) FailedCount() int { return r.failed }
+func (r *Recorder) FailedCount() int { return r.all.failed }
 
 // VLRTSeries counts VLRT requests per SeriesWindow up to until, bucketed
 // by submission time (the paper's Figs. 3c/5c/7c). If server is
@@ -299,9 +293,9 @@ func (r *Recorder) CDF(thresholds []time.Duration) []CDFPoint {
 		}
 		return out
 	}
-	total := float64(r.hdr.Count())
+	total := float64(r.all.hdr.Count())
 	for _, t := range thresholds {
-		frac := float64(r.hdr.CumulativeCount(t)) / total
+		frac := float64(r.all.hdr.CumulativeCount(t)) / total
 		out = append(out, CDFPoint{RT: t, Fraction: frac})
 	}
 	return out
@@ -315,8 +309,8 @@ func (r *Recorder) CDF(thresholds []time.Duration) []CDFPoint {
 // histogram's RelativeError of the edge.
 func (r *Recorder) Histogram(binWidth, maxRT time.Duration) *Histogram {
 	h := NewHistogram(binWidth, maxRT)
-	if r.hdr != nil {
-		r.hdr.Each(func(v time.Duration, c int64) { h.ObserveN(v, c) })
+	if r.all.hdr != nil {
+		r.all.hdr.Each(func(v time.Duration, c int64) { h.ObserveN(v, c) })
 	}
 	return h
 }
@@ -329,8 +323,8 @@ func (r *Recorder) Histogram(binWidth, maxRT time.Duration) *Histogram {
 // the quantity the flat-memory acceptance test pins.
 func (r *Recorder) MemoryFootprint() int64 {
 	var total int64
-	if r.hdr != nil {
-		total += r.hdr.FootprintBytes()
+	if r.all.hdr != nil {
+		total += r.all.hdr.FootprintBytes()
 	}
 	for _, ca := range r.classes {
 		total += ca.hdr.FootprintBytes() + 32
