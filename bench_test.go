@@ -204,24 +204,19 @@ func runAblation(b *testing.B, cfg core.Config) *core.Result {
 
 // BenchmarkAblationRetransmitTimer shows the retransmission timer places
 // the histogram clusters: a 1s RTO moves them to 1/2/3s; the exponential
-// variant spreads them to 3/9/21s.
+// variant spreads them to 3/9/21s. Each variant is the paper's kernel
+// with one retransmission setting changed.
 func BenchmarkAblationRetransmitTimer(b *testing.B) {
-	variants := []struct {
-		name    string
-		rto     time.Duration
-		backoff bool
-	}{
-		{name: "RTO=3s (paper kernel)"},
-		{name: "RTO=1s", rto: time.Second},
-		{name: "RTO=3s exponential", backoff: true},
-	}
-	for _, v := range variants {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
+	paper, rto1s, backoff := simnet.RHEL6, simnet.RHEL6, simnet.RHEL6
+	paper.Name = "RTO=3s (paper kernel)"
+	rto1s.Name, rto1s.RTO = "RTO=1s", time.Second
+	backoff.Name, backoff.Backoff = "RTO=3s exponential", true
+	for _, p := range []simnet.KernelProfile{paper, rto1s, backoff} {
+		p := p
+		b.Run(p.Name, func(b *testing.B) {
 			cfg := registered(b, "fig1-wl7000")
 			cfg.Trace = false
-			cfg.RTO = v.rto
-			cfg.Backoff = v.backoff
+			cfg.Kernel = &p
 			res := runAblation(b, cfg)
 			b.Logf("clusters at %v s", res.Histogram().ModeClusters(0.0005))
 		})

@@ -104,12 +104,10 @@ var hotpathExercisers = map[string]string{
 
 	// simnet: a clean delivery covers Send/hop; a dropped-then-delivered
 	// call covers the retransmission machinery.
-	"simnet.Transport.Send":        "simnet-clean-delivery",
-	"simnet.Call.deliverer":        "simnet-retransmission",
-	"simnet.Transport.hop":         "simnet-clean-delivery",
-	"simnet.Transport.rto":         "simnet-retransmission",
-	"simnet.Transport.maxAttempts": "simnet-retransmission",
-	"simnet.Transport.timeout":     "simnet-retransmission",
+	"simnet.Transport.Send":    "simnet-clean-delivery",
+	"simnet.Call.deliverer":    "simnet-retransmission",
+	"simnet.Transport.hop":     "simnet-clean-delivery",
+	"simnet.Transport.timeout": "simnet-retransmission",
 
 	// span: the contract prices the disabled-tracer path, which is the
 	// one instrumented code pays when tracing is off.
@@ -586,7 +584,7 @@ func TestHotpathAllocsAgree(t *testing.T) {
 		"metrics-hdr-record": func() float64 {
 			// ExactCap -1 disables exact mode, so the histogram starts in
 			// its spilled (steady-state) form.
-			h := metrics.NewHDRHistogram(metrics.HDRConfig{ExactCap: -1})
+			h := metrics.NewHDRHistogram(0)
 			h.Observe(time.Millisecond)
 			return testing.AllocsPerRun(200, func() {
 				h.Observe(17 * time.Millisecond)

@@ -76,8 +76,6 @@ type ConsolidationSpec struct {
 	BatchInterval time.Duration
 	// BatchOffset delays the first burst; zero fires after one interval.
 	BatchOffset time.Duration
-	// BatchClass overrides the burst interaction; nil uses BurstClass.
-	BatchClass *workload.Class
 	// TrainLength fires each burst as a train of this many sub-bursts
 	// (default 1). High-burst-index traffic clusters its bursts — the
 	// "Slashdot effect" — and a train whose spacing matches the 3s
@@ -95,8 +93,8 @@ type ConsolidationSpec struct {
 	MMPPIndex float64
 }
 
-func (c *ConsolidationSpec) withDefaults() ConsolidationSpec {
-	out := *c
+func (c ConsolidationSpec) withDefaults() ConsolidationSpec {
+	out := c
 	if out.Tier == 0 {
 		out.Tier = TierApp
 	}
@@ -105,10 +103,6 @@ func (c *ConsolidationSpec) withDefaults() ConsolidationSpec {
 	}
 	if out.BatchInterval <= 0 {
 		out.BatchInterval = 15 * time.Second
-	}
-	if out.BatchClass == nil {
-		cl := BurstClass
-		out.BatchClass = &cl
 	}
 	if out.TrainLength <= 0 {
 		out.TrainLength = 1
@@ -131,8 +125,8 @@ type LogFlushSpec struct {
 	Duration time.Duration
 }
 
-func (l *LogFlushSpec) withDefaults() LogFlushSpec {
-	out := *l
+func (l LogFlushSpec) withDefaults() LogFlushSpec {
+	out := l
 	if out.Tier == 0 {
 		out.Tier = TierDB
 	}
@@ -161,8 +155,8 @@ type GCPauseSpec struct {
 	PerRequest time.Duration
 }
 
-func (g *GCPauseSpec) withDefaults() GCPauseSpec {
-	out := *g
+func (g GCPauseSpec) withDefaults() GCPauseSpec {
+	out := g
 	if out.Tier == 0 {
 		out.Tier = TierApp
 	}
@@ -235,17 +229,12 @@ type Config struct {
 
 	// Kernel, if non-nil, applies a kernel profile: its retransmission
 	// behaviour on the transport and its default backlog on every
-	// synchronous tier (simnet.RHEL6 is the paper's testbed; the modern
-	// profile is the bufferbloat ablation).
+	// synchronous tier. Nil keeps simnet.RHEL6's retransmission, the
+	// paper's testbed; the modern profile is the bufferbloat ablation,
+	// and a copy of RHEL6 with another RTO or with backoff is the
+	// retransmission-timer ablation.
 	//lint:sharedptr
 	Kernel *simnet.KernelProfile
-	// RTO overrides the retransmission timeout; zero keeps the profile's
-	// (or the default 3s).
-	RTO time.Duration
-	// MaxAttempts overrides delivery attempts; zero keeps the default.
-	MaxAttempts int
-	// Backoff switches to exponential retransmission (ablation).
-	Backoff bool
 
 	// Trace keeps the steady transport's drop records and runs the CTQO
 	// analysis over them.

@@ -85,15 +85,6 @@ func (e *Experiment) Run() (*Result, error) {
 	if cfg.Kernel != nil {
 		cfg.Kernel.Apply(steady.Transport)
 	}
-	if cfg.RTO > 0 {
-		steady.Transport.RTO = cfg.RTO
-	}
-	if cfg.MaxAttempts > 0 {
-		steady.Transport.MaxAttempts = cfg.MaxAttempts
-	}
-	if cfg.Backoff {
-		steady.Transport.Backoff = true
-	}
 
 	// --- monitoring ----------------------------------------------------
 	mon := metrics.NewMonitor(sim, cfg.SampleInterval)
@@ -154,7 +145,7 @@ func (e *Experiment) Run() (*Result, error) {
 					Size:     consolidation.BatchSize,
 					Interval: consolidation.BatchInterval,
 					Offset:   base + time.Duration(k)*consolidation.TrainSpacing,
-					Class:    *consolidation.BatchClass,
+					Class:    BurstClass,
 				})
 				batch.Start()
 			}
@@ -164,16 +155,7 @@ func (e *Experiment) Run() (*Result, error) {
 	// --- I/O millibottleneck ---------------------------------------------
 	if cfg.LogFlush != nil {
 		lf := cfg.LogFlush.withDefaults()
-		vm := steady.DBVM
-		switch lf.Tier {
-		case TierWeb:
-			vm = steady.WebVM
-		case TierApp:
-			vm = steady.AppVM
-		case TierDB:
-			// vm already defaults to the DB tier above.
-		}
-		flush, err := fault.NewLogFlush(sim, vm, lf.Interval, lf.Duration)
+		flush, err := fault.NewLogFlush(sim, tierVM(steady, lf.Tier), lf.Interval, lf.Duration)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 		}
@@ -183,17 +165,8 @@ func (e *Experiment) Run() (*Result, error) {
 	// --- GC millibottleneck -----------------------------------------------
 	if cfg.GCPause != nil {
 		gc := cfg.GCPause.withDefaults()
-		vm, srv := steady.AppVM, steady.App
-		switch gc.Tier {
-		case TierWeb:
-			vm, srv = steady.WebVM, steady.Web
-		case TierApp:
-			// vm, srv already default to the app tier above.
-		case TierDB:
-			vm, srv = steady.DBVM, steady.DB
-		}
-		pauser, err := fault.NewGCPause(sim, vm, gc.Interval, gc.Base, gc.PerRequest,
-			srv.InService)
+		pauser, err := fault.NewGCPause(sim, tierVM(steady, gc.Tier), gc.Interval, gc.Base, gc.PerRequest,
+			tierServer(steady, gc.Tier).InService)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", cfg.Name, err)
 		}
@@ -246,11 +219,7 @@ func (e *Experiment) Run() (*Result, error) {
 		}
 	}
 	if cfg.Trace {
-		analyzer := &trace.Analyzer{
-			Tiers:    steady.TierNames(),
-			TierOfVM: tierOfVM(steady),
-		}
-		res.Report = analyzer.Analyze(mon, steady.TierNames(), steady.Transport.Drops())
+		res.Report = trace.Analyze(mon, steady.TierNames(), steady.Transport.Drops())
 	}
 	if tracer != nil {
 		res.Spans = tracer
@@ -270,23 +239,13 @@ func startMMPPBursty(sim *des.Simulator, bursty *ntier.System, spec Consolidatio
 	if err != nil {
 		return fmt.Errorf("mmpp bursty: %w", err)
 	}
-	mix := workload.NewMix().Add(*spec.BatchClass, 1)
+	mix := workload.NewMix().Add(BurstClass, 1)
 	gen, err := burst.NewGenerator(sim, bursty.Frontend(), process, mix, nil)
 	if err != nil {
 		return fmt.Errorf("mmpp bursty: %w", err)
 	}
 	gen.Start()
 	return nil
-}
-
-// tierOfVM maps VM names to tier names; the monitor registers VMs under
-// their tier names, so the map is the identity over the tier set.
-func tierOfVM(sys *ntier.System) map[string]string {
-	out := make(map[string]string, 3)
-	for _, name := range sys.TierNames() {
-		out[name] = name
-	}
-	return out
 }
 
 // Summary renders the headline numbers of a result.

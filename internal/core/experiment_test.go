@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"ctqosim/internal/ntier"
 	"ctqosim/internal/simnet"
+	"ctqosim/internal/span"
 	"ctqosim/internal/trace"
 	"ctqosim/internal/workload"
 )
@@ -386,6 +388,50 @@ func TestKernelProfileChangesBehaviour(t *testing.T) {
 	// And the overall worst case is far better than RHEL6's 3s+.
 	if modernRes.Recorder.Percentile(1) >= rhelRes.Recorder.Percentile(1) {
 		t.Fatal("absorbing the burst should beat dropping it on max RT")
+	}
+}
+
+// TestCustomKernelProfile builds a profile from RHEL6 with a 1s RTO and
+// exponential backoff, and checks that the effective-config echo reports
+// it and that the run retransmits on it: the gap after a call's k-th
+// drop lasts 1s × 2^(k−1). The burst train is spaced at the new RTO, so
+// retransmissions are dropped again, as the 3s train spacing does for
+// the paper's kernel.
+func TestCustomKernelProfile(t *testing.T) {
+	kernel := simnet.RHEL6
+	kernel.Name, kernel.RTO, kernel.Backoff = "rhel6-rto1s-backoff", time.Second, true
+	cfg := shorten(registered(t, "fig3"), 20*time.Second)
+	cfg.Kernel = &kernel
+	cfg.Spans = true
+	train := *cfg.Consolidation
+	train.TrainLength, train.TrainSpacing = 3, time.Second
+	cfg.Consolidation = &train
+
+	ec := effectiveConfig(New(cfg).Config())
+	if ec.Kernel != kernel.Name || ec.RTOSeconds != 1 || !ec.Backoff || ec.MaxAttempts != 5 {
+		t.Fatalf("echo kernel=%q rtoSeconds=%v backoff=%v maxAttempts=%d, want %q 1 true 5",
+			ec.Kernel, ec.RTOSeconds, ec.Backoff, ec.MaxAttempts, kernel.Name)
+	}
+
+	res := mustRun(t, cfg)
+	byDrop := make(map[int]int)
+	for _, tr := range res.Spans.TailExemplars() {
+		for _, s := range tr.Spans() {
+			if s.Kind != span.KindRetransmit {
+				continue
+			}
+			var k int
+			if _, err := fmt.Sscanf(s.Detail, "attempt %d", &k); err != nil || k < 1 {
+				t.Fatalf("retransmission gap %q does not name its attempt", s.Detail)
+			}
+			if want := time.Second << (k - 1); s.Duration() != want {
+				t.Errorf("gap after drop %d lasted %v, want %v", k, s.Duration(), want)
+			}
+			byDrop[k]++
+		}
+	}
+	if byDrop[1] == 0 || byDrop[2] == 0 {
+		t.Fatalf("retransmission gaps by drop = %v, want first and second drops", byDrop)
 	}
 }
 

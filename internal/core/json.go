@@ -217,8 +217,6 @@ func effectiveConfig(cfg Config) EffectiveConfigJSON {
 		WarmUpSeconds:        cfg.WarmUp.Seconds(),
 		DurationSeconds:      cfg.Duration.Seconds(),
 		SampleIntervalMillis: float64(cfg.SampleInterval) / float64(time.Millisecond),
-		MaxAttempts:          cfg.MaxAttempts,
-		Backoff:              cfg.Backoff,
 		AppCores:             cfg.AppCores,
 		ThreadOverride:       cfg.ThreadOverride,
 		OverheadPerThread:    cfg.OverheadPerThread,
@@ -234,27 +232,16 @@ func effectiveConfig(cfg Config) EffectiveConfigJSON {
 	if cfg.Burst != nil {
 		out.BurstIndex = cfg.Burst.Index
 	}
-	// Fold the kernel profile into the transport knobs the same way Run
-	// does: explicit overrides win, then the profile, then the defaults.
-	rto, attempts := simnet.DefaultRTO, simnet.DefaultMaxAttempts
+	// The transport runs the profile, or RHEL6 when there is none; only a
+	// profile given explicitly is named.
+	kernel := simnet.RHEL6
 	if cfg.Kernel != nil {
-		out.Kernel = cfg.Kernel.Name
-		if cfg.Kernel.RTO > 0 {
-			rto = cfg.Kernel.RTO
-		}
-		if cfg.Kernel.MaxAttempts > 0 {
-			attempts = cfg.Kernel.MaxAttempts
-		}
-		out.Backoff = out.Backoff || cfg.Kernel.Backoff
+		kernel = *cfg.Kernel
+		out.Kernel = kernel.Name
 	}
-	if cfg.RTO > 0 {
-		rto = cfg.RTO
-	}
-	if cfg.MaxAttempts > 0 {
-		attempts = cfg.MaxAttempts
-	}
-	out.RTOSeconds = rto.Seconds()
-	out.MaxAttempts = attempts
+	out.RTOSeconds = kernel.RTO.Seconds()
+	out.MaxAttempts = kernel.MaxAttempts
+	out.Backoff = kernel.Backoff
 	if cfg.Consolidation != nil {
 		c := cfg.Consolidation.withDefaults()
 		out.Consolidation = &ConsolidationJSON{
@@ -262,7 +249,7 @@ func effectiveConfig(cfg Config) EffectiveConfigJSON {
 			BatchSize:            c.BatchSize,
 			BatchIntervalSeconds: c.BatchInterval.Seconds(),
 			BatchOffsetSeconds:   c.BatchOffset.Seconds(),
-			BatchClass:           c.BatchClass.Name,
+			BatchClass:           BurstClass.Name,
 			TrainLength:          c.TrainLength,
 			TrainSpacingSeconds:  c.TrainSpacing.Seconds(),
 			MMPPIndex:            c.MMPPIndex,

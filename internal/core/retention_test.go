@@ -90,7 +90,7 @@ func TestBoundedRunMatchesExact(t *testing.T) {
 		t.Fatal("TotalDrops diverges (transport stats are retention-independent)")
 	}
 
-	maxErr := metrics.NewHDRHistogram(metrics.HDRConfig{}).RelativeError()
+	maxErr := metrics.NewHDRHistogram(metrics.DefaultHDRExactCap).RelativeError()
 	for _, p := range []float64{0.5, 0.99, 0.999} {
 		e, b := exact.Recorder.Percentile(p), bounded.Recorder.Percentile(p)
 		if e == 0 && b == 0 {

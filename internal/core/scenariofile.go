@@ -256,15 +256,9 @@ func compileEvent(ev *scenario.Event, doc *scenario.Document) (compiledEvent, er
 	tier := tierOf(ev.Tier)
 	switch ev.Action {
 	case scenario.ActionLogFlush:
-		interval, dur := ev.Interval.D(), ev.Duration.D()
-		if interval <= 0 {
-			interval = fault.DefaultFlushInterval
-		}
-		if dur <= 0 {
-			dur = fault.DefaultFlushDuration
-		}
+		lf := LogFlushSpec{Tier: tier, Interval: ev.Interval.D(), Duration: ev.Duration.D()}.withDefaults()
 		return compiledEvent{at, func(h *RunHandles, inj map[string]fault.Injector) {
-			in, err := fault.NewLogFlush(h.Sim, tierVM(h.Steady, tier), interval, dur)
+			in, err := fault.NewLogFlush(h.Sim, tierVM(h.Steady, lf.Tier), lf.Interval, lf.Duration)
 			if err != nil {
 				panic(fmt.Sprintf("scenario logflush event: %v", err))
 			}
@@ -286,16 +280,10 @@ func compileEvent(ev *scenario.Event, doc *scenario.Document) (compiledEvent, er
 			}
 		}}, nil
 	case scenario.ActionGCPause:
-		interval, base, perReq := ev.Interval.D(), ev.Base.D(), ev.PerRequest.D()
-		if interval <= 0 {
-			interval = 10 * time.Second
-		}
-		if base <= 0 && perReq <= 0 {
-			base, perReq = 50*time.Millisecond, 2*time.Millisecond
-		}
+		gc := GCPauseSpec{Tier: tier, Interval: ev.Interval.D(), Base: ev.Base.D(), PerRequest: ev.PerRequest.D()}.withDefaults()
 		return compiledEvent{at, func(h *RunHandles, inj map[string]fault.Injector) {
-			srv := tierServer(h.Steady, tier)
-			in, err := fault.NewGCPause(h.Sim, tierVM(h.Steady, tier), interval, base, perReq, srv.InService)
+			in, err := fault.NewGCPause(h.Sim, tierVM(h.Steady, gc.Tier), gc.Interval, gc.Base, gc.PerRequest,
+				tierServer(h.Steady, gc.Tier).InService)
 			if err != nil {
 				panic(fmt.Sprintf("scenario gcpause event: %v", err))
 			}

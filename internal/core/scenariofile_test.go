@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,6 +69,59 @@ func TestFromScenarioCompileErrors(t *testing.T) {
 
 	if _, err := FromScenario(&scenario.Document{}); err == nil {
 		t.Error("FromScenario accepted an invalid document")
+	}
+}
+
+// TestScriptedInjectorsTakeFleetDefaults checks that a logflush or
+// gcpause event that leaves its settings out injects exactly what the
+// fleet section's injector of the same tier does: both compile through
+// the same spec defaults (a 1s flush every 30s; a 50ms + 2ms per
+// in-service request pause every 10s).
+func TestScriptedInjectorsTakeFleetDefaults(t *testing.T) {
+	for _, tt := range []struct {
+		name  string
+		fleet scenario.Fleet
+		event scenario.Event
+		vm    string
+	}{
+		{"logflush",
+			scenario.Fleet{LogFlush: &scenario.LogFlush{Tier: scenario.TierDB}},
+			scenario.Event{Action: scenario.ActionLogFlush, Tier: scenario.TierDB},
+			"steady-mysql"},
+		{"gcpause",
+			scenario.Fleet{GCPause: &scenario.GCPause{Tier: scenario.TierApp, PerRequest: scenario.Duration(3 * time.Millisecond)}},
+			scenario.Event{Action: scenario.ActionGCPause, Tier: scenario.TierApp, PerRequest: scenario.Duration(3 * time.Millisecond)},
+			"steady-tomcat"},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			run := func(fleet scenario.Fleet, events []scenario.Event) []float64 {
+				fleet.Clients = 200
+				doc := &scenario.Document{
+					Name:     tt.name,
+					WarmUp:   scenario.Duration(time.Second),
+					Duration: scenario.Duration(34 * time.Second),
+					Fleet:    fleet,
+					Events:   events,
+				}
+				cfg, err := FromScenario(doc)
+				if err != nil {
+					t.Fatalf("FromScenario: %v", err)
+				}
+				return mustRun(t, cfg).Monitor.IOWait(tt.vm).Values
+			}
+			fromFleet := run(tt.fleet, nil)
+			fromEvent := run(scenario.Fleet{}, []scenario.Event{tt.event})
+			var stalled float64
+			for _, v := range fromFleet {
+				stalled += v
+			}
+			if stalled == 0 {
+				t.Fatalf("the fleet injector never stalled %s", tt.vm)
+			}
+			if !slices.Equal(fromEvent, fromFleet) {
+				t.Fatalf("%s I/O-wait series differ between the event and the fleet injector", tt.vm)
+			}
+		})
 	}
 }
 

@@ -27,13 +27,6 @@ import (
 	"ctqosim/internal/des"
 )
 
-// DefaultFlushInterval matches collectl's log-flush period in the paper.
-const DefaultFlushInterval = 30 * time.Second
-
-// DefaultFlushDuration is the observed length of the resulting I/O-wait
-// millibottleneck (sub-second, Fig. 5a).
-const DefaultFlushDuration = 400 * time.Millisecond
-
 // Injector is the uniform face of every millibottleneck source: Start
 // begins injecting, Stop cancels future injections (an in-progress stall
 // completes), and Fired counts the injections so far.
@@ -73,8 +66,7 @@ type LogFlush struct {
 }
 
 // NewLogFlush creates a flush injector for vm that stalls it for duration
-// every interval; both must be positive (DefaultFlushInterval and
-// DefaultFlushDuration are the paper's values). Call Start to begin.
+// every interval; both must be positive. Call Start to begin.
 func NewLogFlush(sim *des.Simulator, vm *cpu.VM, interval, duration time.Duration) (*LogFlush, error) {
 	if err := validate(sim, vm); err != nil {
 		return nil, fmt.Errorf("logflush: %w", err)

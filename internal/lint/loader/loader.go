@@ -54,9 +54,10 @@ type Loader struct {
 	srcRoot string // extra GOPATH-style source root (analysistest fixtures)
 	goroot  string
 
-	ctx   build.Context
-	cache map[string]*types.Package // dependency universe, by import path
-	busy  map[string]bool           // cycle guard
+	ctx    build.Context
+	cache  map[string]*types.Package // dependency universe, by import path
+	loaded map[string]*Package       // Load's results, by import path
+	busy   map[string]bool           // cycle guard
 }
 
 // New creates a loader whose module modPath lives at modDir. srcRoot, if
@@ -75,6 +76,7 @@ func New(modPath, modDir, srcRoot string) *Loader {
 		goroot:  ctx.GOROOT,
 		ctx:     ctx,
 		cache:   make(map[string]*types.Package),
+		loaded:  make(map[string]*Package),
 		busy:    make(map[string]bool),
 	}
 }
@@ -270,7 +272,12 @@ func (l *Loader) typesConfig(sink *[]error) types.Config {
 
 // Load parses and type-checks the package at the given import path with
 // full syntax (comments) and fact tables — the form analyzers run on.
+// Loading a path again returns the first load's Package, so its objects
+// stay the ones facts were attached to.
 func (l *Loader) Load(path string) (*Package, error) {
+	if pkg, ok := l.loaded[path]; ok {
+		return pkg, nil
+	}
 	dir, err := l.dir(path)
 	if err != nil {
 		return nil, err
@@ -296,6 +303,7 @@ func (l *Loader) Load(path string) (*Package, error) {
 	if pkg.Types != nil {
 		l.cache[path] = pkg.Types
 	}
+	l.loaded[path] = pkg
 	return pkg, nil
 }
 

@@ -118,3 +118,24 @@ func TestLoadRegistersPackageForImports(t *testing.T) {
 		t.Fatal("deep.Zero not found in the loaded package scope")
 	}
 }
+
+func TestLoadTwiceReturnsTheSamePackage(t *testing.T) {
+	// A second load of a path must hand back the first load's objects:
+	// facts exported while analyzing the first attach to them, and a
+	// fresh type-check would make objects no fact refers to.
+	l := New("", "", fixtures)
+	first, err := l.Load("sharedmut/deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := l.Load("sharedmut/deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Types != first.Types {
+		t.Fatal("second Load returned a different *types.Package")
+	}
+	if again.Types.Scope().Lookup("Zero") != first.Types.Scope().Lookup("Zero") {
+		t.Fatal("second Load returned a different object for deep.Zero")
+	}
+}

@@ -20,8 +20,8 @@ func boundedPair(window time.Duration) (exact, bounded *Recorder) {
 }
 
 // TestBoundedRecorderMatchesExactSmallRun pins the small-run contract of
-// bounded mode: while the HDR histograms stay under ExactCap, every
-// recorder statistic is identical to the exact path.
+// bounded mode: while the HDR histograms stay under DefaultHDRExactCap,
+// every recorder statistic is identical to the exact path.
 func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 	exact, bounded := boundedPair(50 * time.Millisecond)
 	reqs := []*workload.Request{
@@ -118,9 +118,9 @@ func TestBoundedRecorderMatchesExactSmallRun(t *testing.T) {
 	}
 }
 
-// TestBoundedRecorderLargeRunAccuracy spills past ExactCap and checks the
-// degradation contract: counters stay exact, percentiles stay within the
-// histogram's relative error.
+// TestBoundedRecorderLargeRunAccuracy spills past DefaultHDRExactCap and
+// checks the degradation contract: counters stay exact, percentiles stay
+// within the histogram's relative error.
 func TestBoundedRecorderLargeRunAccuracy(t *testing.T) {
 	exact, bounded := boundedPair(0)
 	for i := 0; i < 20000; i++ {
@@ -133,7 +133,7 @@ func TestBoundedRecorderLargeRunAccuracy(t *testing.T) {
 		exact.VLRTCount() != bounded.VLRTCount() {
 		t.Fatal("exact counters diverge in bounded mode")
 	}
-	maxErr := NewHDRHistogram(HDRConfig{}).RelativeError()
+	maxErr := NewHDRHistogram(DefaultHDRExactCap).RelativeError()
 	for _, p := range []float64{0.5, 0.9, 0.99, 0.999} {
 		e, b := exact.Percentile(p), bounded.Percentile(p)
 		relErr := math.Abs(float64(b-e)) / float64(e)

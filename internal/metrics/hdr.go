@@ -7,70 +7,32 @@ import (
 	"time"
 )
 
-// Default HDR histogram knobs. Seven significant bits keep every bucket
+// HDR histogram constants. Seven significant bits keep every bucket
 // representative within 2^-8 ≈ 0.4% of any value in the bucket while the
 // whole dense count array stays under 60 KB — constant whatever the
 // request count.
 const (
-	// DefaultHDRSigBits is the default precision (linear sub-buckets per
-	// power of two = 2^sigBits).
+	// DefaultHDRSigBits is the precision: each power-of-two range is
+	// split into 2^DefaultHDRSigBits linear sub-buckets.
 	DefaultHDRSigBits = 7
-	// DefaultHDRExactCap is the default exact small-run mode capacity:
+	// DefaultHDRExactCap is RetainBounded's exact small-run capacity:
 	// up to this many raw values are retained verbatim, so short runs
 	// report exact nearest-rank quantiles.
 	DefaultHDRExactCap = 1024
-
-	// maxHDRSigBits bounds the precision knob; beyond ~14 bits the dense
-	// array stops being "small" and the knob stops being meaningful.
-	maxHDRSigBits = 14
 )
-
-// HDRConfig tunes an HDRHistogram.
-type HDRConfig struct {
-	// SigBits is the number of significant bits: each power-of-two range
-	// is split into 2^SigBits linear sub-buckets, bounding the relative
-	// error of any representative at 2^-(SigBits+1). Zero defaults to
-	// DefaultHDRSigBits.
-	SigBits int
-	// ExactCap is the exact small-run capacity: histograms retain up to
-	// this many raw values and answer exactly; the ExactCap+1-th
-	// observation spills them into buckets. Zero defaults to
-	// DefaultHDRExactCap; negative disables exact mode entirely;
-	// math.MaxInt never spills.
-	ExactCap int
-}
-
-// withDefaults returns the resolved configuration: zero fields replaced
-// by the defaults, out-of-range ones clamped — what a histogram built
-// from c will actually use.
-func (c HDRConfig) withDefaults() HDRConfig {
-	if c.SigBits <= 0 {
-		c.SigBits = DefaultHDRSigBits
-	}
-	if c.SigBits > maxHDRSigBits {
-		c.SigBits = maxHDRSigBits
-	}
-	if c.ExactCap == 0 {
-		c.ExactCap = DefaultHDRExactCap
-	}
-	if c.ExactCap < 0 {
-		c.ExactCap = 0
-	}
-	return c
-}
 
 // HDRHistogram is a log-linear latency histogram: durations are
 // bucketed by (power-of-two group, linear sub-bucket), so memory is a
-// fixed ~(64-sigBits)×2^sigBits counters regardless of how many values
-// are observed, and any bucket representative is within a relative error
-// of 2^-(sigBits+1) of every value in the bucket. Small runs stay exact:
-// until ExactCap observations the raw values are retained and quantiles
-// use the same nearest-rank rule as Recorder.Percentile.
+// fixed numBuckets counters regardless of how many values are observed,
+// and any bucket representative is within RelativeError of every value
+// in the bucket. Small runs stay exact: until the exact capacity is
+// exceeded the raw values are retained and quantiles use the same
+// nearest-rank rule as Recorder.Percentile.
 type HDRHistogram struct {
-	cfg    HDRConfig
-	counts []int64
+	exactCap int
+	counts   []int64
 	// exact holds the raw values of a small run, in observation order;
-	// nil once spilled (or when ExactCap is 0). sorted caches them in
+	// nil once spilled (or when exactCap is 0). sorted caches them in
 	// ascending order so repeated quantile queries don't re-sort; Observe
 	// clears it.
 	exact   []time.Duration
@@ -82,38 +44,36 @@ type HDRHistogram struct {
 	min, max time.Duration
 }
 
-// NewHDRHistogram creates an empty histogram with the given config
-// (zero-value config takes the defaults).
-func NewHDRHistogram(cfg HDRConfig) *HDRHistogram {
-	cfg = cfg.withDefaults()
-	h := &HDRHistogram{cfg: cfg}
-	if cfg.ExactCap == 0 {
+// NewHDRHistogram creates an empty histogram that answers exactly until
+// its exactCap+1-th observation spills the retained values into buckets.
+// An exactCap of zero or less buckets from the first observation;
+// math.MaxInt never spills.
+func NewHDRHistogram(exactCap int) *HDRHistogram {
+	h := &HDRHistogram{exactCap: max(exactCap, 0)}
+	if h.exactCap == 0 {
 		h.spill()
 	}
 	return h
 }
 
-// Config returns the resolved configuration.
-func (h *HDRHistogram) Config() HDRConfig { return h.cfg }
-
 // RelativeError returns the worst-case relative error of any bucketed
-// representative: 2^-(SigBits+1). Exact-mode answers have zero error.
+// representative: 2^-(DefaultHDRSigBits+1). Exact-mode answers have zero
+// error.
 func (h *HDRHistogram) RelativeError() float64 {
-	return 1 / float64(uint64(2)<<uint(h.cfg.SigBits))
+	return 1 / float64(uint64(2)<<DefaultHDRSigBits)
 }
 
-// numBuckets returns the dense array size: 2^sigBits unit buckets plus
-// one 2^sigBits-wide group per remaining power of two of the int64 range.
-func numBuckets(sigBits int) int {
-	return (63 - sigBits + 1) << uint(sigBits)
-}
+// numBuckets is the dense array size: 2^DefaultHDRSigBits unit buckets
+// plus one 2^DefaultHDRSigBits-wide group per remaining power of two of
+// the int64 range.
+const numBuckets = (63 - DefaultHDRSigBits + 1) << DefaultHDRSigBits
 
 // bucketIdx maps a non-negative duration to its bucket.
 //
 //lint:hotpath
 func (h *HDRHistogram) bucketIdx(d time.Duration) int {
 	v := uint64(d)
-	b := uint(h.cfg.SigBits)
+	const b = DefaultHDRSigBits
 	if v < 1<<b {
 		return int(v)
 	}
@@ -126,7 +86,7 @@ func (h *HDRHistogram) bucketIdx(d time.Duration) int {
 
 // bucketBounds returns the [lo, lo+width) value range of bucket idx.
 func (h *HDRHistogram) bucketBounds(idx int) (lo time.Duration, width time.Duration) {
-	b := uint(h.cfg.SigBits)
+	const b = DefaultHDRSigBits
 	if idx < 1<<b {
 		return time.Duration(idx), 1
 	}
@@ -171,10 +131,10 @@ func (h *HDRHistogram) ObserveN(d time.Duration, n int64) {
 	h.count += n
 	h.sum += int64(d) * n
 	if !h.spilled {
-		if len(h.exact)+int(n) <= h.cfg.ExactCap {
+		if len(h.exact)+int(n) <= h.exactCap {
 			h.sorted = nil
 			for i := int64(0); i < n; i++ {
-				h.exact = append(h.exact, d) //lint:allow hotpath exact side, bounded by ExactCap (spills once) or unlimited by the caller's choice
+				h.exact = append(h.exact, d) //lint:allow hotpath exact side, bounded by the exact capacity (spills once) or unlimited by the caller's choice
 			}
 			return
 		}
@@ -189,7 +149,7 @@ func (h *HDRHistogram) spill() {
 	if h.spilled {
 		return
 	}
-	h.counts = make([]int64, numBuckets(h.cfg.SigBits)) //lint:allow hotpath one-time spill to the fixed dense array
+	h.counts = make([]int64, numBuckets) //lint:allow hotpath one-time spill to the fixed dense array
 	for _, v := range h.exact {
 		h.counts[h.bucketIdx(v)]++
 	}
@@ -328,7 +288,7 @@ func (h *HDRHistogram) sortedExact() []time.Duration {
 
 // FootprintBytes returns a deterministic accounting of the histogram's
 // retained memory: the dense count array plus any exact values and their
-// sorted copy. It depends only on the config once spilled — never on the
+// sorted copy. It is a constant once spilled — never a function of the
 // request count.
 func (h *HDRHistogram) FootprintBytes() int64 {
 	return int64(cap(h.counts)+cap(h.exact)+cap(h.sorted)) * 8

@@ -13,10 +13,9 @@ import (
 // edge is the next bucket's lower edge, and every value maps back into
 // the bucket whose bounds contain it.
 func TestHDRBucketContinuity(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{SigBits: 4, ExactCap: -1})
-	n := numBuckets(4)
+	h := NewHDRHistogram(0)
 	var prevEnd time.Duration
-	for idx := 0; idx < n; idx++ {
+	for idx := 0; idx < numBuckets; idx++ {
 		lo, width := h.bucketBounds(idx)
 		if lo != prevEnd {
 			t.Fatalf("bucket %d starts at %d, want %d (gap or overlap)", idx, lo, prevEnd)
@@ -41,27 +40,24 @@ func TestHDRBucketContinuity(t *testing.T) {
 // bucket representative is within RelativeError of every value in the
 // bucket.
 func TestHDRRepresentativeError(t *testing.T) {
-	for _, sigBits := range []int{1, 4, 7, 10} {
-		h := NewHDRHistogram(HDRConfig{SigBits: sigBits, ExactCap: -1})
-		maxErr := h.RelativeError()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 20000; i++ {
-			v := time.Duration(rng.Int63n(int64(time.Hour)) + 1)
-			rep := h.representative(h.bucketIdx(v))
-			relErr := math.Abs(float64(rep-v)) / float64(v)
-			if relErr > maxErr {
-				t.Fatalf("sigBits=%d v=%d rep=%d: relative error %.5f > %.5f",
-					sigBits, v, rep, relErr, maxErr)
-			}
+	h := NewHDRHistogram(0)
+	maxErr := h.RelativeError()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 20000; i++ {
+		v := time.Duration(rng.Int63n(int64(time.Hour)) + 1)
+		rep := h.representative(h.bucketIdx(v))
+		relErr := math.Abs(float64(rep-v)) / float64(v)
+		if relErr > maxErr {
+			t.Fatalf("v=%d rep=%d: relative error %.5f > %.5f", v, rep, relErr, maxErr)
 		}
 	}
 }
 
 // TestHDRExactModeMatchesRecorder pins the small-run contract: until
-// ExactCap observations the histogram's quantiles equal the exact
+// its exact capacity the histogram's quantiles equal the exact
 // nearest-rank answers bit for bit.
 func TestHDRExactModeMatchesRecorder(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{})
+	h := NewHDRHistogram(DefaultHDRExactCap)
 	rng := rand.New(rand.NewSource(11))
 	var values []time.Duration
 	for i := 0; i < 500; i++ {
@@ -70,7 +66,7 @@ func TestHDRExactModeMatchesRecorder(t *testing.T) {
 		h.Observe(v)
 	}
 	if !h.Exact() {
-		t.Fatal("histogram spilled below ExactCap")
+		t.Fatal("histogram spilled below its exact capacity")
 	}
 	sorted := append([]time.Duration(nil), values...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -87,49 +83,47 @@ func TestHDRExactModeMatchesRecorder(t *testing.T) {
 // relative error of the exact nearest-rank answer over a seeded workload
 // that mixes uniform, exponential-ish and heavy-tail values.
 func TestHDRQuantileWithinRelativeError(t *testing.T) {
-	for _, sigBits := range []int{5, 7, 9} {
-		h := NewHDRHistogram(HDRConfig{SigBits: sigBits, ExactCap: 100})
-		rng := rand.New(rand.NewSource(int64(sigBits)))
-		var values []time.Duration
-		for i := 0; i < 50000; i++ {
-			var v time.Duration
-			switch i % 3 {
-			case 0:
-				v = time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
-			case 1:
-				v = time.Duration(float64(time.Second) * rng.ExpFloat64())
-			default: // heavy tail, out to minutes
-				v = time.Duration(rng.Int63n(int64(3 * time.Minute)))
-			}
-			values = append(values, v)
-			h.Observe(v)
+	h := NewHDRHistogram(100)
+	rng := rand.New(rand.NewSource(7))
+	var values []time.Duration
+	for i := 0; i < 50000; i++ {
+		var v time.Duration
+		switch i % 3 {
+		case 0:
+			v = time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
+		case 1:
+			v = time.Duration(float64(time.Second) * rng.ExpFloat64())
+		default: // heavy tail, out to minutes
+			v = time.Duration(rng.Int63n(int64(3 * time.Minute)))
 		}
-		if h.Exact() {
-			t.Fatal("histogram did not spill past ExactCap")
+		values = append(values, v)
+		h.Observe(v)
+	}
+	if h.Exact() {
+		t.Fatal("histogram did not spill past its exact capacity")
+	}
+	sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
+	maxErr := h.RelativeError()
+	for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999} {
+		exact := values[NearestRank(p, len(values))]
+		got := h.Quantile(p)
+		relErr := math.Abs(float64(got-exact)) / math.Max(float64(exact), 1)
+		if relErr > maxErr {
+			t.Errorf("Quantile(%v) = %v, exact %v: relative error %.6f > %.6f",
+				p, got, exact, relErr, maxErr)
 		}
-		sort.Slice(values, func(i, j int) bool { return values[i] < values[j] })
-		maxErr := h.RelativeError()
-		for _, p := range []float64{0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999, 0.9999} {
-			exact := values[NearestRank(p, len(values))]
-			got := h.Quantile(p)
-			relErr := math.Abs(float64(got-exact)) / math.Max(float64(exact), 1)
-			if relErr > maxErr {
-				t.Errorf("sigBits=%d Quantile(%v) = %v, exact %v: relative error %.6f > %.6f",
-					sigBits, p, got, exact, relErr, maxErr)
-			}
-		}
-		// The extremes are exact regardless of bucketing.
-		if h.Quantile(0) != values[0] || h.Quantile(1) != values[len(values)-1] {
-			t.Errorf("sigBits=%d extremes: Quantile(0)=%v want %v, Quantile(1)=%v want %v",
-				sigBits, h.Quantile(0), values[0], h.Quantile(1), values[len(values)-1])
-		}
+	}
+	// The extremes are exact regardless of bucketing.
+	if h.Quantile(0) != values[0] || h.Quantile(1) != values[len(values)-1] {
+		t.Errorf("extremes: Quantile(0)=%v want %v, Quantile(1)=%v want %v",
+			h.Quantile(0), values[0], h.Quantile(1), values[len(values)-1])
 	}
 }
 
 // TestHDRMeanSumExact pins that bucketing never degrades sums: the mean
 // is the exact mean whatever the retention state.
 func TestHDRMeanSumExact(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{ExactCap: 10})
+	h := NewHDRHistogram(10)
 	var sum time.Duration
 	for i := 1; i <= 1000; i++ {
 		v := time.Duration(i) * 7 * time.Millisecond
@@ -152,7 +146,7 @@ func TestHDRMeanSumExact(t *testing.T) {
 
 // TestHDRCumulativeCount checks CDF queries in both retention states.
 func TestHDRCumulativeCount(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{})
+	h := NewHDRHistogram(DefaultHDRExactCap)
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -166,13 +160,13 @@ func TestHDRCumulativeCount(t *testing.T) {
 		t.Fatalf("exact CumulativeCount(1h) = %d, want 100", got)
 	}
 
-	spilled := NewHDRHistogram(HDRConfig{ExactCap: -1})
+	spilled := NewHDRHistogram(0)
 	for i := 1; i <= 100; i++ {
 		spilled.Observe(time.Duration(i) * time.Millisecond)
 	}
 	got := spilled.CumulativeCount(50 * time.Millisecond)
 	// Bucketed counts may shift by values within RelativeError of the
-	// threshold; at sigBits=7 that is under 1% of 50ms, so at most one of
+	// threshold; at 7 bits that is under 1% of 50ms, so at most one of
 	// the 1ms-spaced values can straddle.
 	if got < 49 || got > 51 {
 		t.Fatalf("spilled CumulativeCount(50ms) = %d, want 50±1", got)
@@ -186,7 +180,7 @@ func TestHDRCumulativeCount(t *testing.T) {
 // histogram level: footprint after 10k and 1M observations is identical.
 func TestHDRFootprintConstant(t *testing.T) {
 	observe := func(n int) int64 {
-		h := NewHDRHistogram(HDRConfig{})
+		h := NewHDRHistogram(DefaultHDRExactCap)
 		rng := rand.New(rand.NewSource(1))
 		for i := 0; i < n; i++ {
 			h.Observe(time.Duration(rng.Int63n(int64(time.Minute))))
@@ -202,24 +196,22 @@ func TestHDRFootprintConstant(t *testing.T) {
 	}
 }
 
-// TestHDRDefaultsAndClamps pins the config normalization.
+// TestHDRDefaultsAndClamps pins the fixed precision and the clamping of
+// out-of-range inputs.
 func TestHDRDefaultsAndClamps(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{})
-	if cfg := h.Config(); cfg.SigBits != DefaultHDRSigBits || cfg.ExactCap != DefaultHDRExactCap {
-		t.Fatalf("defaults = %+v", cfg)
+	h := NewHDRHistogram(DefaultHDRExactCap)
+	if got, want := h.RelativeError(), 1/float64(uint64(2)<<DefaultHDRSigBits); got != want {
+		t.Fatalf("RelativeError = %v, want %v", got, want)
 	}
-	if h := NewHDRHistogram(HDRConfig{SigBits: 99}); h.Config().SigBits != maxHDRSigBits {
-		t.Fatalf("SigBits not clamped: %+v", h.Config())
-	}
-	noExact := NewHDRHistogram(HDRConfig{ExactCap: -1})
+	noExact := NewHDRHistogram(-1)
 	if noExact.Exact() {
-		t.Fatal("ExactCap<0 must disable exact mode")
+		t.Fatal("a negative exact capacity must disable exact mode")
 	}
 	noExact.Observe(-time.Second) // negative clamps to zero, not a panic
 	if noExact.Min() != 0 || noExact.Count() != 1 {
 		t.Fatalf("negative observation: min=%v count=%d", noExact.Min(), noExact.Count())
 	}
-	empty := NewHDRHistogram(HDRConfig{})
+	empty := NewHDRHistogram(DefaultHDRExactCap)
 	if empty.Quantile(0.5) != 0 || empty.Mean() != 0 || empty.Min() != 0 ||
 		empty.Max() != 0 || empty.CumulativeCount(time.Second) != 0 {
 		t.Fatal("empty histogram should answer zeros")
@@ -230,7 +222,7 @@ func TestHDRDefaultsAndClamps(t *testing.T) {
 // states and that a fixed-bin Histogram rebuilt from Each conserves the
 // total count.
 func TestHDREach(t *testing.T) {
-	h := NewHDRHistogram(HDRConfig{ExactCap: 8})
+	h := NewHDRHistogram(8)
 	for i := 0; i < 1000; i++ {
 		h.Observe(time.Duration(i%97) * 10 * time.Millisecond)
 	}

@@ -33,14 +33,13 @@ const (
 	RetainBounded
 )
 
-// hdrConfig returns the histogram configuration the retention selects:
-// the default exact capacity for RetainBounded, an unlimited one for
-// RetainAll.
-func (r Retention) hdrConfig() HDRConfig {
+// exactCap returns the histograms' exact capacity the retention selects:
+// DefaultHDRExactCap for RetainBounded, unlimited for RetainAll.
+func (r Retention) exactCap() int {
 	if r == RetainBounded {
-		return HDRConfig{}
+		return DefaultHDRExactCap
 	}
-	return HDRConfig{ExactCap: math.MaxInt}
+	return math.MaxInt
 }
 
 // Recorder collects completed requests. It implements workload.Sink.
@@ -120,7 +119,7 @@ func (r *Recorder) Record(req *workload.Request) {
 
 // initAggregates creates the aggregates on the first record.
 func (r *Recorder) initAggregates() {
-	r.all.hdr = NewHDRHistogram(r.Retention.hdrConfig())
+	r.all.hdr = NewHDRHistogram(r.Retention.exactCap())
 	r.classes = make(map[string]*classAccum)
 	r.vlrtByServer = make(map[string][]int)
 }
@@ -128,7 +127,7 @@ func (r *Recorder) initAggregates() {
 // newClass creates and registers the accumulator for one interaction
 // class, once per class name.
 func (r *Recorder) newClass(name string) *classAccum {
-	ca := &classAccum{hdr: NewHDRHistogram(r.Retention.hdrConfig())}
+	ca := &classAccum{hdr: NewHDRHistogram(r.Retention.exactCap())}
 	r.classes[name] = ca
 	return ca
 }

@@ -72,8 +72,6 @@ type TierSpec struct {
 	// Node optionally places the tier's VM on a named shared node for
 	// consolidation experiments; empty means a dedicated node.
 	Node string
-	// Weight is the VM's CPU share on its node; zero means 1.
-	Weight float64
 }
 
 // SystemSpec describes a complete 3-tier system.
@@ -96,7 +94,7 @@ type System struct {
 	// WebVM, AppVM, DBVM are the hosting VMs.
 	WebVM, AppVM, DBVM *cpu.VM
 	// Pool is the app→db connection pool, nil when disabled.
-	Pool *simnet.ConnPool
+	Pool *server.ConnPool
 	// Transport carries this system's inter-tier and client packets.
 	Transport *simnet.Transport
 }
@@ -155,7 +153,7 @@ func (c *Cluster) Build(spec SystemSpec) *System {
 	sys := &System{Spec: spec, Transport: tr}
 
 	if spec.DBConnPool > 0 {
-		sys.Pool = simnet.NewConnPool(spec.DBConnPool)
+		sys.Pool = server.NewConnPool(spec.DBConnPool)
 	}
 
 	sys.DBVM = c.placeVM(spec.Name, spec.DB)
@@ -177,10 +175,6 @@ func (c *Cluster) placeVM(sysName string, t TierSpec) *cpu.VM {
 	if cores <= 0 {
 		cores = 1
 	}
-	weight := t.Weight
-	if weight <= 0 {
-		weight = 1
-	}
 	vmName := fullName(sysName, t.Name)
 	nodeName := t.Node
 	if nodeName == "" {
@@ -188,9 +182,9 @@ func (c *Cluster) placeVM(sysName string, t TierSpec) *cpu.VM {
 	}
 	// A dedicated node exactly fits the VM; a shared node is created with
 	// a single core (the paper's consolidation host) unless it already
-	// exists.
+	// exists. Every tier VM has CPU weight 1.
 	node := c.Node(nodeName, cores)
-	return node.AddVM(vmName, weight, cores)
+	return node.AddVM(vmName, 1, cores)
 }
 
 func (c *Cluster) buildServer(sysName string, t TierSpec, vm *cpu.VM, tr *simnet.Transport, plan server.PlanFunc) server.Server {
@@ -261,7 +255,7 @@ func webPlan(app server.Server) server.PlanFunc {
 // millibottleneck ends, the backlog's first query fires after only ~15% of
 // the app demand, so the batch hits the database faster than the database
 // can serve it.
-func appPlan(db server.Server, pool *simnet.ConnPool) server.PlanFunc {
+func appPlan(db server.Server, pool *server.ConnPool) server.PlanFunc {
 	var down *server.Downstream
 	if db != nil {
 		down = &server.Downstream{Dest: db, Pool: pool}

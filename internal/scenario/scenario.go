@@ -269,15 +269,20 @@ type Event struct {
 	// Tier targets a steady tier (logflush, cpuhog, gcpause, kill_tier,
 	// restore_tier).
 	Tier string `json:"tier,omitempty"`
-	// Interval is the injector period (logflush, cpuhog, gcpause).
+	// Interval is the injector period (logflush, cpuhog, gcpause). It is
+	// required for cpuhog; zero defaults to 30s for logflush and to 10s
+	// for gcpause, as in the fleet section.
 	Interval Duration `json:"interval,omitempty"`
-	// Duration is the per-flush stall length (logflush).
+	// Duration is the per-flush stall length (logflush); zero defaults
+	// to 1s, as in the fleet section.
 	Duration Duration `json:"duration,omitempty"`
 	// Demand is the CPU burst per interval (cpuhog).
 	Demand Duration `json:"demand,omitempty"`
-	// Base is the fixed pause component (gcpause).
+	// Base is the fixed pause component (gcpause); zero defaults to
+	// 50ms, as in the fleet section.
 	Base Duration `json:"base,omitempty"`
-	// PerRequest extends the pause per in-service request (gcpause).
+	// PerRequest extends the pause per in-service request (gcpause);
+	// zero defaults to 2ms, as in the fleet section.
 	PerRequest Duration `json:"per_request,omitempty"`
 	// Size is the new pool capacity (resize_pool).
 	Size int `json:"size,omitempty"`

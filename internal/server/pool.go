@@ -1,4 +1,4 @@
-package simnet
+package server
 
 // ConnPool models a bounded connection pool such as Tomcat's JDBC pool
 // (size 50 in the paper's setup, Appendix A). A synchronous caller that
@@ -8,10 +8,9 @@ package simnet
 type ConnPool struct {
 	size  int
 	inUse int
-	// waiters[head:] are the queued callers, oldest first; unbounded, as
-	// in the paper: the thread pool above bounds them.
-	waiters []func()
-	head    int
+	// waiters are the queued callers, oldest first; unbounded, as in the
+	// paper: the thread pool above bounds them.
+	waiters fifo[func()]
 }
 
 // NewConnPool creates a pool with the given number of connections.
@@ -31,7 +30,7 @@ func (p *ConnPool) Acquire(fn func()) {
 		fn()
 		return
 	}
-	p.waiters = append(p.waiters, fn) //lint:allow hotpath amortized: the queue grows to the peak number of waiters, then is reused
+	p.waiters.push(fn)
 }
 
 // Release returns a connection to the pool, handing it to the oldest waiter
@@ -39,7 +38,7 @@ func (p *ConnPool) Acquire(fn func()) {
 // of handed on, until the pool drains down to its new capacity.
 func (p *ConnPool) Release() {
 	if p.Waiting() > 0 && p.inUse <= p.size {
-		p.popWaiter()()
+		p.waiters.pop()()
 		return
 	}
 	if p.inUse > 0 {
@@ -59,24 +58,8 @@ func (p *ConnPool) Resize(size int) {
 	p.size = size
 	for p.Waiting() > 0 && p.inUse < p.size {
 		p.inUse++
-		p.popWaiter()()
+		p.waiters.pop()()
 	}
-}
-
-// popWaiter dequeues the oldest waiter. It advances the head instead of
-// shifting the queue, and compacts once the head passes half the slice,
-// so a queue that never empties stays bounded.
-func (p *ConnPool) popWaiter() func() {
-	fn := p.waiters[p.head]
-	p.waiters[p.head] = nil
-	p.head++
-	if p.head > len(p.waiters)/2 {
-		n := copy(p.waiters, p.waiters[p.head:])
-		clear(p.waiters[n:])
-		p.waiters = p.waiters[:n]
-		p.head = 0
-	}
-	return fn
 }
 
 // Size returns the pool capacity.
@@ -86,4 +69,4 @@ func (p *ConnPool) Size() int { return p.size }
 func (p *ConnPool) InUse() int { return p.inUse }
 
 // Waiting returns the number of callers queued for a connection.
-func (p *ConnPool) Waiting() int { return len(p.waiters) - p.head }
+func (p *ConnPool) Waiting() int { return p.waiters.len() }

@@ -40,7 +40,7 @@ type Downstream struct {
 	Dest simnet.Admission
 	// Pool, if non-nil, is acquired before sending and released when the
 	// call ends (the JDBC connection pool between Tomcat and MySQL).
-	Pool *simnet.ConnPool
+	Pool *ConnPool
 }
 
 // Program is the processing recipe for one request at one server.

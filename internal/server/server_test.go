@@ -32,7 +32,7 @@ func cpuOnly(d time.Duration) PlanFunc {
 }
 
 // callThrough returns a plan with CPU, a downstream call, then more CPU.
-func callThrough(pre time.Duration, dest simnet.Admission, pool *simnet.ConnPool, post time.Duration) PlanFunc {
+func callThrough(pre time.Duration, dest simnet.Admission, pool *ConnPool, post time.Duration) PlanFunc {
 	down := &Downstream{Dest: dest, Pool: pool}
 	return func(_ any, buf Program) Program {
 		return append(buf, Stage{CPU: pre, Call: down}, Stage{CPU: post})
@@ -218,7 +218,7 @@ func TestSyncFailurePropagation(t *testing.T) {
 
 func TestSyncConnPoolSerializesDownstream(t *testing.T) {
 	r := newRig(1)
-	pool := simnet.NewConnPool(1)
+	pool := NewConnPool(1)
 	db := NewSync(r.sim, r.vm("db"), r.tr, cpuOnly(100*time.Millisecond),
 		SyncConfig{Name: "db", Threads: 10, Backlog: 10})
 	app := NewSync(r.sim, r.vm("app"), r.tr, callThrough(0, db, pool, 0),
@@ -412,7 +412,7 @@ func TestAsyncConnPool(t *testing.T) {
 	// NX=0 or NX=1. The db queries a store that a hog holds forever.
 	r := newRig(1)
 	r.tr.MaxAttempts = 1
-	pool := simnet.NewConnPool(1)
+	pool := NewConnPool(1)
 	store := NewSync(r.sim, r.vm("store"), r.tr, cpuOnly(time.Hour),
 		SyncConfig{Name: "store", Threads: 1, Backlog: 0})
 	toStore := &Downstream{Dest: store}
@@ -675,7 +675,7 @@ func TestSyncStatsFailuresViaPool(t *testing.T) {
 	// A failure path must release the pooled connection.
 	r := newRig(1)
 	r.tr.MaxAttempts = 1
-	pool := simnet.NewConnPool(1)
+	pool := NewConnPool(1)
 	db := NewSync(r.sim, r.vm("db"), r.tr, cpuOnly(time.Hour),
 		SyncConfig{Name: "db", Threads: 1, Backlog: 0})
 	app := NewSync(r.sim, r.vm("app"), r.tr, callThrough(0, db, pool, 0),

@@ -19,14 +19,6 @@ import (
 	"ctqosim/internal/span"
 )
 
-// DefaultRTO is the retransmission timeout of the paper's kernel (2.6.32).
-const DefaultRTO = 3 * time.Second
-
-// DefaultMaxAttempts bounds delivery attempts (1 original + retries). Five
-// attempts put the worst surviving response past the 9-second cluster that
-// Fig. 1 shows.
-const DefaultMaxAttempts = 5
-
 // Admission is a receiver's ingress policy: a synchronous server admits up
 // to threads+backlog requests (its MaxSysQDepth); an asynchronous server
 // admits up to LiteQDepth. Implemented by the server package.
@@ -122,10 +114,9 @@ type HopStats struct {
 type Transport struct {
 	sim *des.Simulator
 
-	// RTO is the retransmission timeout; zero means DefaultRTO.
+	// RTO is the retransmission timeout.
 	RTO time.Duration
-	// MaxAttempts bounds total delivery attempts; zero means
-	// DefaultMaxAttempts.
+	// MaxAttempts bounds total delivery attempts.
 	MaxAttempts int
 	// Backoff, when true, doubles the timeout after every drop
 	// (3s, 6s, 12s…) instead of the fixed timer. The paper's clusters at
@@ -140,12 +131,14 @@ type Transport struct {
 	drops []Drop
 }
 
-// NewTransport creates a transport with the paper's kernel defaults.
+// NewTransport creates a transport with the paper's kernel, RHEL6, applied.
 func NewTransport(sim *des.Simulator) *Transport {
-	return &Transport{
+	t := &Transport{
 		sim:   sim,
 		stats: make(map[string]*HopStats),
 	}
+	RHEL6.Apply(t)
+	return t
 }
 
 // Send attempts delivery of call to dst, retransmitting on drops. The call's
@@ -178,7 +171,7 @@ func (t *Transport) Send(dst Admission, call *Call) {
 		t.drops = append(t.drops, Drop{At: t.sim.Now(), Server: dst.Name()}) //lint:allow hotpath KeepDrops only: one record per drop, off on untraced runs
 	}
 
-	if call.Attempts >= t.maxAttempts() {
+	if call.Attempts >= t.MaxAttempts {
 		s.GaveUp++
 		if call.Done != nil {
 			call.Done(dst.Name())
@@ -259,28 +252,12 @@ func (t *Transport) hop(name string) *HopStats {
 	return s
 }
 
-//lint:hotpath
-func (t *Transport) rto() time.Duration {
-	if t.RTO > 0 {
-		return t.RTO
-	}
-	return DefaultRTO
-}
-
-//lint:hotpath
-func (t *Transport) maxAttempts() int {
-	if t.MaxAttempts > 0 {
-		return t.MaxAttempts
-	}
-	return DefaultMaxAttempts
-}
-
 // timeout returns the wait before the next attempt, given the number of
 // attempts already made.
 //
 //lint:hotpath
 func (t *Transport) timeout(attempts int) time.Duration {
-	rto := t.rto()
+	rto := t.RTO
 	if !t.Backoff {
 		return rto
 	}

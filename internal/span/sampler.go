@@ -23,15 +23,9 @@ type Sampler struct {
 	seenNormal int64
 }
 
-// NewSampler creates a sampler keeping all traces slower than threshold
+// newSampler creates a sampler keeping all traces slower than threshold
 // plus a reservoir of at most capacity normal ones.
-func NewSampler(seed int64, threshold time.Duration, capacity int) *Sampler {
-	if threshold <= 0 {
-		threshold = DefaultTailThreshold
-	}
-	if capacity <= 0 {
-		capacity = DefaultReservoir
-	}
+func newSampler(seed int64, threshold time.Duration, capacity int) *Sampler {
 	return &Sampler{
 		threshold: threshold,
 		capacity:  capacity,

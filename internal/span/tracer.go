@@ -108,7 +108,7 @@ func NewTracer(now func() time.Duration, cfg TracerConfig) *Tracer {
 	}
 	return &Tracer{
 		now:     now,
-		sampler: NewSampler(cfg.Seed, cfg.TailThreshold, cfg.Reservoir),
+		sampler: newSampler(cfg.Seed, cfg.TailThreshold, cfg.Reservoir),
 		tierIdx: make(map[string]int32),
 	}
 }

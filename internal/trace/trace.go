@@ -8,6 +8,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -31,34 +32,22 @@ type Bottleneck struct {
 // Duration returns the bottleneck length.
 func (b Bottleneck) Duration() time.Duration { return b.End - b.Start }
 
-// DetectorConfig tunes millibottleneck detection.
-type DetectorConfig struct {
-	// Threshold is the saturation level (0..1]; zero defaults to 0.95.
-	Threshold float64
-	// MinDuration filters out single-sample blips; zero defaults to 100ms.
-	MinDuration time.Duration
-	// MaxDuration separates millibottlenecks from persistent saturation;
-	// zero defaults to 5s.
-	MaxDuration time.Duration
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Threshold <= 0 {
-		c.Threshold = 0.95
-	}
-	if c.MinDuration <= 0 {
-		c.MinDuration = 100 * time.Millisecond
-	}
-	if c.MaxDuration <= 0 {
-		c.MaxDuration = 5 * time.Second
-	}
-	return c
-}
+// Millibottleneck detection and correlation constants.
+const (
+	// threshold is the saturation level a sample must reach.
+	threshold = 0.95
+	// minDuration filters out single-sample blips.
+	minDuration = 100 * time.Millisecond
+	// maxDuration separates millibottlenecks from persistent saturation.
+	maxDuration = 5 * time.Second
+	// grace extends the correlation window on both sides of a
+	// bottleneck: queue overflow trails the saturation slightly.
+	grace = 500 * time.Millisecond
+)
 
 // DetectBottlenecks scans a utilization (or I/O-wait) series for saturated
 // runs that qualify as millibottlenecks.
-func DetectBottlenecks(vm string, s *metrics.Series, ioWait bool, cfg DetectorConfig) []Bottleneck {
-	cfg = cfg.withDefaults()
+func DetectBottlenecks(vm string, s *metrics.Series, ioWait bool) []Bottleneck {
 	if s == nil || s.Interval <= 0 {
 		return nil
 	}
@@ -74,13 +63,13 @@ func DetectBottlenecks(vm string, s *metrics.Series, ioWait bool, cfg DetectorCo
 			End:    time.Duration(endIdx) * s.Interval,
 			IOWait: ioWait,
 		}
-		if b.Duration() >= cfg.MinDuration && b.Duration() <= cfg.MaxDuration {
+		if b.Duration() >= minDuration && b.Duration() <= maxDuration {
 			out = append(out, b)
 		}
 		runStart = -1
 	}
 	for i, v := range s.Values {
-		if v >= cfg.Threshold {
+		if v >= threshold {
 			if runStart < 0 {
 				runStart = i
 			}
@@ -136,42 +125,23 @@ type Episode struct {
 	Direction Direction
 }
 
-// Analyzer performs the correlation between bottlenecks and drops.
-type Analyzer struct {
-	// Tiers lists server names in invocation order (client side first),
-	// e.g. ["apache", "tomcat", "mysql"].
-	Tiers []string
-	// TierOfVM maps each VM name to the tier (server name) it hosts.
-	TierOfVM map[string]string
-	// Grace extends the correlation window after a bottleneck ends; zero
-	// defaults to 500ms. Queue overflow trails the saturation slightly.
-	Grace time.Duration
-	// Detector tunes bottleneck detection.
-	Detector DetectorConfig
-}
-
-const defaultGrace = 500 * time.Millisecond
-
-// Analyze detects millibottlenecks on the monitored VMs and correlates
-// them with drops, the records a transport keeps under KeepDrops.
-func (a *Analyzer) Analyze(mon *metrics.Monitor, vmNames []string, drops []simnet.Drop) *Report {
+// Analyze detects millibottlenecks on the VMs of tiers, which name the
+// servers in invocation order (client side first) and each server's VM,
+// and correlates them with drops, the records a transport keeps under
+// KeepDrops. A drop counts toward a bottleneck from grace before its
+// start to grace after its end, both edges included.
+func Analyze(mon *metrics.Monitor, tiers []string, drops []simnet.Drop) *Report {
 	var bottlenecks []Bottleneck
-	for _, vm := range vmNames {
-		bottlenecks = append(bottlenecks,
-			DetectBottlenecks(vm, mon.Util(vm), false, a.Detector)...)
-		bottlenecks = append(bottlenecks,
-			DetectBottlenecks(vm, mon.IOWait(vm), true, a.Detector)...)
+	for _, vm := range tiers {
+		bottlenecks = append(bottlenecks, DetectBottlenecks(vm, mon.Util(vm), false)...)
+		bottlenecks = append(bottlenecks, DetectBottlenecks(vm, mon.IOWait(vm), true)...)
 	}
-	// Stable, so bottlenecks that start together stay in vmNames order.
+	// Stable, so bottlenecks that start together stay in tier order.
 	sort.SliceStable(bottlenecks, func(i, j int) bool {
 		return bottlenecks[i].Start < bottlenecks[j].Start
 	})
 
-	grace := a.Grace
-	if grace <= 0 {
-		grace = defaultGrace
-	}
-	report := &Report{Tiers: a.Tiers}
+	report := &Report{Tiers: tiers}
 	for _, b := range bottlenecks {
 		ep := Episode{Bottleneck: b, Drops: make(map[string]int)}
 		for _, d := range drops {
@@ -179,21 +149,21 @@ func (a *Analyzer) Analyze(mon *metrics.Monitor, vmNames []string, drops []simne
 				ep.Drops[d.Server]++
 			}
 		}
-		ep.Direction = a.classify(b, ep.Drops)
+		ep.Direction = classify(tiers, b, ep.Drops)
 		report.Episodes = append(report.Episodes, ep)
 	}
 	report.TotalDrops = len(drops)
 	return report
 }
 
-func (a *Analyzer) classify(b Bottleneck, drops map[string]int) Direction {
+func classify(tiers []string, b Bottleneck, drops map[string]int) Direction {
 	if len(drops) == 0 {
 		return DirectionNone
 	}
-	origin := a.tierIndex(a.TierOfVM[b.VM])
+	origin := slices.Index(tiers, b.VM)
 	up, down := false, false
 	for srv := range drops {
-		idx := a.tierIndex(srv)
+		idx := slices.Index(tiers, srv)
 		if idx < 0 || origin < 0 {
 			continue
 		}
@@ -213,15 +183,6 @@ func (a *Analyzer) classify(b Bottleneck, drops map[string]int) Direction {
 	default:
 		return DirectionNone
 	}
-}
-
-func (a *Analyzer) tierIndex(name string) int {
-	for i, t := range a.Tiers {
-		if t == name {
-			return i
-		}
-	}
-	return -1
 }
 
 // Report is the outcome of the micro-level event analysis.
