@@ -7,7 +7,9 @@ import "time"
 // The paper's testbed runs RHEL 6 (kernel 2.6.32), whose 3-second SYN
 // retransmission timer is what places the latency clusters at 3/6/9s;
 // later kernels use a 1-second initial timer with exponential backoff,
-// which moves — but does not remove — the clusters.
+// which moves — but does not remove — the clusters. No field has a zero
+// default: build a variant by copying a profile and changing the fields
+// it varies.
 type KernelProfile struct {
 	// Name identifies the profile.
 	Name string
