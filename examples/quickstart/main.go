@@ -11,6 +11,7 @@ import (
 
 	"ctqosim/internal/core"
 	"ctqosim/internal/ntier"
+	"ctqosim/internal/simnet"
 )
 
 func main() {
@@ -46,7 +47,7 @@ func main() {
 	// And the Section III arithmetic explains it: the burst outruns
 	// MaxSysQDepth(Apache) = threads 150 + backlog 128.
 	p := core.PredictOverflow(res.Throughput, 400*time.Millisecond,
-		ntier.ApacheThreads+ntier.KernelBacklog)
+		ntier.ApacheThreads+simnet.RHEL6.Backlog)
 	fmt.Printf("model: %d arrivals during a 0.4s millibottleneck vs capacity %d -> ~%d drops\n",
 		p.Arrivals, p.Capacity, p.Dropped)
 }

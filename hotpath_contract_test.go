@@ -99,8 +99,20 @@ var hotpathExercisers = map[string]string{
 	"des.wheel.putNode":        "des-wheel",
 	"des.wheel.place":          "des-wheel",
 	"des.wheel.promote":        "des-wheel",
+	"des.wheel.nextOccupied":   "des-wheel",
+	"des.wheel.occupied":       "des-wheel",
+	"des.wheel.drain":          "des-wheel",
 	"des.wheel.cascades":       "des-wheel",
 	"des.wheel.spill":          "des-wheel",
+
+	// DES alarms: five alarms re-armed, stopped and fired among wheel
+	// and heap events, as the CPU nodes' completions are.
+	"des.Alarm.Set":               "des-alarm",
+	"des.Alarm.Stop":              "des-alarm",
+	"des.Alarm.before":            "des-alarm",
+	"des.Simulator.disarm":        "des-alarm",
+	"des.Simulator.earliestAlarm": "des-alarm",
+	"des.Simulator.alarmNext":     "des-alarm",
 
 	// simnet: a clean delivery covers Send/hop; a dropped-then-delivered
 	// call covers the retransmission machinery.
@@ -539,6 +551,43 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				sim.Run(sim.Now() + 4*time.Second)
 			}
 			drive()
+			return testing.AllocsPerRun(200, drive)
+		},
+		"des-alarm": func() float64 {
+			// Each alarm re-arms from its own callback, and every
+			// firing re-arms the others, earlier and later than they
+			// were, and stops one: the cached earliest moves both ways,
+			// and fired, stopped and re-armed alarms leave the armed set
+			// in every position. Heap and wheel events interleave, so
+			// the alarms race both sources of the next event.
+			sim := des.NewSimulator(1)
+			alarms := make([]*des.Alarm, 5)
+			n := 0
+			for i := range alarms {
+				alarms[i] = sim.NewAlarm(func() {
+					n++
+					for j, a := range alarms {
+						switch {
+						case j == i:
+							a.Set(time.Duration(40+n%7) * time.Microsecond)
+						case (n+j)%5 == 0:
+							a.Stop()
+						default:
+							a.Set(time.Duration(10+(n*j)%90) * time.Microsecond)
+						}
+					}
+				})
+			}
+			bump := func() { n++ }
+			drive := func() {
+				for i, a := range alarms {
+					a.Set(time.Duration(i+1) * time.Microsecond)
+					sim.Schedule(time.Duration(i)*30*time.Microsecond, bump)
+					sim.Schedule(time.Duration(i)*5*time.Millisecond, bump)
+				}
+				sim.Run(sim.Now() + 30*time.Millisecond)
+			}
+			drive() // warm the armed set, the event pool and the wheel nodes
 			return testing.AllocsPerRun(200, drive)
 		},
 		"simnet-clean-delivery": func() float64 {

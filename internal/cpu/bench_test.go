@@ -59,3 +59,29 @@ func BenchmarkConsolidatedNode(b *testing.B) {
 		steady.Submit(100*time.Microsecond, nil)
 	}
 }
+
+// BenchmarkSparseNode is the consolidated host at its sparsest: one
+// steady 100 µs job at a time beside 200 co-tenant jobs that outlast the
+// run, one core under JobProportional. The steady job gets 1/201 of the
+// core, so its completions come about 20 ms apart, past the wheel's
+// 16.8 ms level-0 span, with nothing else scheduled. Each operation
+// steps the node to the steady job's completion and submits the next.
+func BenchmarkSparseNode(b *testing.B) {
+	sim := des.NewSimulator(1)
+	node := NewNode(sim, "n", 1)
+	node.SetPolicy(JobProportional)
+	steady := node.AddVM("steady", 1, 1)
+	bursty := node.AddVM("bursty", 1, 1)
+	for i := 0; i < 200; i++ {
+		bursty.Submit(time.Hour, nil)
+	}
+	steady.Submit(100*time.Microsecond, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for steady.ActiveJobs() == 1 {
+			sim.Step()
+		}
+		steady.Submit(100*time.Microsecond, nil)
+	}
+}

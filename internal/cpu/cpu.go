@@ -53,8 +53,7 @@ type Node struct {
 	vms    []*VM
 
 	lastUpdate time.Duration
-	completion des.Timer // the armed next-completion event
-	onComplete func()    // n.complete, bound once so re-arming allocates no closure
+	completion *des.Alarm // the next completion, bound to n.complete and re-armed in place
 
 	// alloc is the allocation in effect, one entry per VM, and key what
 	// it was computed from: per VM -1 when blocked or without jobs, else
@@ -75,7 +74,7 @@ func NewNode(sim *des.Simulator, name string, cores float64) *Node {
 		cores = 1
 	}
 	n := &Node{sim: sim, name: name, cores: cores, policy: WeightedVM}
-	n.onComplete = n.complete
+	n.completion = sim.NewAlarm(n.complete)
 	return n
 }
 
@@ -275,7 +274,8 @@ func (n *Node) advance() {
 }
 
 // reschedule completes any finished jobs, stores the new allocation and
-// arms the next completion event. Done callbacks run after internal state
+// re-arms the completion alarm for the next completion, or stops it when
+// no job is progressing. Done callbacks run after internal state
 // is consistent; they may submit new work re-entrantly. Only a runnable
 // VM whose smallest remaining demand is done has jobs to complete, so
 // only its jobs are walked.
@@ -309,7 +309,6 @@ func (n *Node) reschedule() {
 		vm.minRemaining = least
 	}
 
-	n.sim.Cancel(n.completion)
 	n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
@@ -324,7 +323,9 @@ func (n *Node) reschedule() {
 		}
 	}
 	if next >= 0 {
-		n.completion = n.sim.Schedule(durationFromSeconds(next), n.onComplete)
+		n.completion.Set(durationFromSeconds(next))
+	} else {
+		n.completion.Stop()
 	}
 
 	for _, done := range completed {
@@ -334,8 +335,8 @@ func (n *Node) reschedule() {
 	n.finished = completed[:0]
 }
 
-// complete is the armed completion event's callback: the earliest job
-// has just run out of demand.
+// complete is the completion alarm's callback: the earliest job has
+// just run out of demand.
 //
 //lint:hotpath
 func (n *Node) complete() {

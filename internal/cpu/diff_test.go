@@ -5,7 +5,8 @@ package cpu
 // of Submit (zero demand included, some jobs submitting a follow-up from
 // their done callback), Block, Stall, Resume, SetPolicy, Usage and clock
 // advances, each on its own simulator. The completion order, every
-// completion time and every Usage reading must match bit for bit.
+// completion time and every Usage reading must match bit for bit, and
+// so must the kernel's counters after the drain.
 
 import (
 	"fmt"
@@ -120,7 +121,11 @@ func applyDiffOp(s *diffSide, op uint32) {
 }
 
 // runDiff applies the trace to both models, lets them drain, and
-// returns both logs.
+// returns both logs. Each log ends with its kernel's counters: the
+// model re-arms its completion alarm where the reference cancels its
+// completion timer and schedules a fresh one, and the two must count
+// the same schedulings, firings and peak of live events, which the
+// golden digests print.
 func runDiff(setup uint32, ops []uint32) (got, want []string) {
 	g, w := newDiffSides(setup)
 	for _, side := range []*diffSide{g, w} {
@@ -131,6 +136,8 @@ func runDiff(setup uint32, ops []uint32) (got, want []string) {
 		for i := range side.vms {
 			side.usage(i)
 		}
+		side.log = append(side.log, fmt.Sprintf("kernel: scheduled=%d executed=%d peak=%d pending=%d",
+			side.sim.Scheduled(), side.sim.Executed(), side.sim.PeakPending(), side.sim.Pending()))
 	}
 	return g.log, w.log
 }

@@ -97,3 +97,30 @@ func BenchmarkEventLoopRTO100k(b *testing.B) {
 		sim.Step()
 	}
 }
+
+// BenchmarkAlarmRearm is the CPU nodes' completion shape on the kernel
+// alone: five alarms, one per node, and every firing re-arms all five,
+// earlier or later than they were, as each event re-times every node's
+// next completion. Each operation fires one alarm.
+func BenchmarkAlarmRearm(b *testing.B) {
+	sim := NewSimulator(1)
+	alarms := make([]*Alarm, 5)
+	x := uint32(1)
+	rearm := func() {
+		for _, a := range alarms {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			a.Set(time.Duration(x%2000) * time.Microsecond)
+		}
+	}
+	for i := range alarms {
+		alarms[i] = sim.NewAlarm(rearm)
+	}
+	rearm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Step()
+	}
+}

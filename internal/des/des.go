@@ -9,14 +9,23 @@
 // hierarchical timer wheel (wheel.go) for O(1) insertion — above all the
 // closed loop's think timers, one per client, seconds out, which make up
 // most of the pending set (retransmissions are scheduled only after a
-// drop and never cancelled) — and are promoted one 65 µs bucket at a time
-// into a cache-friendly 4-ary min-heap (heap4.go) that only ever orders
-// the events about to fire. A heap-only scheduler ran the registered
-// scenarios about a fifth slower (DESIGN.md §14). Events are pooled, and Schedule
-// hands back a small Timer value rather than the event itself.
-// Cancellation is O(1) and lazy: a cancelled event's queued node becomes
-// a tombstone, dropped when the scheduler reaches it. DESIGN.md §14
-// describes the structure and its determinism argument.
+// drop and never cancelled) — and are promoted into a cache-friendly
+// 4-ary min-heap (heap4.go) that only ever orders the events about to
+// fire. Promotion jumps the wheel's horizon straight to the next
+// occupied 65 µs bucket, found in an occupancy map of the wheel's finest
+// level, rather than stepping through the empty ones. A heap-only
+// scheduler ran the registered scenarios about a fifth slower (DESIGN.md
+// §14). Events are pooled, and Schedule hands back a small Timer value
+// rather than the event itself. Cancellation is O(1) and lazy: a
+// cancelled event's queued node becomes a tombstone, dropped when the
+// scheduler reaches it.
+//
+// An owner with at most one pending firing that moves at nearly every
+// event — a CPU node's next completion — uses an Alarm instead
+// (alarm.go): it re-arms in place and is kept apart from the heap and
+// the wheel, so the next event is the earlier of the heap top and the
+// earliest armed alarm. DESIGN.md §14 describes the structure and its
+// determinism argument.
 //
 // The kernel is intentionally single-threaded: all model code runs on the
 // caller's goroutine inside Run/Step. This makes simulations deterministic
@@ -25,12 +34,13 @@ package des
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"time"
 )
 
 // ErrHorizon is returned by Run when the simulation reaches the requested
-// time horizon with events still pending.
+// time horizon with events still pending, armed alarms included.
 var ErrHorizon = errors.New("des: horizon reached with pending events")
 
 // Event lifecycle states. Each scheduling of a pooled event object ends
@@ -71,6 +81,9 @@ type Simulator struct {
 	rng   *rand.Rand
 	free  *event // intrusive freelist of fired and cancelled events
 
+	alarms []*Alarm // armed alarms, unordered
+	first  *Alarm   // the earliest armed alarm, nil when none is armed
+
 	executed    uint64
 	pending     int
 	peakPending int
@@ -95,7 +108,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Scheduled returns the number of events ever scheduled (including
-// cancelled ones).
+// cancelled ones); every Alarm.Set counts as one scheduling.
 func (s *Simulator) Scheduled() uint64 { return s.seq }
 
 // Pending returns the number of live events currently scheduled.
@@ -245,25 +258,32 @@ func (e *event) tombstone(seq uint64) bool {
 	}
 }
 
-// settle drains cancelled tombstones off the heap top and promotes due
-// timer-wheel buckets until the heap top is the globally minimal live
-// event, reporting false when no live events remain anywhere. The wheel
-// invariant makes the order exact: every pending event below the
-// promotion horizon is already in the heap, and every parked event is at
-// or beyond it, so a heap top below the horizon is the global minimum.
-// While the tombstone count is zero — the steady state of cancel-free
-// stretches — the top's event is never even loaded.
+// settle drains cancelled tombstones off the heap top and promotes the
+// timer wheel until the next event is the earlier of the heap top and
+// the earliest armed alarm, reporting false when no live events remain
+// anywhere. The wheel invariant makes the order exact: every parked
+// event is at or beyond the promotion horizon, so once the heap top or
+// the earliest alarm is below it, the earlier of the two is the global
+// minimum. Promotion therefore runs only while neither is below the
+// horizon. While the tombstone count is zero — the steady state of
+// cancel-free stretches — the top's event is never even loaded.
 //
 //lint:hotpath
 func (s *Simulator) settle() bool {
 	for {
-		if s.wheel.resident() > 0 &&
-			(len(s.heap.a) == 0 || int64(s.heap.a[0].time>>g0Bits) >= s.wheel.p0) {
-			s.tombstones -= s.wheel.promote(&s.heap)
+		near := int64(math.MaxInt64) // the bucket of the nearest event outside the wheel
+		if len(s.heap.a) > 0 {
+			near = int64(s.heap.a[0].time >> g0Bits)
+		}
+		if s.first != nil {
+			near = min(near, int64(s.first.time>>g0Bits))
+		}
+		if w := &s.wheel; near >= w.p0 && w.resident() > 0 {
+			s.tombstones -= w.promote(&s.heap, near)
 			continue
 		}
 		if len(s.heap.a) == 0 {
-			return false
+			return s.first != nil
 		}
 		if top := s.heap.a[0]; s.tombstones == 0 || !top.ev.tombstone(top.seq) {
 			return true
@@ -273,16 +293,25 @@ func (s *Simulator) settle() bool {
 	}
 }
 
-// fire pops the settled heap top, advances the clock to its time and runs
-// its callback. The event is released to the pool before the callback
-// runs, so a callback that schedules reuses the very slot it fired from.
+// fire runs the settled next event: the alarm a if it is non-nil (see
+// alarmNext), else the heap top. It advances the clock to the event's
+// time and runs its callback. The event is released to the pool, or the
+// alarm disarmed, before the callback runs, so a callback that schedules
+// reuses the very slot it fired from, and one that sets its alarm
+// re-arms it.
 //
 //lint:hotpath
-func (s *Simulator) fire() {
-	n := s.heap.pop()
-	s.now = n.time
+func (s *Simulator) fire(a *Alarm) {
 	s.executed++
 	s.pending--
+	if a != nil {
+		s.now = a.time
+		s.disarm(a)
+		a.fn()
+		return
+	}
+	n := s.heap.pop()
+	s.now = n.time
 	fn := n.ev.fn
 	s.release(n.ev, eventFired)
 	fn()
@@ -296,7 +325,7 @@ func (s *Simulator) Step() bool {
 	if !s.settle() {
 		return false
 	}
-	s.fire()
+	s.fire(s.alarmNext())
 	return true
 }
 
@@ -307,11 +336,12 @@ func (s *Simulator) Step() bool {
 //lint:hotpath DES kernel event loop
 func (s *Simulator) Run(horizon time.Duration) error {
 	for s.settle() {
-		if s.heap.a[0].time > horizon {
+		a := s.alarmNext()
+		if a != nil && a.time > horizon || a == nil && s.heap.a[0].time > horizon {
 			s.now = horizon
 			return ErrHorizon
 		}
-		s.fire()
+		s.fire(a)
 	}
 	if s.now < horizon {
 		s.now = horizon

@@ -1,15 +1,21 @@
 package des
 
-// Differential check of the 4-ary heap + timer wheel scheduler against a
-// reference implementation kept on container/heap — the structure the
-// kernel used before the rewrite. Both sides consume the same decoded
-// schedule+cancel trace; the pop order must match event for event, which
-// pins the (time, seq) total order across every container the new
-// scheduler can route an event through (near heap, wheel level 0/1,
-// overflow, idle catch-up fallback).
+// Differential check of the 4-ary heap + timer wheel scheduler, with its
+// alarms, against a reference implementation kept on container/heap —
+// the structure the kernel used before the rewrite. Both sides consume
+// the same decoded schedule/cancel/alarm trace; the pop order must match
+// event for event, which pins the (time, seq) total order across every
+// container the new scheduler can route an event through (near heap,
+// wheel levels 0–2, overflow, idle catch-up fallback, the armed alarms).
+// The reference has no alarms: it models Set as a cancel of the alarm's
+// pending scheduling followed by a fresh schedule, and Stop as the
+// cancel, which is the equivalence that lets a model move a re-armed
+// timer onto an alarm and keep every result. Both sides must also agree
+// on the counters the golden digests print: Scheduled and PeakPending.
 
 import (
 	"container/heap"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -64,12 +70,15 @@ type refFire struct {
 }
 
 // refSim is the reference scheduler: same clamping, same per-schedule
-// seq assignment, same cancel and horizon semantics as Simulator.
+// seq assignment, same cancel and horizon semantics as Simulator, and
+// the same live-event accounting behind Pending and PeakPending.
 type refSim struct {
-	now time.Duration
-	seq uint64
-	h   refHeap
-	log []refFire
+	now  time.Duration
+	seq  uint64
+	h    refHeap
+	log  []refFire
+	live int
+	peak int
 }
 
 func (r *refSim) schedule(t time.Duration, id int) *refEvent {
@@ -79,12 +88,15 @@ func (r *refSim) schedule(t time.Duration, id int) *refEvent {
 	e := &refEvent{time: t, seq: r.seq, id: id}
 	r.seq++
 	heap.Push(&r.h, e)
+	r.live++
+	r.peak = max(r.peak, r.live)
 	return e
 }
 
 func (r *refSim) cancel(e *refEvent) {
-	if e != nil && !e.fired {
+	if e != nil && !e.fired && !e.canceled {
 		e.canceled = true
+		r.live--
 	}
 }
 
@@ -101,6 +113,7 @@ func (r *refSim) run(horizon time.Duration) {
 		heap.Pop(&r.h)
 		r.now = e.time
 		e.fired = true
+		r.live--
 		r.log = append(r.log, refFire{e.id, e.time})
 	}
 	if r.now < horizon {
@@ -112,14 +125,30 @@ func (r *refSim) run(horizon time.Duration) {
 // every Timer it was handed, so later cancels may go through stale
 // handles: the event already fired, or was cancelled and its pooled
 // object reused by a later schedule. Both must be no-ops, as they are
-// on the reference.
+// on the reference. Events scheduled through a Timer are numbered from
+// 0 in scheduling order; alarm schedulings are numbered from -1
+// downwards, so the two kinds share one firing log.
 type diffDriver struct {
 	sim  *Simulator
 	ref  refSim
 	evs  []Timer
 	refs []*refEvent
 	log  []refFire
+
+	alarms    []*Alarm
+	alarmRefs []*refEvent // each alarm's pending reference scheduling, nil when stopped or fired
+	alarmIDs  []int       // each alarm's current scheduling's id
+	alarmSets int
+
+	// mismatch is the first divergence a run found, "" while none has;
+	// checked is how much of the firing logs is known to agree.
+	mismatch string
+	checked  int
 }
+
+// maxDiffAlarms caps the alarms one trace creates: a run has one per
+// CPU node, a handful.
+const maxDiffAlarms = 6
 
 func newDiffDriver() *diffDriver {
 	return &diffDriver{sim: NewSimulator(1)}
@@ -138,30 +167,91 @@ func (d *diffDriver) cancel(i int) {
 	d.ref.cancel(d.refs[i])
 }
 
+// setAlarm arms alarm i after delay, creating alarms up to i first, or
+// re-arms it if it is armed. The reference cancels the alarm's pending
+// scheduling, if any, then schedules afresh.
+func (d *diffDriver) setAlarm(i int, delay time.Duration) {
+	for len(d.alarms) <= i {
+		k := len(d.alarms)
+		d.alarms = append(d.alarms, d.sim.NewAlarm(func() {
+			d.log = append(d.log, refFire{d.alarmIDs[k], d.sim.Now()})
+		}))
+		d.alarmRefs = append(d.alarmRefs, nil)
+		d.alarmIDs = append(d.alarmIDs, 0)
+	}
+	d.alarmSets++
+	id := -d.alarmSets
+	d.alarms[i].Set(delay)
+	d.ref.cancel(d.alarmRefs[i])
+	d.alarmRefs[i] = d.ref.schedule(d.ref.now+delay, id)
+	d.alarmIDs[i] = id
+}
+
+// stopAlarm disarms alarm i, if it exists; the reference cancels its
+// pending scheduling.
+func (d *diffDriver) stopAlarm(i int) {
+	if i >= len(d.alarms) {
+		return
+	}
+	d.alarms[i].Stop()
+	d.ref.cancel(d.alarmRefs[i])
+	d.alarmRefs[i] = nil
+}
+
+// run runs both schedulers to horizon and compares what fired since the
+// last run, so a trace stops at its first divergence instead of running
+// on from a corrupt state (an event stranded in the wheel would
+// otherwise stall the final drain rather than fail it).
 func (d *diffDriver) run(horizon time.Duration) {
 	if err := d.sim.Run(horizon); err != nil && err != ErrHorizon {
 		panic(err)
 	}
 	d.ref.run(horizon)
+	if d.mismatch != "" {
+		return
+	}
+	if d.sim.Now() != d.ref.now {
+		d.mismatch = fmt.Sprintf("clock diverged: new %v, reference %v", d.sim.Now(), d.ref.now)
+		return
+	}
+	for i := d.checked; i < min(len(d.log), len(d.ref.log)); i++ {
+		if d.log[i] != d.ref.log[i] {
+			d.mismatch = fmt.Sprintf("pop %d diverged: new fired event %d at %v, reference event %d at %v",
+				i, d.log[i].id, d.log[i].at, d.ref.log[i].id, d.ref.log[i].at)
+			return
+		}
+	}
+	if len(d.log) != len(d.ref.log) {
+		d.mismatch = fmt.Sprintf("by %v fired %d events, reference fired %d", horizon, len(d.log), len(d.ref.log))
+		return
+	}
+	d.checked = len(d.log)
 }
 
-// applyDiffTrace decodes data as a schedule/cancel/advance/reuse op stream,
-// applies it to both schedulers, then drains. The delay bands are chosen
-// so traces reach every scheduler container: sub-ms delays stay in the
-// near heap, the 3 s band lands in wheel level 0 (the RTO shape),
-// minutes-scale delays reach level 1 and the overflow list, and advance
+// applyDiffTrace decodes data as a schedule/cancel/advance/reuse/alarm op
+// stream, applies it to both schedulers, then drains. The delay bands are
+// chosen so traces reach every scheduler container: sub-ms and µs delays
+// stay in the near heap or wheel level 0; the 0–17 ms band, in 64 µs
+// steps, fills level-0 slots on both sides of the wheel's wrap-around,
+// since level 0 spans 16.8 ms from a horizon anywhere in its revolution;
+// the 3 s band (the RTO shape) parks in level 1 and cascades once;
+// minutes-scale delays reach level 2 and the overflow list; and advance
 // ops move the clock so placements happen against moving horizons.
+// Alarms are set and re-armed on the same 64 µs grid as the 0–17 ms
+// band, so an alarm re-armed to the instant of an event scheduled since
+// its last arming ties with it, and only the re-arm's fresh seq orders
+// the two as the reference does.
 func applyDiffTrace(data []byte) *diffDriver {
 	d := newDiffDriver()
-	for i := 0; i+2 < len(data); i += 3 {
+	for i := 0; i+2 < len(data) && d.mismatch == ""; i += 3 {
 		op, a, b := data[i], data[i+1], data[i+2]
 		ab := time.Duration(uint16(a)<<8 | uint16(b))
-		switch op % 6 {
-		case 0: // near band: µs-scale, heap-resident
+		switch op % 9 {
+		case 0: // near band: µs-scale, heap or wheel level 0
 			d.schedule(d.sim.Now() + ab*time.Microsecond)
-		case 1: // RTO band: 3 s + jitter, wheel level 0
+		case 1: // RTO band: 3 s + jitter, wheel level 1
 			d.schedule(d.sim.Now() + 3*time.Second + time.Duration(a)*time.Millisecond + time.Duration(b)*time.Microsecond)
-		case 2: // deep band: minutes, wheel level 1 / overflow
+		case 2: // deep band: minutes, wheel level 2 / overflow
 			d.schedule(d.sim.Now() + time.Duration(a%30)*time.Minute + time.Duration(b)*time.Second)
 		case 3: // cancel an arbitrary earlier event (possibly already fired)
 			if len(d.evs) > 0 {
@@ -176,30 +266,47 @@ func applyDiffTrace(data []byte) *diffDriver {
 				d.schedule(d.sim.Now() + time.Duration(b)*time.Microsecond)
 				d.cancel(i)
 			}
+		case 6: // level-0 band: 0–17 ms on a 64 µs grid, across the wrap
+			d.schedule(d.sim.Now() + (ab%272)*64*time.Microsecond)
+		case 7: // create, arm or re-arm an alarm on the 64 µs grid
+			d.setAlarm(int(a)%maxDiffAlarms, time.Duration(b)*64*time.Microsecond)
+		case 8: // stop an alarm (a no-op when it is not armed)
+			d.stopAlarm(int(a) % maxDiffAlarms)
 		}
 	}
-	d.run(d.sim.Now() + time.Hour) // drain: every band is due within the hour
+	if d.mismatch == "" {
+		d.run(d.sim.Now() + time.Hour) // drain: every band is due within the hour
+	}
 	return d
 }
 
+// diffMismatch describes the first way the two schedulers disagree —
+// the firing log or the clock at a run's end, the scheduling count, the
+// peak of live events, or a live event left after the drain — or
+// returns "". The handwritten traces call run themselves, and end with
+// a drain, before it.
+func diffMismatch(d *diffDriver) string {
+	if d.mismatch != "" {
+		return d.mismatch
+	}
+	if d.sim.Scheduled() != d.ref.seq {
+		return fmt.Sprintf("Scheduled = %d, reference %d", d.sim.Scheduled(), d.ref.seq)
+	}
+	if d.sim.PeakPending() != d.ref.peak {
+		return fmt.Sprintf("PeakPending = %d, reference %d", d.sim.PeakPending(), d.ref.peak)
+	}
+	if d.sim.Pending() != 0 || d.ref.live != 0 {
+		return fmt.Sprintf("Pending = %d after drain, reference %d", d.sim.Pending(), d.ref.live)
+	}
+	return ""
+}
+
 // checkDiff asserts both schedulers popped the same events at the same
-// times in the same order, and agree on the final clock.
+// times in the same order, and agree on the final clock and counters.
 func checkDiff(t *testing.T, d *diffDriver) {
 	t.Helper()
-	if d.sim.Now() != d.ref.now {
-		t.Fatalf("clock diverged: new %v, reference %v", d.sim.Now(), d.ref.now)
-	}
-	if len(d.log) != len(d.ref.log) {
-		t.Fatalf("fired %d events, reference fired %d", len(d.log), len(d.ref.log))
-	}
-	for i := range d.log {
-		if d.log[i] != d.ref.log[i] {
-			t.Fatalf("pop %d diverged: new fired event %d at %v, reference event %d at %v",
-				i, d.log[i].id, d.log[i].at, d.ref.log[i].id, d.ref.log[i].at)
-		}
-	}
-	if d.sim.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", d.sim.Pending())
+	if msg := diffMismatch(d); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
@@ -210,6 +317,18 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{2, 0, 0, 4, 255, 255, 2, 0, 0, 4, 255, 255, 1, 0, 0}) // idle catch-up
 	f.Add([]byte{0, 0, 1, 3, 0, 0, 3, 0, 0, 1, 0, 0, 3, 0, 1, 4, 16, 0})
 	f.Add([]byte{0, 0, 50, 3, 0, 0, 0, 0, 100, 3, 0, 0, 4, 0, 200, 3, 0, 1, 5, 0, 9}) // stale handles
+	// An alarm re-armed to the instant of an event scheduled since its
+	// first arming fires after that event, by its fresh seq.
+	f.Add([]byte{7, 0, 10, 6, 0, 20, 7, 0, 20})
+	// The horizon sits at bucket 106 when an event 12.8 ms out lands in
+	// a level-0 slot behind it, across the wrap, and one 0.64 ms out in
+	// front: after draining the near one, the search must wrap.
+	f.Add([]byte{4, 0, 7, 6, 0, 200, 6, 0, 10, 7, 1, 150})
+	// From bucket 152, an event due at bucket 417 parks in level 1 and
+	// one due at 396 in level 0, past the level-1 boundary at 256: the
+	// horizon must stop at 256 and cascade the first before it reaches
+	// the second. The alarms keep the later runs bounded.
+	f.Add([]byte{4, 0, 10, 6, 1, 15, 6, 0, 250, 7, 0, 255, 4, 0, 12, 7, 0, 255, 4, 0, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDiff(t, applyDiffTrace(data))
 	})
@@ -220,16 +339,11 @@ func FuzzSchedulerDifferential(f *testing.F) {
 // every ordinary `go test` invocation, not only under -fuzz.
 func TestSchedulerDifferentialProperty(t *testing.T) {
 	f := func(data []byte) bool {
-		d := applyDiffTrace(data)
-		if d.sim.Now() != d.ref.now || len(d.log) != len(d.ref.log) {
+		if msg := diffMismatch(applyDiffTrace(data)); msg != "" {
+			t.Log(msg)
 			return false
 		}
-		for i := range d.log {
-			if d.log[i] != d.ref.log[i] {
-				return false
-			}
-		}
-		return d.sim.Pending() == 0
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,10 @@
 package des
 
-import "time"
+import (
+	"math"
+	"math/bits"
+	"time"
+)
 
 // Timer-wheel geometry. Bucket widths are powers of two in nanoseconds
 // so placement is a shift, never a division, on the scheduling hot path.
@@ -58,6 +62,11 @@ type wheel struct {
 	// bucket.
 	count0, count1, count2, countOver int
 
+	// occ0 is level 0's occupancy map, one bit per slot: place sets a
+	// slot's bit and drain clears it, so promote finds the next occupied
+	// bucket without stepping through empty ones.
+	occ0 [wheelSlots / 64]uint64
+
 	level0   [wheelSlots]*wheelNode
 	level1   [wheelSlots]*wheelNode
 	level2   [wheelSlots]*wheelNode
@@ -114,6 +123,7 @@ func (w *wheel) place(n *wheelNode) {
 		slot := b0 & wheelMask
 		n.next = w.level0[slot]
 		w.level0[slot] = n
+		w.occ0[slot>>6] |= 1 << (slot & 63)
 		w.count0++
 		return
 	}
@@ -138,53 +148,113 @@ func (w *wheel) place(n *wheelNode) {
 	w.countOver++
 }
 
-// promote advances the promotion horizon by at least one level-0
-// bucket, draining due nodes into the heap. Cancelled tombstones are
-// dropped here for free — they never pay a heap insertion — and the
-// number reclaimed is returned so the simulator's tombstone accounting
-// stays exact. The caller guarantees the wheel is non-empty.
+// promote moves the wheel's next bucket into the heap. near is the
+// bucket of the nearest event outside the wheel — the heap top or the
+// earliest armed alarm, math.MaxInt64 when there is none — and the
+// caller guarantees it is not below the horizon and that the wheel is
+// non-empty, so the bucket at the horizon may hold the next event.
+//
+// promote drains the bucket at the horizon if it is occupied. Then it
+// advances the horizon, step by step, to the nearer of two points: the
+// next occupied level-0 bucket, found in the occupancy map, and the
+// next boundary of the shallowest occupied coarse level — level 1's, or
+// level 2's when only level 2 and the overflow list hold nodes —
+// cascading there. It stops on an occupied bucket, on an empty wheel,
+// or once the horizon is past near (after a drain, past the drained
+// bucket). Every step is at least one bucket, and none skips an
+// occupied bucket or a boundary with nodes to spill. So the horizon
+// rests on the wheel's next bucket, and the events outside the wheel
+// that come before it fire without another promotion; the near bound
+// keeps a sparse wheel's horizon from running far ahead of the clock.
+//
+// Cancelled tombstones are dropped during drains and cascades for free
+// — they never pay a heap insertion — and the number reclaimed is
+// returned so the simulator's tombstone accounting stays exact.
 //
 //lint:hotpath
-func (w *wheel) promote(h *heap4) int {
-	if w.count0 > 0 {
-		dropped := 0
-		slot := w.p0 & wheelMask
-		for n := w.level0[slot]; n != nil; {
-			next := n.next
-			w.count0--
-			if n.ev.tombstone(n.seq) {
-				dropped++
-			} else {
-				h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
-			}
-			w.putNode(n)
-			n = next
-		}
-		w.level0[slot] = nil
-		w.p0++
-		return dropped + w.cascades()
-	}
-	// Level 0 is empty: jump the horizon instead of stepping 65 µs at a
-	// time — to just past the heap minimum if that is nearer, else to
-	// the next boundary of the shallowest occupied level, cascading the
-	// bucket that starts there.
-	var target int64
-	switch {
-	case w.count1 > 0:
-		target = (w.p0 | wheelMask) + 1
-	case w.count2 > 0 || w.countOver > 0:
-		target = (w.p0 | (wheelSlots*wheelSlots - 1)) + 1
-	default:
+func (w *wheel) promote(h *heap4, near int64) int {
+	if w.resident() == 0 {
 		panic("des: promote on an empty wheel")
 	}
-	if len(h.a) > 0 {
-		if near := int64(h.a[0].time>>g0Bits) + 1; near < target {
-			w.p0 = near
-			return 0
+	dropped := 0
+	if w.occupied(w.p0) {
+		dropped = w.drain(h, w.p0)
+		w.p0++
+		dropped += w.cascades()
+		near = max(near, w.p0) // a drain advances to the wheel's next bucket at least
+	}
+	for w.p0 <= near && w.resident() > 0 && !w.occupied(w.p0) {
+		target := int64(math.MaxInt64)
+		switch {
+		case w.count1 > 0:
+			target = (w.p0 | wheelMask) + 1
+		case w.count2 > 0 || w.countOver > 0:
+			target = (w.p0 | (wheelSlots*wheelSlots - 1)) + 1
+		}
+		if w.count0 > 0 {
+			target = min(target, w.p0+w.nextOccupied())
+		}
+		w.p0 = target
+		dropped += w.cascades()
+	}
+	return dropped
+}
+
+// occupied reports whether level-0 bucket b, at most 255 buckets past
+// the horizon, holds a node.
+//
+//lint:hotpath
+func (w *wheel) occupied(b int64) bool {
+	slot := b & wheelMask
+	return w.occ0[slot>>6]&(1<<(slot&63)) != 0
+}
+
+// nextOccupied returns how many buckets past the horizon the next
+// occupied level-0 bucket lies, searching the occupancy map from the
+// horizon's slot and wrapping around. Every level-0 node is due within
+// 256 buckets of the horizon, so the distance names one absolute
+// bucket. The caller guarantees level 0 holds a node; a map without a
+// set bit then is an impossible state and panics.
+//
+//lint:hotpath
+func (w *wheel) nextOccupied() int64 {
+	from := int(w.p0 & wheelMask)
+	word := from >> 6
+	if m := w.occ0[word] >> (from & 63); m != 0 {
+		return int64(bits.TrailingZeros64(m))
+	}
+	for i := 1; i <= len(w.occ0); i++ {
+		k := (word + i) % len(w.occ0)
+		if m := w.occ0[k]; m != 0 {
+			slot := k<<6 + bits.TrailingZeros64(m)
+			return int64((slot - from) & wheelMask)
 		}
 	}
-	w.p0 = target
-	return w.cascades()
+	panic("des: level-0 count with no occupied slot")
+}
+
+// drain moves level-0 bucket b's live nodes into the heap, drops its
+// tombstones and clears the slot's occupancy bit, returning the number
+// of tombstones reclaimed.
+//
+//lint:hotpath
+func (w *wheel) drain(h *heap4, b int64) int {
+	dropped := 0
+	slot := b & wheelMask
+	for n := w.level0[slot]; n != nil; {
+		next := n.next
+		w.count0--
+		if n.ev.tombstone(n.seq) {
+			dropped++
+		} else {
+			h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
+		}
+		w.putNode(n)
+		n = next
+	}
+	w.level0[slot] = nil
+	w.occ0[slot>>6] &^= 1 << (slot & 63)
+	return dropped
 }
 
 // cascades redistributes whichever level boundaries the horizon just
@@ -233,8 +303,10 @@ func (w *wheel) cascades() int {
 // spill redistributes one bucket of a coarse level into the finer
 // levels below it: nodes whose absolute bucket index matches the new
 // horizon move down via place, cancelled nodes are reclaimed, and nodes
-// from other wheel revolutions sharing the slot stay put. Returns the
-// number of tombstones reclaimed.
+// from later wheel revolutions sharing the slot stay put. A node from
+// an earlier revolution missed its spill, when the horizon crossed a
+// boundary without cascading; it would never fire, so it panics. Returns
+// the number of tombstones reclaimed.
 //
 //lint:hotpath
 func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits uint) int {
@@ -243,7 +315,8 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 	var keep *wheelNode
 	for n := level[slot]; n != nil; {
 		next := n.next
-		if int64(n.time>>gBits) == p {
+		switch b := int64(n.time >> gBits); {
+		case b == p:
 			*count = *count - 1
 			if n.ev.tombstone(n.seq) {
 				w.putNode(n)
@@ -251,7 +324,9 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 			} else {
 				w.place(n)
 			}
-		} else {
+		case b < p:
+			panic("des: wheel node stranded behind the horizon")
+		default:
 			n.next = keep
 			keep = n
 		}

@@ -7,6 +7,8 @@ package des
 // against that equivalence.
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -39,9 +41,9 @@ func TestFarTimerOrdering(t *testing.T) {
 	}
 }
 
-// TestWheelAllLevels lands one event in each wheel container — level 0
-// (3 s), level 1 (30 s), overflow (20 min) — and checks each fires at
-// exactly its timestamp.
+// TestWheelAllLevels lands one event in each coarse wheel container —
+// level 1 (3 s), level 2 (30 s), overflow (20 min) — and checks each
+// fires at exactly its timestamp.
 func TestWheelAllLevels(t *testing.T) {
 	sim := NewSimulator(1)
 	times := []time.Duration{3 * time.Second, 30 * time.Second, 20 * time.Minute}
@@ -165,14 +167,18 @@ func TestWheelIdleCatchUp(t *testing.T) {
 // failed *Event type assertion, hiding kernel corruption; the rewrite
 // has no any boxing to fail, so the impossible states that remain —
 // a queued node whose seq matches a fired event, a wheel placement
-// below the promotion horizon — must panic loudly instead of being
-// masked.
+// below the promotion horizon, a level-0 count that the occupancy map
+// does not show, a coarse node left behind the horizon, a promotion of
+// an empty wheel — must panic loudly instead of being masked.
 func TestImpossibleStatesPanic(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
+			r := recover()
+			if r == nil {
 				t.Errorf("%s: expected panic on impossible state", name)
+			} else if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "des: ") {
+				t.Errorf("%s: panicked with %v, want a des: message", name, r)
 			}
 		}()
 		f()
@@ -194,6 +200,27 @@ func TestImpossibleStatesPanic(t *testing.T) {
 		s := NewSimulator(1)
 		s.wheel.p0 = 1 << 20
 		s.wheel.place(&wheelNode{time: time.Microsecond})
+	})
+	expectPanic("level-0 count with no occupied slot", func() {
+		s := NewSimulator(1)
+		s.wheel.count0 = 1 // a node counted at level 0, but no slot's bit set
+		s.Step()
+	})
+	expectPanic("wheel node stranded behind the horizon", func() {
+		// A level-1 node of bucket group 1 still parked when the
+		// horizon reaches group 257, which shares its slot: the
+		// boundary at group 1 was crossed without a cascade.
+		s := NewSimulator(1)
+		n := s.wheel.takeNode()
+		n.time, n.ev = 1<<g1Bits, &event{}
+		s.wheel.level1[1] = n
+		s.wheel.count1 = 1
+		s.wheel.p0 = 257<<wheelSlotBits - 1
+		s.Step()
+	})
+	expectPanic("promote on an empty wheel", func() {
+		var w wheel
+		w.promote(&heap4{}, math.MaxInt64)
 	})
 }
 

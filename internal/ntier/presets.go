@@ -1,13 +1,15 @@
 package ntier
 
-import "time"
+import (
+	"time"
 
-// Paper configuration constants (Sections III–V and Appendix A).
+	"ctqosim/internal/simnet"
+)
+
+// Paper configuration constants (Sections III–V and Appendix A). The
+// synchronous tiers' accept queues are the paper's kernel's,
+// simnet.RHEL6.Backlog (128).
 const (
-	// KernelBacklog is the Linux TCP accept-queue size of the paper's
-	// kernel.
-	KernelBacklog = 128
-
 	// ApacheThreads is the web-tier worker pool (MaxSysQDepth(Apache) =
 	// 150+128 = 278).
 	ApacheThreads = 150
@@ -76,7 +78,7 @@ func apacheTier() TierSpec {
 		Name:         "apache",
 		Arch:         Sync,
 		Threads:      ApacheThreads,
-		Backlog:      KernelBacklog,
+		Backlog:      simnet.RHEL6.Backlog,
 		SpareThreads: ApacheSpareThreads,
 		SpareAfter:   3 * time.Second,
 	}
@@ -98,7 +100,7 @@ func tomcatTier() TierSpec {
 		Name:    "tomcat",
 		Arch:    Sync,
 		Threads: TomcatThreads,
-		Backlog: KernelBacklog,
+		Backlog: simnet.RHEL6.Backlog,
 	}
 }
 
@@ -118,7 +120,7 @@ func mysqlTier() TierSpec {
 		Name:    "mysql",
 		Arch:    Sync,
 		Threads: MySQLThreads,
-		Backlog: KernelBacklog,
+		Backlog: simnet.RHEL6.Backlog,
 	}
 }
 

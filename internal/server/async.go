@@ -247,20 +247,18 @@ func (t *task) finish(failedAt string) {
 	replyNow(call, failedAt)
 }
 
-// release clears everything the task references, keeping its bound
-// callbacks and program buffer, and pushes it on its server's free list.
+// release clears, field by field, everything the task references and
+// everything its next use reads, keeping its bound callbacks and
+// program buffer, and pushes it on its server's free list.
 //
 //lint:hotpath
 func (t *task) release() {
 	a := t.srv
 	clear(t.prog)
-	*t = task{
-		prog:     t.prog[:0],
-		downcall: t.downcall.cleared(),
-		cpuDone:  t.cpuDone,
-		next:     a.free,
-	}
-	a.free = t
+	t.prog = t.prog[:0]
+	t.srv, t.stage, t.svc, t.wait = nil, 0, 0, 0
+	t.downcall.reset()
+	t.next, a.free = a.free, t
 }
 
 func (a *AsyncServer) inflate(d time.Duration) time.Duration {

@@ -144,14 +144,13 @@ func (c *downcall) settle() {
 	c.call.Trace.End(c.ds)
 }
 
-// cleared returns c with every reference dropped, the sub-call's
-// delivery state included, except its bound callbacks: send and the
-// sub-call's (simnet.Call.Cleared).
-func (c *downcall) cleared() downcall {
-	return downcall{
-		sub:  c.sub.Cleared(),
-		send: c.send,
-	}
+// reset drops every reference c holds, the sub-call's delivery state
+// included, and keeps its bound callbacks: send and the sub-call's
+// (simnet.Call.Reset).
+func (c *downcall) reset() {
+	c.call, c.transport, c.down = nil, nil, nil
+	c.ds, c.poolWait = 0, 0
+	c.sub.Reset()
 }
 
 // fifo is a first-in, first-out queue on a slice: items[head:] are

@@ -295,20 +295,18 @@ func (v *visit) finish(failedAt string) {
 	replyNow(call, failedAt)
 }
 
-// release clears everything the visit references, keeping its bound
-// callbacks and program buffer, and pushes it on its server's free list.
+// release clears, field by field, everything the visit references and
+// everything its next use reads, keeping its bound callbacks and
+// program buffer, and pushes it on its server's free list.
 //
 //lint:hotpath
 func (v *visit) release() {
 	s := v.srv
 	clear(v.prog)
-	*v = visit{
-		prog:     v.prog[:0],
-		downcall: v.downcall.cleared(),
-		cpuDone:  v.cpuDone,
-		next:     s.free,
-	}
-	s.free = v
+	v.prog = v.prog[:0]
+	v.srv, v.svc, v.stage = nil, 0, 0
+	v.downcall.reset()
+	v.next, s.free = s.free, v
 }
 
 func (s *SyncServer) drainQueue() {

@@ -66,13 +66,14 @@ type Call struct {
 	deliver    func()
 }
 
-// Cleared returns the call with its exchange over and every reference
-// dropped, keeping only its callbacks: Done and the retransmission
-// callback bound on its first drop. That callback acts on this Call, so
-// assign the result back to it: a pooled call is reused in place and
-// binds its retransmission callback once, not once per reuse.
-func (c *Call) Cleared() Call {
-	return Call{Done: c.Done, deliver: c.deliver}
+// Reset ends the call's exchange in place: it drops every reference the
+// call holds, its delivery state included, and zeroes its counters,
+// keeping only its callbacks, Done and the retransmission callback bound
+// on its first drop. A pooled call is reset where it lies, so it binds
+// that callback once, not once per reuse.
+func (c *Call) Reset() {
+	c.Payload, c.Trace, c.transport, c.dst = nil, nil, nil, nil
+	c.FirstSent, c.Attempts, c.SpanID, c.retransGap = 0, 0, 0, 0
 }
 
 // Retransmits returns the number of retransmissions (attempts beyond the
@@ -127,8 +128,17 @@ type Transport struct {
 	// the CTQO analysis. Off, the transport keeps no per-drop state.
 	KeepDrops bool
 
-	stats map[string]*HopStats
+	stats map[string]*HopStats // per destination name, for the readers
+	hops  []hop                // the same counters by destination, for Send
 	drops []Drop
+}
+
+// hop pairs a destination with its counters, so Send finds them by the
+// destination's identity instead of hashing its name: a transport has a
+// handful of destinations (three in a 3-tier system).
+type hop struct {
+	dst   Admission
+	stats *HopStats
 }
 
 // NewTransport creates a transport with the paper's kernel, RHEL6, applied.
@@ -154,7 +164,7 @@ func (t *Transport) Send(dst Admission, call *Call) {
 	if call.Attempts == 0 {
 		call.FirstSent = t.sim.Now()
 	}
-	s := t.hop(dst.Name())
+	s := t.hop(dst)
 	s.Attempts++
 	call.Attempts++
 
@@ -242,13 +252,24 @@ func (t *Transport) TotalDrops() int64 {
 	return total
 }
 
+// hop returns dst's counters. Destinations are told apart by identity,
+// so an Admission must be comparable (pointers are); two destinations
+// with one name share the name's counters, as the readers see them.
+//
 //lint:hotpath
-func (t *Transport) hop(name string) *HopStats {
+func (t *Transport) hop(dst Admission) *HopStats {
+	for _, h := range t.hops {
+		if h.dst == dst {
+			return h.stats
+		}
+	}
+	name := dst.Name()
 	s, ok := t.stats[name]
 	if !ok {
 		s = &HopStats{} //lint:allow hotpath one accumulator per destination, first traffic only
 		t.stats[name] = s
 	}
+	t.hops = append(t.hops, hop{dst: dst, stats: s}) //lint:allow hotpath one entry per destination, first traffic only
 	return s
 }
 

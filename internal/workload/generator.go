@@ -116,8 +116,9 @@ func (cc *clientCall) done(failedAt string) {
 	if s.sink != nil {
 		s.sink.Record(&cc.req)
 	}
-	*cc = clientCall{Call: cc.Call.Cleared(), next: s.free}
-	s.free = cc
+	cc.Call.Reset()
+	cc.out, cc.loop, cc.cycle = nil, nil, nil
+	cc.next, s.free = s.free, cc
 	if loop != nil {
 		s.sim.Schedule(loop.think(), cycle)
 	}
