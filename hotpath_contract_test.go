@@ -109,7 +109,7 @@ var hotpathExercisers = map[string]string{
 	// and heap events, as the CPU nodes' completions are.
 	"des.Alarm.Set":               "des-alarm",
 	"des.Alarm.Stop":              "des-alarm",
-	"des.Alarm.before":            "des-alarm",
+	"des.Alarm.key":               "des-alarm",
 	"des.Simulator.disarm":        "des-alarm",
 	"des.Simulator.earliestAlarm": "des-alarm",
 	"des.Simulator.alarmNext":     "des-alarm",

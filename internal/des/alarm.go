@@ -51,7 +51,7 @@ func (a *Alarm) Set(delay time.Duration) {
 		}
 		a.slot = len(s.alarms)
 		s.alarms = append(s.alarms, a) //lint:allow hotpath amortized: grows to the run's number of alarms, then is reused
-		if s.first == nil || a.before(s.first) {
+		if s.first == nil || a.key().before(s.first.key()) {
 			s.first = a
 		}
 	case a == s.first:
@@ -60,7 +60,7 @@ func (a *Alarm) Set(delay time.Duration) {
 		if a.time >= old {
 			s.first = s.earliestAlarm()
 		}
-	case a.before(s.first):
+	case a.key().before(s.first.key()):
 		s.first = a
 	}
 }
@@ -76,15 +76,11 @@ func (a *Alarm) Stop() {
 	a.sim.pending--
 }
 
-// before is the scheduler's (time, seq) order between two armed alarms.
+// key is the alarm's place in the scheduler's (time, seq) order, as a
+// heap node without an event, so alarms compare by heapNode.before.
 //
 //lint:hotpath
-func (a *Alarm) before(b *Alarm) bool {
-	if a.time != b.time {
-		return a.time < b.time
-	}
-	return a.seq < b.seq
-}
+func (a *Alarm) key() heapNode { return heapNode{time: a.time, seq: a.seq} }
 
 // disarm takes an armed alarm out of the armed set, refreshing the
 // cached earliest if it was that one.
@@ -109,7 +105,7 @@ func (s *Simulator) disarm(a *Alarm) {
 func (s *Simulator) earliestAlarm() *Alarm {
 	var first *Alarm
 	for _, a := range s.alarms {
-		if first == nil || a.before(first) {
+		if first == nil || a.key().before(first.key()) {
 			first = a
 		}
 	}
@@ -127,7 +123,7 @@ func (s *Simulator) alarmNext() *Alarm {
 	if a == nil || len(s.heap.a) == 0 {
 		return a
 	}
-	if top := s.heap.a[0]; top.time < a.time || top.time == a.time && top.seq < a.seq {
+	if s.heap.a[0].before(a.key()) {
 		return nil
 	}
 	return a

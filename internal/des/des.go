@@ -279,7 +279,7 @@ func (s *Simulator) settle() bool {
 			near = min(near, int64(s.first.time>>g0Bits))
 		}
 		if w := &s.wheel; near >= w.p0 && w.resident() > 0 {
-			s.tombstones -= w.promote(&s.heap, near)
+			s.tombstones -= w.promote(&s.heap, near, s.tombstones > 0)
 			continue
 		}
 		if len(s.heap.a) == 0 {

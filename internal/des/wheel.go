@@ -169,18 +169,21 @@ func (w *wheel) place(n *wheelNode) {
 //
 // Cancelled tombstones are dropped during drains and cascades for free
 // — they never pay a heap insertion — and the number reclaimed is
-// returned so the simulator's tombstone accounting stays exact.
+// returned so the simulator's tombstone accounting stays exact. reclaim
+// says whether the simulator holds any tombstones; while it holds none,
+// as on cancel-free stretches, no queued node's event is loaded before
+// it fires, as settle treats the heap top.
 //
 //lint:hotpath
-func (w *wheel) promote(h *heap4, near int64) int {
+func (w *wheel) promote(h *heap4, near int64, reclaim bool) int {
 	if w.resident() == 0 {
 		panic("des: promote on an empty wheel")
 	}
 	dropped := 0
 	if w.occupied(w.p0) {
-		dropped = w.drain(h, w.p0)
+		dropped = w.drain(h, w.p0, reclaim)
 		w.p0++
-		dropped += w.cascades()
+		dropped += w.cascades(reclaim)
 		near = max(near, w.p0) // a drain advances to the wheel's next bucket at least
 	}
 	for w.p0 <= near && w.resident() > 0 && !w.occupied(w.p0) {
@@ -195,7 +198,7 @@ func (w *wheel) promote(h *heap4, near int64) int {
 			target = min(target, w.p0+w.nextOccupied())
 		}
 		w.p0 = target
-		dropped += w.cascades()
+		dropped += w.cascades(reclaim)
 	}
 	return dropped
 }
@@ -234,17 +237,17 @@ func (w *wheel) nextOccupied() int64 {
 }
 
 // drain moves level-0 bucket b's live nodes into the heap, drops its
-// tombstones and clears the slot's occupancy bit, returning the number
-// of tombstones reclaimed.
+// tombstones if reclaim is set and clears the slot's occupancy bit,
+// returning the number of tombstones reclaimed.
 //
 //lint:hotpath
-func (w *wheel) drain(h *heap4, b int64) int {
+func (w *wheel) drain(h *heap4, b int64, reclaim bool) int {
 	dropped := 0
 	slot := b & wheelMask
 	for n := w.level0[slot]; n != nil; {
 		next := n.next
 		w.count0--
-		if n.ev.tombstone(n.seq) {
+		if reclaim && n.ev.tombstone(n.seq) {
 			dropped++
 		} else {
 			h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
@@ -267,7 +270,7 @@ func (w *wheel) drain(h *heap4, b int64) int {
 // window. Returns the number of tombstones reclaimed.
 //
 //lint:hotpath
-func (w *wheel) cascades() int {
+func (w *wheel) cascades(reclaim bool) int {
 	if w.p0&wheelMask != 0 {
 		return 0
 	}
@@ -279,7 +282,7 @@ func (w *wheel) cascades() int {
 			for n := w.overflow; n != nil; {
 				next := n.next
 				switch {
-				case n.ev.tombstone(n.seq):
+				case reclaim && n.ev.tombstone(n.seq):
 					w.countOver--
 					w.putNode(n)
 					dropped++
@@ -294,22 +297,22 @@ func (w *wheel) cascades() int {
 			}
 			w.overflow = keep
 		}
-		dropped += w.spill(&w.level2, &w.count2, p2, g2Bits)
+		dropped += w.spill(&w.level2, &w.count2, p2, g2Bits, reclaim)
 	}
-	dropped += w.spill(&w.level1, &w.count1, w.p0>>wheelSlotBits, g1Bits)
+	dropped += w.spill(&w.level1, &w.count1, w.p0>>wheelSlotBits, g1Bits, reclaim)
 	return dropped
 }
 
 // spill redistributes one bucket of a coarse level into the finer
 // levels below it: nodes whose absolute bucket index matches the new
-// horizon move down via place, cancelled nodes are reclaimed, and nodes
-// from later wheel revolutions sharing the slot stay put. A node from
-// an earlier revolution missed its spill, when the horizon crossed a
-// boundary without cascading; it would never fire, so it panics. Returns
-// the number of tombstones reclaimed.
+// horizon move down via place, cancelled nodes are reclaimed if reclaim
+// is set, and nodes from later wheel revolutions sharing the slot stay
+// put. A node from an earlier revolution missed its spill, when the
+// horizon crossed a boundary without cascading; it would never fire, so
+// it panics. Returns the number of tombstones reclaimed.
 //
 //lint:hotpath
-func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits uint) int {
+func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits uint, reclaim bool) int {
 	dropped := 0
 	slot := p & wheelMask
 	var keep *wheelNode
@@ -318,7 +321,7 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 		switch b := int64(n.time >> gBits); {
 		case b == p:
 			*count = *count - 1
-			if n.ev.tombstone(n.seq) {
+			if reclaim && n.ev.tombstone(n.seq) {
 				w.putNode(n)
 				dropped++
 			} else {

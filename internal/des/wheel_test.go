@@ -194,6 +194,7 @@ func TestImpossibleStatesPanic(t *testing.T) {
 		n := s.wheel.takeNode()
 		n.time, n.ev = time.Millisecond, &event{state: eventFired}
 		s.wheel.place(n)
+		s.tombstones = 1 // force the drain onto the state-inspection path
 		s.Step()
 	})
 	expectPanic("placement below the promotion horizon", func() {
@@ -220,7 +221,7 @@ func TestImpossibleStatesPanic(t *testing.T) {
 	})
 	expectPanic("promote on an empty wheel", func() {
 		var w wheel
-		w.promote(&heap4{}, math.MaxInt64)
+		w.promote(&heap4{}, math.MaxInt64, false)
 	})
 }
 

@@ -12,6 +12,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -128,25 +129,24 @@ type Transport struct {
 	// the CTQO analysis. Off, the transport keeps no per-drop state.
 	KeepDrops bool
 
-	stats map[string]*HopStats // per destination name, for the readers
-	hops  []hop                // the same counters by destination, for Send
+	hops  []hop
 	drops []Drop
 }
 
-// hop pairs a destination with its counters, so Send finds them by the
-// destination's identity instead of hashing its name: a transport has a
-// handful of destinations (three in a 3-tier system).
+// hop is one destination and its counters. A transport has a handful of
+// destinations (three in a 3-tier system), so Send finds its counters by
+// scanning for the destination's identity instead of hashing its name.
+// Destinations that share a name share counters, which the readers
+// report under the name.
 type hop struct {
 	dst   Admission
+	name  string
 	stats *HopStats
 }
 
 // NewTransport creates a transport with the paper's kernel, RHEL6, applied.
 func NewTransport(sim *des.Simulator) *Transport {
-	t := &Transport{
-		sim:   sim,
-		stats: make(map[string]*HopStats),
-	}
+	t := &Transport{sim: sim}
 	RHEL6.Apply(t)
 	return t
 }
@@ -222,7 +222,7 @@ func (c *Call) deliverer() func() {
 // Stats returns the accumulated counters for a destination. The returned
 // struct is a copy.
 func (t *Transport) Stats(dst string) HopStats {
-	if s, ok := t.stats[dst]; ok {
+	if s := t.named(dst); s != nil {
 		return *s
 	}
 	return HopStats{}
@@ -231,9 +231,11 @@ func (t *Transport) Stats(dst string) HopStats {
 // Destinations returns the names of all destinations with recorded
 // traffic, sorted so downstream reports are deterministic.
 func (t *Transport) Destinations() []string {
-	names := make([]string, 0, len(t.stats))
-	for name := range t.stats {
-		names = append(names, name)
+	names := make([]string, 0, len(t.hops))
+	for _, h := range t.hops {
+		if !slices.Contains(names, h.name) {
+			names = append(names, h.name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -246,15 +248,26 @@ func (t *Transport) Drops() []Drop { return t.drops }
 // TotalDrops returns the number of dropped packets across all destinations.
 func (t *Transport) TotalDrops() int64 {
 	var total int64
-	for _, s := range t.stats {
-		total += s.Dropped
+	for _, name := range t.Destinations() {
+		total += t.named(name).Dropped
 	}
 	return total
 }
 
-// hop returns dst's counters. Destinations are told apart by identity,
-// so an Admission must be comparable (pointers are); two destinations
-// with one name share the name's counters, as the readers see them.
+// named returns the counters of the destinations called name, nil if
+// none has had traffic.
+func (t *Transport) named(name string) *HopStats {
+	for _, h := range t.hops {
+		if h.name == name {
+			return h.stats
+		}
+	}
+	return nil
+}
+
+// hop returns dst's counters, creating them on its first traffic.
+// Destinations are told apart by identity, so an Admission must be
+// comparable (pointers are).
 //
 //lint:hotpath
 func (t *Transport) hop(dst Admission) *HopStats {
@@ -264,12 +277,11 @@ func (t *Transport) hop(dst Admission) *HopStats {
 		}
 	}
 	name := dst.Name()
-	s, ok := t.stats[name]
-	if !ok {
+	s := t.named(name)
+	if s == nil {
 		s = &HopStats{} //lint:allow hotpath one accumulator per destination, first traffic only
-		t.stats[name] = s
 	}
-	t.hops = append(t.hops, hop{dst: dst, stats: s}) //lint:allow hotpath one entry per destination, first traffic only
+	t.hops = append(t.hops, hop{dst: dst, name: name, stats: s}) //lint:allow hotpath one entry per destination, first traffic only
 	return s
 }
 
