@@ -13,7 +13,8 @@ package ctqosim
 //
 // Exercisers are shared across annotations: one event-loop drive covers
 // the whole des kernel (Schedule reaches take, Step reaches release and
-// tombstone, heap operations reach the heap4 methods), one clean
+// tombstone, heap operations reach the heap4 methods), an alarm drive
+// re-arms, stops and fires five alarms among heap and wheel events, one clean
 // delivery and one retransmission drive cover the simnet path, the nil
 // tracer covers the span path, a warmed bounded Recorder covers the
 // metrics path, a two-VM churn covers processor sharing, and two warmed
