@@ -25,7 +25,8 @@ type Alarm struct {
 }
 
 // NewAlarm returns a disarmed alarm that runs fn each time it fires. It
-// is built once for its owner's life, so arming it allocates nothing.
+// is built once for its owner's life: arming it allocates nothing once
+// the simulator's armed set has grown to the run's number of alarms.
 func (s *Simulator) NewAlarm(fn func()) *Alarm {
 	return &Alarm{sim: s, fn: fn, slot: -1}
 }

@@ -111,9 +111,9 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // cancelled ones); every Alarm.Set counts as one scheduling.
 func (s *Simulator) Scheduled() uint64 { return s.seq }
 
-// Pending returns the number of live events currently scheduled.
-// Cancelled events leave this count the moment Cancel runs, even though
-// their tombstones are reclaimed lazily.
+// Pending returns the number of live events currently scheduled, each
+// armed alarm counting as one. Cancelled events leave this count the
+// moment Cancel runs, even though their tombstones are reclaimed lazily.
 func (s *Simulator) Pending() int { return s.pending }
 
 // PeakPending returns the largest number of simultaneously live events
