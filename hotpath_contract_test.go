@@ -137,8 +137,15 @@ var hotpathExercisers = map[string]string{
 	"metrics.HDRHistogram.bucketIdx": "metrics-hdr-record",
 	"metrics.Recorder.Record":        "metrics-bounded-record",
 
-	// cpu: jobs submitted to and completed on two VMs sharing a node.
+	// cpu: jobs submitted to and completed on two VMs sharing a node,
+	// one at a time, in pairs that finish in one event and as equal
+	// batches that empty the heap at once.
 	"cpu.VM.Submit":        "cpu-churn",
+	"cpu.VM.push":          "cpu-churn",
+	"cpu.VM.finish":        "cpu-churn",
+	"cpu.VM.pop":           "cpu-churn",
+	"cpu.VM.sortFinished":  "cpu-churn",
+	"cpu.siftSeq":          "cpu-churn",
 	"cpu.Node.advance":     "cpu-churn",
 	"cpu.Node.reschedule":  "cpu-churn",
 	"cpu.Node.allocations": "cpu-churn",
@@ -678,6 +685,14 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				for i := 0; i < 8; i++ {
 					a.Submit(time.Duration(i+1)*100*time.Microsecond, bump)
 					b.Submit(time.Duration(8-i)*100*time.Microsecond, bump)
+				}
+				// A pair that finishes in one event, popped beside a
+				// longer job and sorted back to submission order, then
+				// a batch of equal demands that empties b at once.
+				a.Submit(time.Millisecond+time.Nanosecond, bump)
+				a.Submit(time.Millisecond, bump)
+				for i := 0; i < 16; i++ {
+					b.Submit(300*time.Microsecond, bump)
 				}
 				sim.Run(sim.Now() + 10*time.Millisecond)
 			}

@@ -85,3 +85,33 @@ func BenchmarkSparseNode(b *testing.B) {
 		steady.Submit(100*time.Microsecond, nil)
 	}
 }
+
+// BenchmarkDeepQueueNode is the consolidated host with a deep steady
+// run queue: one core under JobProportional, a steady VM keeping 150
+// staggered jobs in flight beside a co-tenant holding 400 runnable jobs
+// that outlast the run, as a SysBursty batch leaves them. Each operation
+// steps the node to the next steady completion and submits a job in its
+// place, so finding the finished job among the 150 is what it measures
+// beside the decrement of all 550.
+func BenchmarkDeepQueueNode(b *testing.B) {
+	sim := des.NewSimulator(1)
+	node := NewNode(sim, "n", 1)
+	node.SetPolicy(JobProportional)
+	steady := node.AddVM("steady", 1, 1)
+	bursty := node.AddVM("bursty", 1, 1)
+	for i := 0; i < 400; i++ {
+		bursty.Submit(time.Hour, nil)
+	}
+	const inFlight = 150
+	for k := 1; k <= inFlight; k++ {
+		steady.Submit(time.Duration(k)*100*time.Microsecond/inFlight, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for steady.ActiveJobs() == inFlight {
+			sim.Step()
+		}
+		steady.Submit(100*time.Microsecond, nil)
+	}
+}

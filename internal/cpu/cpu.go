@@ -18,6 +18,7 @@ package cpu
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ctqosim/internal/des"
@@ -104,7 +105,7 @@ func (n *Node) AddVM(name string, weight, vcpus float64) *VM {
 	if vcpus <= 0 {
 		vcpus = 1
 	}
-	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus, minRemaining: math.Inf(1)}
+	vm := &VM{node: n, name: name, weight: weight, vcpus: vcpus}
 	n.vms = append(n.vms, vm)
 	n.alloc = append(n.alloc, 0) // a VM without jobs is allocated nothing
 	n.key = append(n.key, -1)
@@ -119,19 +120,19 @@ type VM struct {
 	weight float64
 	vcpus  float64
 
-	// The VM's outstanding jobs, oldest first, as two parallel slices:
-	// each job's remaining CPU demand in seconds, and its done callback.
-	// advance reads and writes only rem.
-	rem  []float64
-	done []func()
+	// The VM's outstanding jobs as a binary min-heap on remaining demand,
+	// held in three parallel slices: each job's remaining CPU demand in
+	// seconds, its submission sequence and its done callback. rem[0] is
+	// the smallest demand. advance takes the same amount off every job,
+	// and rounding is monotone, so the decrement keeps the heap ordered;
+	// it reads and writes only rem. The sequence, numbered by nextSeq,
+	// puts the jobs one event finishes back in submission order.
+	rem     []float64
+	seq     []uint64
+	done    []func()
+	nextSeq uint64
 
 	blocked int // nesting depth of active Block intervals
-
-	// minRemaining is the smallest remaining demand in rem, +Inf when
-	// there are none. advance recomputes it in its decrement pass, Submit
-	// lowers it and reschedule recomputes it over the jobs it keeps, so it
-	// is exact after every operation, blocked or not.
-	minRemaining float64
 
 	// Accumulators, updated lazily by node.advance. All are integrals over
 	// simulated time and are sampled by the metrics monitor.
@@ -187,12 +188,138 @@ func (v *VM) Submit(demand time.Duration, done func()) {
 		// the completion fire from the event loop, never inside Submit.
 		remaining = 2 * doneEpsilon
 	}
-	v.rem = append(v.rem, remaining) //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
-	v.done = append(v.done, done)    //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
-	if remaining < v.minRemaining {
-		v.minRemaining = remaining
-	}
+	v.push(remaining, done)
 	v.node.reschedule()
+}
+
+// push adds a job to the heap under the VM's next sequence. It sifts up
+// past every parent with a larger demand and stops at an equal one, so
+// a batch of equal demands lies in submission order, which
+// sortFinished then finds already sorted. Each parent it passes moves
+// down one slot, and the job is written once.
+//
+//lint:hotpath
+func (v *VM) push(r float64, done func()) {
+	s := v.nextSeq
+	v.nextSeq++
+	v.rem = append(v.rem, r)      //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
+	v.seq = append(v.seq, s)      //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
+	v.done = append(v.done, done) //lint:allow hotpath amortized: the job slices grow to the VM's peak run queue, then are reused
+	rem, seq, dn := v.rem, v.seq, v.done
+	i := len(rem) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !(r < rem[p]) {
+			break
+		}
+		rem[i], seq[i], dn[i] = rem[p], seq[p], dn[p]
+		i = p
+	}
+	rem[i], seq[i], dn[i] = r, s, done
+}
+
+// finish takes every job whose demand is done off the heap and appends
+// their callbacks to completed in submission order. The done jobs are a
+// subtree at the root, since no job's demand is below its parent's, so
+// the first job in array order that is not done sits at an index no
+// larger than their count. Finding none takes the whole heap at once;
+// otherwise each done job is popped to the slot the heap vacates. The
+// finished jobs then lie past the heap's end, where they are sorted by
+// sequence and their slots cleared.
+//
+//lint:hotpath
+func (v *VM) finish(completed []func()) []func() {
+	first := 0 // the first job in array order that is not done
+	for first < len(v.rem) && v.rem[first] <= doneEpsilon {
+		first++
+	}
+	m := 0 // the heap keeps rem[:m], the finished jobs lie past it
+	if first < len(v.rem) {
+		// A job that is not done stays, so the heap never empties.
+		for m = len(v.rem); v.rem[0] <= doneEpsilon; m-- {
+			v.pop(m)
+		}
+	}
+	v.sortFinished(m)
+	for _, done := range v.done[m:] {
+		if done != nil {
+			completed = append(completed, done) //lint:allow hotpath amortized: the buffer grows to the most jobs one event completes, then is reused
+		}
+	}
+	// Clear the tail so finished jobs' callbacks are collectable.
+	clear(v.done[m:])
+	v.rem, v.seq, v.done = v.rem[:m], v.seq[:m], v.done[:m]
+	return completed
+}
+
+// pop moves the top of the heap rem[:m] to slot m-1, the one the heap
+// vacates, and sifts the job that held that slot down from the root:
+// each smaller child moves up one slot, and the job is written once.
+//
+//lint:hotpath
+func (v *VM) pop(m int) {
+	rem, seq, dn := v.rem, v.seq, v.done
+	last := m - 1
+	r, s, d := rem[last], seq[last], dn[last]
+	rem[last], seq[last], dn[last] = rem[0], seq[0], dn[0]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= last {
+			break
+		}
+		if c+1 < last && rem[c+1] < rem[c] {
+			c++
+		}
+		if !(rem[c] < r) {
+			break
+		}
+		rem[i], seq[i], dn[i] = rem[c], seq[c], dn[c]
+		i = c
+	}
+	rem[i], seq[i], dn[i] = r, s, d
+}
+
+// sortFinished puts the finished jobs past the heap, seq[lo:] and
+// done[lo:], in submission order. A batch of equal demands taken whole
+// is already in order; anything else is heapsorted in place.
+//
+//lint:hotpath
+func (v *VM) sortFinished(lo int) {
+	seq, done := v.seq[lo:], v.done[lo:]
+	if slices.IsSorted(seq) {
+		return
+	}
+	for i := len(seq)/2 - 1; i >= 0; i-- {
+		siftSeq(seq, done, i)
+	}
+	for end := len(seq) - 1; end > 0; end-- {
+		seq[0], seq[end] = seq[end], seq[0]
+		done[0], done[end] = done[end], done[0]
+		siftSeq(seq[:end], done, 0)
+	}
+}
+
+// siftSeq sifts entry i down the max-heap on seq that sortFinished
+// builds, moving done along with it.
+//
+//lint:hotpath
+func siftSeq(seq []uint64, done []func(), i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(seq) {
+			return
+		}
+		if c+1 < len(seq) && seq[c+1] > seq[c] {
+			c++
+		}
+		if seq[i] > seq[c] {
+			return
+		}
+		seq[i], seq[c] = seq[c], seq[i]
+		done[i], done[c] = done[c], done[i]
+		i = c
+	}
 }
 
 // Block stalls the VM for d: all of its jobs stop progressing and the time
@@ -238,8 +365,9 @@ func (v *VM) Resume() {
 // advance integrates all job progress and accounting from lastUpdate to the
 // current simulated time, using the allocation that has been in effect over
 // that interval. Every state change runs advance, then the change, then
-// reschedule, so the allocation reschedule last stored is that one. The
-// decrement pass also finds each VM's new smallest remaining demand.
+// reschedule, so the allocation reschedule last stored is that one. Every
+// job of a VM loses the same rate * elapsed, and rounding is monotone, so
+// the decrement keeps the VM's heap ordered with no compare.
 //
 //lint:hotpath
 func (n *Node) advance() {
@@ -260,14 +388,10 @@ func (n *Node) advance() {
 		}
 		vm.runnableTime += now - n.lastUpdate
 		rate := n.alloc[i] / float64(len(rem))
-		least := math.Inf(1)
+		dec := rate * elapsed
 		for k := range rem {
-			rem[k] -= rate * elapsed
-			if rem[k] < least {
-				least = rem[k]
-			}
+			rem[k] -= dec
 		}
-		vm.minRemaining = least
 		vm.cpuSeconds += n.alloc[i] * elapsed
 	}
 	n.lastUpdate = now
@@ -277,36 +401,18 @@ func (n *Node) advance() {
 // re-arms the completion alarm for the next completion, or stops it when
 // no job is progressing. Done callbacks run after internal state
 // is consistent; they may submit new work re-entrantly. Only a runnable
-// VM whose smallest remaining demand is done has jobs to complete, so
-// only its jobs are walked.
+// VM whose heap top is done has jobs to complete; its callbacks run in
+// submission order, VMs in node order.
 //
 //lint:hotpath
 func (n *Node) reschedule() {
 	completed := n.finished
 	n.finished = nil
 	for _, vm := range n.vms {
-		if vm.blocked > 0 || vm.minRemaining > doneEpsilon {
+		if vm.blocked > 0 || len(vm.rem) == 0 || vm.rem[0] > doneEpsilon {
 			continue
 		}
-		kept := 0
-		least := math.Inf(1)
-		for k, r := range vm.rem {
-			if r <= doneEpsilon {
-				if done := vm.done[k]; done != nil {
-					completed = append(completed, done) //lint:allow hotpath amortized: the buffer grows to the most jobs one event completes, then is reused
-				}
-				continue
-			}
-			vm.rem[kept], vm.done[kept] = r, vm.done[k]
-			kept++
-			if r < least {
-				least = r
-			}
-		}
-		// Clear the tail so finished jobs' callbacks are collectable.
-		clear(vm.done[kept:])
-		vm.rem, vm.done = vm.rem[:kept], vm.done[:kept]
-		vm.minRemaining = least
+		completed = vm.finish(completed)
 	}
 
 	n.allocations()
@@ -316,8 +422,9 @@ func (n *Node) reschedule() {
 			continue
 		}
 		// Division by a positive rate is monotone, so the VM's first
-		// completion is its smallest remaining demand over the rate.
-		t := vm.minRemaining / (n.alloc[i] / float64(len(vm.rem)))
+		// completion is its smallest remaining demand, the heap top, over
+		// the rate.
+		t := vm.rem[0] / (n.alloc[i] / float64(len(vm.rem)))
 		if next < 0 || t < next {
 			next = t
 		}

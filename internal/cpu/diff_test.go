@@ -9,6 +9,7 @@ package cpu
 // so must the kernel's counters after the drain.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -159,27 +160,34 @@ func TestProcessorSharingMatchesReference(t *testing.T) {
 // runs fig3's consolidated host (consolidatedOps).
 func TestProcessorSharingMatchesReferenceLongTrace(t *testing.T) {
 	for setup := uint32(0); setup < 4*2*4*12; setup++ {
-		ops := make([]uint32, 400)
-		x := setup*2654435761 + 1
-		for i := range ops {
-			x = xorshift(x)
-			ops[i] = x
-			if i%5 != 4 && ops[i]%8 == 7 {
-				ops[i] &^= 7 // mostly submissions between clock advances
-			}
-		}
-		requireSameLog(t, setup, ops)
+		requireSameLog(t, setup, longTraceOps(setup))
 		if setup/8%4 == 1 {
 			requireSameLog(t, setup, consolidatedOps(setup))
 		}
 	}
 }
 
+// longTraceOps is a 400-operation trace seeded by setup.
+func longTraceOps(setup uint32) []uint32 {
+	ops := make([]uint32, 400)
+	x := setup*2654435761 + 1
+	for i := range ops {
+		x = xorshift(x)
+		ops[i] = x
+		if i%5 != 4 && ops[i]%8 == 7 {
+			ops[i] &^= 7 // mostly submissions between clock advances
+		}
+	}
+	return ops
+}
+
 // consolidatedOps is fig3's consolidated host as a trace: VM 1 takes a
 // batch of 240 jobs at once, as SysBursty's batch puts hundreds of
-// runnable threads beside the steady tier, while VM 0 churns short jobs
-// between blocks, stalls, resumes and clock advances. Each of the four
-// rounds lands a batch on whatever the previous ones left running.
+// runnable threads beside the steady tier, and then a batch of 400 equal
+// 3 ms demands, bursty-mysql's shape, which finish together, while VM 0
+// churns short jobs between blocks, stalls, resumes and clock advances.
+// Each of the four rounds lands its batches on whatever the previous
+// ones left running.
 func consolidatedOps(seed uint32) []uint32 {
 	op := func(kind, vm, arg uint32) uint32 { return kind | vm<<3 | arg<<5 }
 	var ops []uint32
@@ -188,6 +196,9 @@ func consolidatedOps(seed uint32) []uint32 {
 		for i := uint32(0); i < 240; i++ {
 			// Demands of 0-4.9 ms, a follow-up from a quarter of them.
 			ops = append(ops, op(0, 1, i))
+		}
+		for i := 0; i < 400; i++ {
+			ops = append(ops, op(0, 1, 30))
 		}
 		for i := 0; i < 120; i++ {
 			x = xorshift(x)
@@ -232,4 +243,69 @@ func requireSameLog(t *testing.T, setup uint32, ops []uint32) {
 		}
 	}
 	t.Fatalf("setup %d: got %d entries, want %d", setup, len(got), len(want))
+}
+
+// TestSimultaneousFinishesRunInSubmissionOrder submits d+1 ns and then
+// d ns at one instant on one VM, over a grid of d from 1 µs to 3 ms,
+// alone and beside a job that outlasts the run. Wherever both finish in
+// one event, the heap takes the d ns job off first, and the callback of
+// the one submitted first must still run first.
+func TestSimultaneousFinishesRunInSubmissionOrder(t *testing.T) {
+	for _, longer := range []bool{false, true} {
+		together := 0
+		for d := time.Microsecond; d <= 3*time.Millisecond; d += 1009 * time.Nanosecond {
+			sim := des.NewSimulator(1)
+			vm := NewNode(sim, "n", 1).AddVM("vm", 1, 1)
+			if longer {
+				vm.Submit(time.Hour, nil)
+			}
+			var order []int
+			var at [2]time.Duration
+			vm.Submit(d+time.Nanosecond, func() { order, at[0] = append(order, 0), sim.Now() })
+			vm.Submit(d, func() { order, at[1] = append(order, 1), sim.Now() })
+			_ = sim.Run(sim.Now() + time.Second) // the longer job stays pending
+			if len(order) != 2 {
+				t.Fatalf("d=%v longer=%v: %d of 2 jobs finished", d, longer, len(order))
+			}
+			if at[0] != at[1] {
+				continue
+			}
+			together++
+			if order[0] != 0 {
+				t.Fatalf("d=%v longer=%v: both finish at %v, callbacks ran in order %v, want [0 1]",
+					d, longer, at[0], order)
+			}
+		}
+		if together == 0 {
+			t.Fatalf("longer=%v: no d on the grid finished both jobs in one event", longer)
+		}
+	}
+}
+
+// FuzzProcessorSharingDifferential decodes a setup word and a trace of
+// operations from little-endian 32-bit words and runs both models on
+// them, as TestProcessorSharingMatchesReference does.
+func FuzzProcessorSharingDifferential(f *testing.F) {
+	encode := func(setup uint32, ops []uint32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, setup)
+		for _, op := range ops {
+			b = binary.LittleEndian.AppendUint32(b, op)
+		}
+		return b
+	}
+	f.Add(encode(3, longTraceOps(3)))
+	f.Add(encode(13, longTraceOps(13)))
+	f.Add(encode(9, consolidatedOps(9)))
+	f.Add(encode(47, consolidatedOps(47)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		setup := binary.LittleEndian.Uint32(data)
+		ops := make([]uint32, (len(data)-4)/4)
+		for i := range ops {
+			ops[i] = binary.LittleEndian.Uint32(data[4+4*i:])
+		}
+		requireSameLog(t, setup, ops)
+	})
 }

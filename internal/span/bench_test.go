@@ -112,3 +112,48 @@ func TestSteadyStateTracingDoesNotAllocate(t *testing.T) {
 		t.Fatalf("finished %d traces, want %d", got, 4*DefaultReservoir+n)
 	}
 }
+
+// BenchmarkBreakdown measures the span layer's end-of-run cost: the
+// decile table over 60,000 finished requests in fig3's shape, a
+// queue-wait and a service span at each of four tiers, each service
+// span calling the next tier downstream, and one request in 50 carrying
+// a 3 s retransmission gap at one of them.
+func BenchmarkBreakdown(b *testing.B) {
+	clk := &fakeClock{}
+	tr := NewTracer(clk.now, TracerConfig{Seed: 1, Reservoir: 8})
+	tiers := []string{"steady-apache", "steady-tomcat", "steady-cjdbc", "steady-mysql"}
+	for i := 0; i < 60000; i++ {
+		tc := tr.StartRequest(uint64(i), "ViewStory")
+		parent := RootID
+		var open []ID
+		for k, tier := range tiers {
+			if k > 0 {
+				parent = tc.Start(KindDownstream, tier, parent)
+				open = append(open, parent)
+			}
+			if i%50 == 0 && i/50%4 == k {
+				r := tc.Start(KindRetransmit, tier, parent)
+				clk.at += 3 * time.Second
+				tc.End(r)
+			}
+			q := tc.Start(KindQueueWait, tier, parent)
+			clk.at += time.Duration(i*(k+3)%40) * time.Microsecond
+			tc.End(q)
+			parent = tc.Start(KindService, tier, parent)
+			open = append(open, parent)
+			clk.at += time.Duration(20+i*(k+7)%120) * time.Microsecond
+		}
+		for j := len(open) - 1; j >= 0; j-- {
+			clk.at += 10 * time.Microsecond
+			tc.End(open[j])
+		}
+		tr.Finish(tc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if tr.Breakdown() == nil {
+			b.Fatal("no breakdown")
+		}
+	}
+}

@@ -1,7 +1,9 @@
 package span
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -78,30 +80,38 @@ func (tr *Tracer) Breakdown() *Breakdown {
 	for _, chunk := range tr.records.chunks {
 		recs = append(recs, chunk...)
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].rt < recs[j].rt })
+	// The same pdqsort as sort.Slice, without its reflection swapper:
+	// both run one comparison and swap sequence, so tied records land
+	// where they always did.
+	slices.SortFunc(recs, func(a, b record) int { return cmp.Compare(a.rt, b.rt) })
 
 	n := len(recs)
 	b := &Breakdown{Requests: n}
+	sums := make([]time.Duration, len(tr.tiers)*kindCount)
 	for d := 0; d < 10; d++ {
 		lo, hi := n*d/10, n*(d+1)/10
 		b.Deciles = append(b.Deciles,
-			tr.aggregate(fmt.Sprintf("D%d", d+1), recs[lo:hi]))
+			tr.aggregate(fmt.Sprintf("D%d", d+1), recs[lo:hi], sums))
 	}
-	b.P99 = tr.aggregate("p99", recs[n*99/100:])
-	b.P999 = tr.aggregate("p99.9", recs[n*999/1000:])
+	b.P99 = tr.aggregate("p99", recs[n*99/100:], sums)
+	b.P999 = tr.aggregate("p99.9", recs[n*999/1000:], sums)
 	vlrtFrom := sort.Search(n, func(i int) bool { return recs[i].rt > vlrtThreshold })
-	b.VLRT = tr.aggregate("VLRT>3s", recs[vlrtFrom:])
+	b.VLRT = tr.aggregate("VLRT>3s", recs[vlrtFrom:], sums)
 	return b
 }
 
-// aggregate folds a sorted slice of records into one row.
-func (tr *Tracer) aggregate(label string, recs []record) Row {
+// aggregate folds a sorted slice of records into one row. It sums the
+// categories in sums, one slot per (interned tier, kind), and builds the
+// row's maps from the slots once. Categories hold only non-zero time,
+// so a slot is non-zero exactly when some record has that category.
+func (tr *Tracer) aggregate(label string, recs []record, sums []time.Duration) Row {
 	row := Row{
 		Label:      label,
 		Count:      len(recs),
 		ByKind:     make(map[Kind]time.Duration),
 		ByTierKind: make(map[TierKind]time.Duration),
 	}
+	clear(sums)
 	for _, r := range recs {
 		row.Total += r.rt
 		if r.rt > row.MaxRT {
@@ -109,9 +119,16 @@ func (tr *Tracer) aggregate(label string, recs []record) Row {
 		}
 		for i := r.lo; i < r.hi; i++ {
 			c := tr.cats.at(int(i))
-			row.ByKind[c.kind] += c.self
-			row.ByTierKind[TierKind{Tier: tr.tiers[c.tier], Kind: c.kind}] += c.self
+			sums[int(c.tier)*kindCount+int(c.kind)] += c.self
 		}
+	}
+	for slot, d := range sums {
+		if d == 0 {
+			continue
+		}
+		kind := Kind(slot % kindCount)
+		row.ByKind[kind] += d
+		row.ByTierKind[TierKind{Tier: tr.tiers[slot/kindCount], Kind: kind}] = d
 	}
 	if row.Count > 0 {
 		row.MeanRT = row.Total / time.Duration(row.Count)

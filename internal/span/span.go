@@ -58,6 +58,10 @@ const (
 	KindPoolWait
 )
 
+// kindCount bounds the kinds, for tables indexed by Kind; KindPoolWait
+// is the last.
+const kindCount = int(KindPoolWait) + 1
+
 // String implements fmt.Stringer.
 func (k Kind) String() string {
 	switch k {
