@@ -53,46 +53,23 @@ func main() {
 	fmt.Println("multi-modal latency the paper measures with 3s kernel timers.")
 }
 
-// runSystem builds web→app→db on localhost and fires the burst.
+// runSystem deploys web→app→db on localhost and fires the burst.
 func runSystem(sync bool, col *live.Collector) ([]live.Outcome, int64) {
-	queue := workers // bounded, like the TCP backlog
-	if !sync {
-		queue = 10000 // LiteQDepth
+	topo, err := live.Deploy(live.TopologySpec{
+		Sync:      sync,
+		Workers:   workers,
+		RTO:       rto,
+		IOTimeout: ioLimit,
+		Collector: col,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	tier := func(name, downName, downstream string) *live.Server {
-		s, err := live.Serve(live.Config{
-			Addr:           "127.0.0.1:0",
-			Sync:           sync,
-			Workers:        workers,
-			Queue:          queue,
-			Downstream:     downstream,
-			RTO:            rto,
-			IOTimeout:      ioLimit,
-			Name:           name,
-			DownstreamName: downName,
-			Collector:      col,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return s
+	outcomes := live.RunLoad(topo.Client(10), burst, []time.Duration{service, appSleep, dbSleep})
+	if err := topo.Shutdown(); err != nil {
+		log.Printf("shutdown: %v", err)
 	}
-	db := tier("db", "", "")
-	app := tier("app", "db", db.Addr())
-	web := tier("web", "app", app.Addr())
-	defer func() {
-		for _, s := range []*live.Server{web, app, db} {
-			if err := s.Close(); err != nil {
-				log.Printf("close %s: %v", s.Addr(), err)
-			}
-		}
-	}()
-
-	client := live.Client{Target: web.Addr(), RTO: rto, MaxAttempts: 10,
-		IOTimeout: ioLimit, Name: "web", Collector: col}
-	outcomes := live.RunLoad(client, burst, []time.Duration{service, appSleep, dbSleep})
-	drops := web.Stats().Dropped() + app.Stats().Dropped() + db.Stats().Dropped()
-	return outcomes, drops
+	return outcomes, topo.TotalDrops()
 }
 
 func report(name string, outcomes []live.Outcome, drops int64) {

@@ -12,9 +12,10 @@ package ctqosim
 // through a warmed steady state asserting zero allocations per run.
 //
 // Exercisers are shared across annotations: one event-loop drive covers
-// the whole des kernel (Schedule reaches take, Step reaches release and
-// tombstone, heap operations reach the heap4 methods), an alarm drive
-// re-arms, stops and fires five alarms among heap and wheel events, one clean
+// the des kernel's scheduling loop (Schedule, Run and Step reach settle,
+// fire and the heap4 methods), a wheel drive parks events in every wheel
+// container, an alarm drive re-arms, stops and fires five alarms among
+// heap and wheel events, one clean
 // delivery and one retransmission drive cover the simnet path, the nil
 // tracer covers the span path, a warmed bounded Recorder covers the
 // metrics path, a two-VM churn covers processor sharing, and two warmed
@@ -77,20 +78,15 @@ var hotpathKernelDirs = []string{
 // or package.Name) to the exerciser group that drives it dynamically.
 var hotpathExercisers = map[string]string{
 	// DES kernel: Schedule/Run with a bound callback drive the whole
-	// pooled near-term scheduling loop (heap sifts, settle, fire); far
+	// near-term scheduling loop (heap sifts, settle, fire); far
 	// 5 ms/3 s/30 s/20 min schedules drive the timer-wheel path through
-	// placement, promotion, cascade and the node pool; cancels leave
-	// tombstones for settle and promote to reclaim.
+	// placement, promotion, cascade and the node pool.
 	"des.Simulator.Schedule":   "des-event-loop",
 	"des.Simulator.ScheduleAt": "des-event-loop",
-	"des.Simulator.take":       "des-event-loop",
-	"des.Simulator.release":    "des-event-loop",
 	"des.Simulator.settle":     "des-event-loop",
 	"des.Simulator.fire":       "des-event-loop",
 	"des.Simulator.Step":       "des-event-loop",
 	"des.Simulator.Run":        "des-event-loop",
-	"des.Simulator.Cancel":     "des-cancel",
-	"des.event.tombstone":      "des-cancel",
 	"des.heapNode.before":      "des-event-loop",
 	"des.heap4.push":           "des-event-loop",
 	"des.heap4.pop":            "des-event-loop",
@@ -506,7 +502,7 @@ func TestHotpathAllocsAgree(t *testing.T) {
 			sim := des.NewSimulator(1)
 			n := 0
 			bump := func() { n++ }    // bound once, as recurring model timers are
-			for i := 0; i < 64; i++ { // warm the event pool
+			for i := 0; i < 64; i++ { // warm the heap's backing array and the wheel nodes
 				sim.Schedule(time.Duration(i), bump)
 			}
 			sim.Run(sim.Now() + time.Second)
@@ -536,27 +532,6 @@ func TestHotpathAllocsAgree(t *testing.T) {
 					sim.Schedule(20*time.Minute+time.Duration(i)*time.Millisecond, bump)
 				}
 				sim.Run(sim.Now() + 21*time.Minute)
-			}
-			drive()
-			return testing.AllocsPerRun(200, drive)
-		},
-		"des-cancel": func() float64 {
-			// Cancelled near and far timers, some of whose objects are
-			// reused before their tombstones leave the heap or wheel,
-			// drive Cancel and every tombstone check; the stale
-			// re-cancels are no-ops.
-			sim := des.NewSimulator(1)
-			nop := func() {}
-			drive := func() {
-				for i := 0; i < 8; i++ {
-					near := sim.Schedule(time.Duration(i)*time.Microsecond, nop)
-					far := sim.Schedule(3*time.Second, nop)
-					sim.Cancel(near)
-					sim.Cancel(far)
-					sim.Schedule(time.Millisecond, nop) // reuses far's object
-					sim.Cancel(far)
-				}
-				sim.Run(sim.Now() + 4*time.Second)
 			}
 			drive()
 			return testing.AllocsPerRun(200, drive)
@@ -595,7 +570,7 @@ func TestHotpathAllocsAgree(t *testing.T) {
 				}
 				sim.Run(sim.Now() + 30*time.Millisecond)
 			}
-			drive() // warm the armed set, the event pool and the wheel nodes
+			drive() // warm the armed set, the heap and the wheel nodes
 			return testing.AllocsPerRun(200, drive)
 		},
 		"simnet-clean-delivery": func() float64 {

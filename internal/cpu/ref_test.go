@@ -1,10 +1,14 @@
 package cpu
 
 // The reference processor-sharing model: the Node that shipped before
-// the allocation-free rewrite, kept verbatim apart from its names (and
-// without its accessors) as the differential oracle in diff_test.go. It
-// recomputes the water-filling allocation from scratch in every advance
-// and reschedule, holds jobs by pointer and scans every job for the next
+// the allocation-free rewrite, kept verbatim apart from its names,
+// without its accessors, and with its completion on a des.Alarm where
+// it cancelled and rescheduled a timer, as the differential oracle in
+// diff_test.go. The alarm's Set counts and orders as that cancel plus
+// schedule did, and its Stop as the lone cancel, so the kernel counters
+// it leaves still compare with the Node's. It recomputes the
+// water-filling allocation from scratch in every advance and
+// reschedule, holds jobs by pointer and scans every job for the next
 // completion. Any later change to the model, including virtual-time
 // processor sharing, is checked against it.
 
@@ -25,8 +29,7 @@ type refNode struct {
 	vms    []*refVM
 
 	lastUpdate time.Duration
-	completion des.Timer
-	onComplete func()
+	completion *des.Alarm
 }
 
 func newRefNode(sim *des.Simulator, name string, cores float64) *refNode {
@@ -34,7 +37,7 @@ func newRefNode(sim *des.Simulator, name string, cores float64) *refNode {
 		cores = 1
 	}
 	n := &refNode{sim: sim, name: name, cores: cores, policy: WeightedVM}
-	n.onComplete = n.complete
+	n.completion = sim.NewAlarm(n.complete)
 	return n
 }
 
@@ -169,7 +172,6 @@ func (n *refNode) reschedule() {
 		vm.jobs = kept
 	}
 
-	n.sim.Cancel(n.completion)
 	alloc := n.allocations()
 	next := -1.0
 	for i, vm := range n.vms {
@@ -185,7 +187,9 @@ func (n *refNode) reschedule() {
 		}
 	}
 	if next >= 0 {
-		n.completion = n.sim.Schedule(refDurationFromSeconds(next), n.onComplete)
+		n.completion.Set(refDurationFromSeconds(next))
+	} else {
+		n.completion.Stop()
 	}
 
 	for _, j := range completed {

@@ -2,20 +2,23 @@ package des
 
 import "time"
 
-// Alarm is a re-armable event for an owner that has at most one firing
-// pending at a time, such as a CPU node's next completion, which moves
-// at nearly every event on its node. Set re-arms it in place, where a
-// Timer would need a Cancel, a tombstone and a fresh Schedule.
+// Alarm is the kernel's one event that a model can move or withdraw,
+// for an owner that has at most one firing pending at a time: a CPU
+// node's next completion, which moves at nearly every event on its
+// node, a ticker's next tick, a queue's next timeout. Set arms it or
+// re-arms it in place; Stop withdraws it.
 //
-// A re-arm is one scheduling: Set takes the next seq exactly where a
-// Schedule would, and counts in Scheduled, Pending and PeakPending as
-// the Cancel plus Schedule it replaces would. So an alarm takes the same
-// place in the global (time, seq) order as that pair of calls, and a
-// model that switches to an alarm keeps every result.
+// An arming is one scheduling: Set takes the next seq exactly where a
+// Schedule would, and a re-arm counts in Scheduled, Pending and
+// PeakPending as a withdrawal of the pending firing followed by a fresh
+// Schedule would. So an alarm takes the same place in the global (time,
+// seq) order as that pair, and a model that switches to an alarm keeps
+// every result.
 //
 // Armed alarms are kept apart from the heap and the wheel: the
 // simulator scans them for the earliest and caches it, which is cheap
-// for the handful a run has (one per CPU node).
+// for the handful a run has (one per CPU node, ticker and queue with a
+// timeout).
 type Alarm struct {
 	sim  *Simulator
 	fn   func()
@@ -78,7 +81,7 @@ func (a *Alarm) Stop() {
 }
 
 // key is the alarm's place in the scheduler's (time, seq) order, as a
-// heap node without an event, so alarms compare by heapNode.before.
+// heap node without a callback, so alarms compare by heapNode.before.
 //
 //lint:hotpath
 func (a *Alarm) key() heapNode { return heapNode{time: a.time, seq: a.seq} }

@@ -19,22 +19,13 @@ func BenchmarkScheduleAndFire(b *testing.B) {
 	}
 }
 
-func BenchmarkCancel(b *testing.B) {
-	sim := NewSimulator(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ev := sim.Schedule(time.Hour, func() {})
-		sim.Cancel(ev)
-	}
-}
-
 // The EventLoop pair measures what binding a callback once buys over
 // building a closure per call on the kernel's steady-state path: both
 // benchmarks run the same schedule-then-drain loop with a callback that
 // bumps a captured counter. The closure variant allocates a fresh
 // capturing closure per iteration; the bound variant passes one func
-// value bound before the loop, so the pooled events make it
-// allocation-free.
+// value bound before the loop, so once the heap and the wheel's node
+// pool are warm it allocates nothing.
 
 type benchCounter struct{ n int }
 

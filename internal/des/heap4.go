@@ -2,14 +2,15 @@ package des
 
 import "time"
 
-// heapNode is one pending entry of the near-term scheduler. The (time,
-// seq) ordering key is stored inline so sift comparisons walk the
-// contiguous backing array instead of chasing *event pointers — the
-// cache-friendliness half of the 4-ary layout (DESIGN.md §14).
+// heapNode is one pending entry of the near-term scheduler: the (time,
+// seq) ordering key and the callback itself, inline, so sift
+// comparisons walk the contiguous backing array without chasing a
+// pointer — the cache-friendliness half of the 4-ary layout (DESIGN.md
+// §14).
 type heapNode struct {
 	time time.Duration
 	seq  uint64
-	ev   *event
+	fn   func()
 }
 
 // before is the scheduler's total order: earlier time first, FIFO seq
@@ -30,9 +31,8 @@ func (n heapNode) before(m heapNode) bool {
 // per node halve the tree depth of the binary heap it replaces and keep
 // the sibling scan inside one or two cache lines; push/pop sift with
 // plain inlined loops — no heap.Interface, no dynamic dispatch, no any
-// boxing. Cancellation never touches the heap: cancelled events stay in
-// place as tombstones and are dropped when they reach the top
-// (Simulator.settle), so no per-node index bookkeeping is needed.
+// boxing. Nothing is ever removed from the middle of the heap, so no
+// per-node index bookkeeping is needed.
 type heap4 struct {
 	a []heapNode
 }
@@ -66,7 +66,7 @@ func (h *heap4) pop() heapNode {
 	top := a[0]
 	last := len(a) - 1
 	n := a[last]
-	a[last] = heapNode{} // release the *event reference for the collector
+	a[last] = heapNode{} // release the callback for the collector
 	h.a = a[:last]
 	if last > 0 {
 		h.siftDown(n)

@@ -3,15 +3,16 @@ package des
 // Differential check of the 4-ary heap + timer wheel scheduler, with its
 // alarms, against a reference implementation kept on container/heap —
 // the structure the kernel used before the rewrite. Both sides consume
-// the same decoded schedule/cancel/alarm trace; the pop order must match
+// the same decoded schedule/alarm trace; the pop order must match
 // event for event, which pins the (time, seq) total order across every
 // container the new scheduler can route an event through (near heap,
 // wheel levels 0–2, overflow, idle catch-up fallback, the armed alarms).
-// The reference has no alarms: it models Set as a cancel of the alarm's
-// pending scheduling followed by a fresh schedule, and Stop as the
-// cancel, which is the equivalence that lets a model move a re-armed
-// timer onto an alarm and keep every result. Both sides must also agree
-// on the counters the golden digests print: Scheduled and PeakPending.
+// The reference has no alarms: it keeps its own cancel and models Set
+// as a cancel of the alarm's pending scheduling followed by a fresh
+// schedule, and Stop as the cancel, which is the equivalence that lets
+// a model move a withdrawable timer onto an alarm and keep every
+// result. Both sides must also agree on the counters the golden digests
+// print: Scheduled and PeakPending.
 
 import (
 	"container/heap"
@@ -70,8 +71,9 @@ type refFire struct {
 }
 
 // refSim is the reference scheduler: same clamping, same per-schedule
-// seq assignment, same cancel and horizon semantics as Simulator, and
-// the same live-event accounting behind Pending and PeakPending.
+// seq assignment and same horizon semantics as Simulator, a cancel that
+// withdraws an alarm's pending scheduling as Alarm.Stop does, and the
+// same live-event accounting behind Pending and PeakPending.
 type refSim struct {
 	now  time.Duration
 	seq  uint64
@@ -121,19 +123,15 @@ func (r *refSim) run(horizon time.Duration) {
 	}
 }
 
-// diffDriver applies one trace to both schedulers in lockstep. It keeps
-// every Timer it was handed, so later cancels may go through stale
-// handles: the event already fired, or was cancelled and its pooled
-// object reused by a later schedule. Both must be no-ops, as they are
-// on the reference. Events scheduled through a Timer are numbered from
-// 0 in scheduling order; alarm schedulings are numbered from -1
-// downwards, so the two kinds share one firing log.
+// diffDriver applies one trace to both schedulers in lockstep.
+// Scheduled events are numbered from 0 in scheduling order; alarm
+// schedulings are numbered from -1 downwards, so the two kinds share
+// one firing log.
 type diffDriver struct {
-	sim  *Simulator
-	ref  refSim
-	evs  []Timer
-	refs []*refEvent
-	log  []refFire
+	sim    *Simulator
+	ref    refSim
+	events int // events scheduled so far
+	log    []refFire
 
 	alarms    []*Alarm
 	alarmRefs []*refEvent // each alarm's pending reference scheduling, nil when stopped or fired
@@ -155,16 +153,12 @@ func newDiffDriver() *diffDriver {
 }
 
 func (d *diffDriver) schedule(at time.Duration) {
-	id := len(d.evs)
-	d.evs = append(d.evs, d.sim.ScheduleAt(at, func() {
+	id := d.events
+	d.events++
+	d.sim.ScheduleAt(at, func() {
 		d.log = append(d.log, refFire{id, d.sim.Now()})
-	}))
-	d.refs = append(d.refs, d.ref.schedule(at, id))
-}
-
-func (d *diffDriver) cancel(i int) {
-	d.sim.Cancel(d.evs[i])
-	d.ref.cancel(d.refs[i])
+	})
+	d.ref.schedule(at, id)
 }
 
 // setAlarm arms alarm i after delay, creating alarms up to i first, or
@@ -228,8 +222,8 @@ func (d *diffDriver) run(horizon time.Duration) {
 	d.checked = len(d.log)
 }
 
-// applyDiffTrace decodes data as a schedule/cancel/advance/reuse/alarm op
-// stream, applies it to both schedulers, then drains. The delay bands are
+// applyDiffTrace decodes data as a schedule/advance/alarm op stream,
+// applies it to both schedulers, then drains. The delay bands are
 // chosen so traces reach every scheduler container: sub-ms and µs delays
 // stay in the near heap or wheel level 0; the 0–17 ms band, in 64 µs
 // steps, fills level-0 slots on both sides of the wheel's wrap-around,
@@ -238,9 +232,11 @@ func (d *diffDriver) run(horizon time.Duration) {
 // minutes-scale delays reach level 2 and the overflow list; and advance
 // ops move the clock so placements happen against moving horizons.
 // Alarms are set and re-armed on the same 64 µs grid as the 0–17 ms
-// band, so an alarm re-armed to the instant of an event scheduled since
-// its last arming ties with it, and only the re-arm's fresh seq orders
-// the two as the reference does.
+// band and the instant pairs, so an alarm re-armed to the instant of an
+// event scheduled since its last arming ties with it, and only the
+// re-arm's fresh seq orders the two as the reference does. Events at
+// the current instant go to the heap once the clock's bucket is
+// promoted, and to the wheel before, including after an idle catch-up.
 func applyDiffTrace(data []byte) *diffDriver {
 	d := newDiffDriver()
 	for i := 0; i+2 < len(data) && d.mismatch == ""; i += 3 {
@@ -253,19 +249,14 @@ func applyDiffTrace(data []byte) *diffDriver {
 			d.schedule(d.sim.Now() + 3*time.Second + time.Duration(a)*time.Millisecond + time.Duration(b)*time.Microsecond)
 		case 2: // deep band: minutes, wheel level 2 / overflow
 			d.schedule(d.sim.Now() + time.Duration(a%30)*time.Minute + time.Duration(b)*time.Second)
-		case 3: // cancel an arbitrary earlier event (possibly already fired)
-			if len(d.evs) > 0 {
-				d.cancel(int(ab) % len(d.evs))
-			}
+		case 3: // an event at the current instant
+			d.schedule(d.sim.Now())
 		case 4: // advance the clock up to ~65 s
 			d.run(d.sim.Now() + ab*time.Millisecond)
-		case 5: // cancel, let a near schedule reuse the freed event, cancel the stale handle
-			if len(d.evs) > 0 {
-				i := int(a) % len(d.evs)
-				d.cancel(i)
-				d.schedule(d.sim.Now() + time.Duration(b)*time.Microsecond)
-				d.cancel(i)
-			}
+		case 5: // two events at one instant on the 64 µs grid
+			at := d.sim.Now() + time.Duration(b)*64*time.Microsecond
+			d.schedule(at)
+			d.schedule(at)
 		case 6: // level-0 band: 0–17 ms on a 64 µs grid, across the wrap
 			d.schedule(d.sim.Now() + (ab%272)*64*time.Microsecond)
 		case 7: // create, arm or re-arm an alarm on the 64 µs grid
@@ -316,7 +307,9 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 2, 5, 0, 2, 29, 255, 4, 255, 255, 3, 0, 1})
 	f.Add([]byte{2, 0, 0, 4, 255, 255, 2, 0, 0, 4, 255, 255, 1, 0, 0}) // idle catch-up
 	f.Add([]byte{0, 0, 1, 3, 0, 0, 3, 0, 0, 1, 0, 0, 3, 0, 1, 4, 16, 0})
-	f.Add([]byte{0, 0, 50, 3, 0, 0, 0, 0, 100, 3, 0, 0, 4, 0, 200, 3, 0, 1, 5, 0, 9}) // stale handles
+	// Stale handles: an alarm stopped twice, stopped after it fired, and
+	// one stopped before it was ever created, each a no-op.
+	f.Add([]byte{7, 0, 50, 0, 0, 100, 8, 0, 0, 8, 0, 0, 7, 0, 10, 4, 0, 200, 8, 0, 0, 7, 0, 9, 8, 1, 0})
 	// An alarm re-armed to the instant of an event scheduled since its
 	// first arming fires after that event, by its fresh seq.
 	f.Add([]byte{7, 0, 10, 6, 0, 20, 7, 0, 20})
@@ -351,22 +344,25 @@ func TestSchedulerDifferentialProperty(t *testing.T) {
 }
 
 // TestSchedulerDifferentialTrace pins one handwritten trace that touches
-// every container and cancels across them, as a deterministic anchor for
-// the fuzz harness itself.
+// every container and moves and withdraws alarms across them, as a
+// deterministic anchor for the fuzz harness itself.
 func TestSchedulerDifferentialTrace(t *testing.T) {
 	d := newDiffDriver()
 	d.schedule(d.sim.Now() + 50*time.Microsecond) // near
-	d.schedule(d.sim.Now() + 3*time.Second)       // RTO, level 0
-	d.schedule(d.sim.Now() + 3*time.Second)       // simultaneous RTO
-	d.schedule(d.sim.Now() + 30*time.Second)      // level 1
+	d.schedule(d.sim.Now() + 3*time.Second)       // RTO, level 1
+	d.setAlarm(0, 3*time.Second)                  // ties with the RTO, after it by seq
+	d.schedule(d.sim.Now() + 3*time.Second)       // simultaneous RTO, after the alarm
+	d.schedule(d.sim.Now() + 30*time.Second)      // level 2
 	d.schedule(d.sim.Now() + 20*time.Minute)      // overflow
-	d.cancel(2)
+	d.setAlarm(1, 30*time.Second)
+	d.stopAlarm(1)
 	d.run(d.sim.Now() + 10*time.Second)
 	d.schedule(d.sim.Now() + 3*time.Second) // park against an advanced horizon
-	d.cancel(3)
-	d.cancel(0)                                   // already fired: no-op on both sides
-	d.schedule(d.sim.Now() + 40*time.Microsecond) // reuses event 3's object
-	d.cancel(3)                                   // stale handle after reuse: no-op, event 6 fires
+	d.stopAlarm(0)                          // already fired: no-op on both sides
+	d.setAlarm(0, 40*time.Microsecond)      // re-armed after firing
+	d.setAlarm(1, 20*time.Second)           // re-armed after a stop, tying with the level-2 event
+	d.setAlarm(2, 3*time.Second)            // ties with the parked event, after it by seq
+	d.setAlarm(2, time.Second)              // moved earlier
 	d.run(d.sim.Now() + time.Hour)
 	checkDiff(t, d)
 }

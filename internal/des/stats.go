@@ -26,8 +26,8 @@ import (
 type SimStats struct {
 	// EventsExecuted is how many events the kernel ran in the window.
 	EventsExecuted uint64
-	// EventsScheduled is how many events were scheduled in the window
-	// (including later-cancelled ones).
+	// EventsScheduled is how many events were scheduled in the window,
+	// every alarm arming included, whether or not it fired.
 	EventsScheduled uint64
 	// PeakPending is the pending-heap high-water mark over the whole
 	// simulator lifetime.

@@ -30,44 +30,45 @@ func TestPeakPending(t *testing.T) {
 	}
 }
 
-// TestScheduledCountsCancelled pins that Scheduled counts every
-// ScheduleAt call, including later-cancelled events, while Executed does
-// not.
-// TestPeakPendingCancelHeavy pins the live-events-only contract: a
-// cancel-heavy workload leaves tombstones in the scheduler, but neither
-// Pending nor the PeakPending high-water mark may count them. The
-// schedule alternates near (heap) and 3 s far (wheel) timers so both
-// tombstone paths are audited.
+// TestPeakPendingCancelHeavy pins the live-events-only contract on a
+// stop-heavy alarm workload: a stopped alarm leaves Pending at once and
+// never counts in the PeakPending high-water mark, and re-arming it
+// counts it again. Alarms alternate between near and 3 s delays, so
+// every other stop withdraws the earliest armed alarm.
 func TestPeakPendingCancelHeavy(t *testing.T) {
 	s := NewSimulator(1)
-	evs := make([]Timer, 0, 100)
-	for i := 0; i < 100; i++ {
-		at := time.Duration(i+1) * time.Millisecond
+	fired := 0
+	alarms := make([]*Alarm, 100)
+	for i := range alarms {
+		alarms[i] = s.NewAlarm(func() { fired++ })
+		delay := time.Duration(i+1) * time.Millisecond
 		if i%2 == 1 {
-			at = 3*time.Second + time.Duration(i)*time.Millisecond
+			delay = 3*time.Second + time.Duration(i)*time.Millisecond
 		}
-		evs = append(evs, s.ScheduleAt(at, func() {}))
+		alarms[i].Set(delay)
 	}
 	if got := s.PeakPending(); got != 100 {
 		t.Fatalf("PeakPending = %d, want 100", got)
 	}
-	for i := 0; i < 90; i++ {
-		s.Cancel(evs[i])
+	for _, a := range alarms[:90] {
+		a.Stop()
 	}
 	if got := s.Pending(); got != 10 {
-		t.Fatalf("Pending after cancels = %d, want 10", got)
+		t.Fatalf("Pending after stops = %d, want 10", got)
 	}
-	// 90 tombstones linger; scheduling 50 more live events — which reuse
-	// cancelled objects whose tombstones are still queued — must not push
-	// the mark past the true live count (10+50=60 < 100).
+	// 50 scheduled events and 20 re-armed alarms bring the live count to
+	// 80, under the mark: the 70 alarms still stopped must not count.
 	for i := 0; i < 50; i++ {
-		s.Schedule(time.Duration(i+200)*time.Millisecond, func() {})
+		s.Schedule(time.Duration(i+200)*time.Millisecond, func() { fired++ })
+	}
+	for _, a := range alarms[:20] {
+		a.Set(time.Second)
 	}
 	if got := s.PeakPending(); got != 100 {
-		t.Fatalf("PeakPending after refill = %d, want 100 (tombstones must not count)", got)
+		t.Fatalf("PeakPending after refill = %d, want 100 (stopped alarms must not count)", got)
 	}
-	if got := s.Pending(); got != 60 {
-		t.Fatalf("Pending after refill = %d, want 60", got)
+	if got := s.Pending(); got != 80 {
+		t.Fatalf("Pending after refill = %d, want 80", got)
 	}
 	if err := s.Run(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -75,29 +76,8 @@ func TestPeakPendingCancelHeavy(t *testing.T) {
 	if got := s.Pending(); got != 0 {
 		t.Fatalf("Pending after drain = %d, want 0", got)
 	}
-	if s.tombstones != 0 {
-		t.Fatalf("%d tombstones unaccounted for after drain", s.tombstones)
-	}
-	if got := uint64(60); s.Executed() != got {
-		t.Fatalf("Executed = %d, want %d (cancelled events must not run)", s.Executed(), got)
-	}
-}
-
-func TestScheduledCountsCancelled(t *testing.T) {
-	s := NewSimulator(1)
-	ran := 0
-	keep := s.Schedule(time.Millisecond, func() { ran++ })
-	drop := s.Schedule(2*time.Millisecond, func() { ran++ })
-	s.Cancel(drop)
-	_ = keep
-	if err := s.Run(time.Second); err != nil && err != ErrHorizon {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := s.Scheduled(); got != 2 {
-		t.Fatalf("Scheduled = %d, want 2", got)
-	}
-	if ran != 1 {
-		t.Fatalf("ran = %d, want 1", ran)
+	if s.Executed() != 80 || fired != 80 {
+		t.Fatalf("Executed = %d, fired %d, want 80 and 80 (stopped alarms must not run)", s.Executed(), fired)
 	}
 }
 

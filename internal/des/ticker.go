@@ -10,8 +10,7 @@ type Ticker struct {
 	sim    *Simulator
 	period time.Duration
 	fn     func(now time.Duration)
-	tick   func() // t.fire, bound once so re-arming allocates nothing
-	next   Timer
+	next   *Alarm // the next firing, re-armed after each one
 	stop   bool
 }
 
@@ -19,23 +18,23 @@ type Ticker struct {
 // Period must be positive.
 func NewTicker(sim *Simulator, period time.Duration, fn func(now time.Duration)) *Ticker {
 	t := &Ticker{sim: sim, period: period, fn: fn}
-	t.tick = t.fire
+	t.next = sim.NewAlarm(t.fire)
 	if period > 0 {
-		t.next = sim.Schedule(period, t.tick)
+		t.next.Set(period)
 	}
 	return t
 }
 
-// Stop cancels all future firings. Safe to call multiple times, and from
+// Stop withdraws all future firings. Safe to call multiple times, and from
 // inside the callback.
 func (t *Ticker) Stop() {
 	t.stop = true
-	t.sim.Cancel(t.next)
+	t.next.Stop()
 }
 
 func (t *Ticker) fire() {
 	t.fn(t.sim.Now())
 	if !t.stop {
-		t.next = t.sim.Schedule(t.period, t.tick)
+		t.next.Set(t.period)
 	}
 }

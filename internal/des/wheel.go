@@ -41,7 +41,7 @@ const (
 type wheelNode struct {
 	time time.Duration
 	seq  uint64
-	ev   *event
+	fn   func()
 	next *wheelNode
 }
 
@@ -57,9 +57,8 @@ type wheel struct {
 	// argument (DESIGN.md §14).
 	p0 int64
 
-	// Resident node counts per container, tombstones included; promote
-	// uses them to jump empty spans instead of stepping bucket by
-	// bucket.
+	// Resident node counts per container; promote uses them to jump
+	// empty spans instead of stepping bucket by bucket.
 	count0, count1, count2, countOver int
 
 	// occ0 is level 0's occupancy map, one bit per slot: place sets a
@@ -75,8 +74,7 @@ type wheel struct {
 	free *wheelNode
 }
 
-// resident returns the number of nodes parked anywhere in the wheel,
-// tombstones included.
+// resident returns the number of nodes parked anywhere in the wheel.
 //
 //lint:hotpath
 func (w *wheel) resident() int { return w.count0 + w.count1 + w.count2 + w.countOver }
@@ -99,7 +97,8 @@ func (w *wheel) takeNode() *wheelNode {
 	return n
 }
 
-// putNode wipes a node and pushes it onto the freelist.
+// putNode wipes a node and pushes it onto the freelist, so the pool
+// pins no callback.
 //
 //lint:hotpath
 func (w *wheel) putNode(n *wheelNode) {
@@ -167,23 +166,15 @@ func (w *wheel) place(n *wheelNode) {
 // that come before it fire without another promotion; the near bound
 // keeps a sparse wheel's horizon from running far ahead of the clock.
 //
-// Cancelled tombstones are dropped during drains and cascades for free
-// — they never pay a heap insertion — and the number reclaimed is
-// returned so the simulator's tombstone accounting stays exact. reclaim
-// says whether the simulator holds any tombstones; while it holds none,
-// as on cancel-free stretches, no queued node's event is loaded before
-// it fires, as settle treats the heap top.
-//
 //lint:hotpath
-func (w *wheel) promote(h *heap4, near int64, reclaim bool) int {
+func (w *wheel) promote(h *heap4, near int64) {
 	if w.resident() == 0 {
 		panic("des: promote on an empty wheel")
 	}
-	dropped := 0
 	if w.occupied(w.p0) {
-		dropped = w.drain(h, w.p0, reclaim)
+		w.drain(h, w.p0)
 		w.p0++
-		dropped += w.cascades(reclaim)
+		w.cascades()
 		near = max(near, w.p0) // a drain advances to the wheel's next bucket at least
 	}
 	for w.p0 <= near && w.resident() > 0 && !w.occupied(w.p0) {
@@ -198,9 +189,8 @@ func (w *wheel) promote(h *heap4, near int64, reclaim bool) int {
 			target = min(target, w.p0+w.nextOccupied())
 		}
 		w.p0 = target
-		dropped += w.cascades(reclaim)
+		w.cascades()
 	}
-	return dropped
 }
 
 // occupied reports whether level-0 bucket b, at most 255 buckets past
@@ -236,28 +226,21 @@ func (w *wheel) nextOccupied() int64 {
 	panic("des: level-0 count with no occupied slot")
 }
 
-// drain moves level-0 bucket b's live nodes into the heap, drops its
-// tombstones if reclaim is set and clears the slot's occupancy bit,
-// returning the number of tombstones reclaimed.
+// drain moves level-0 bucket b's nodes into the heap and clears the
+// slot's occupancy bit.
 //
 //lint:hotpath
-func (w *wheel) drain(h *heap4, b int64, reclaim bool) int {
-	dropped := 0
+func (w *wheel) drain(h *heap4, b int64) {
 	slot := b & wheelMask
 	for n := w.level0[slot]; n != nil; {
 		next := n.next
 		w.count0--
-		if reclaim && n.ev.tombstone(n.seq) {
-			dropped++
-		} else {
-			h.push(heapNode{time: n.time, seq: n.seq, ev: n.ev})
-		}
+		h.push(heapNode{time: n.time, seq: n.seq, fn: n.fn})
 		w.putNode(n)
 		n = next
 	}
 	w.level0[slot] = nil
 	w.occ0[slot>>6] &^= 1 << (slot & 63)
-	return dropped
 }
 
 // cascades redistributes whichever level boundaries the horizon just
@@ -267,29 +250,23 @@ func (w *wheel) drain(h *heap4, b int64, reclaim bool) int {
 // overflow nodes that now fit the level-2 span. Nodes are filtered by
 // absolute bucket index, never trusted positionally, so a slot shared
 // across wheel revolutions cannot leak a far event into the near
-// window. Returns the number of tombstones reclaimed.
+// window.
 //
 //lint:hotpath
-func (w *wheel) cascades(reclaim bool) int {
+func (w *wheel) cascades() {
 	if w.p0&wheelMask != 0 {
-		return 0
+		return
 	}
-	dropped := 0
 	if w.p0&(wheelSlots*wheelSlots-1) == 0 {
 		p2 := w.p0 >> (2 * wheelSlotBits)
 		if w.countOver > 0 {
 			var keep *wheelNode
 			for n := w.overflow; n != nil; {
 				next := n.next
-				switch {
-				case reclaim && n.ev.tombstone(n.seq):
-					w.countOver--
-					w.putNode(n)
-					dropped++
-				case int64(n.time>>g2Bits)-p2 < wheelSlots:
+				if int64(n.time>>g2Bits)-p2 < wheelSlots {
 					w.countOver--
 					w.place(n)
-				default:
+				} else {
 					n.next = keep
 					keep = n
 				}
@@ -297,23 +274,20 @@ func (w *wheel) cascades(reclaim bool) int {
 			}
 			w.overflow = keep
 		}
-		dropped += w.spill(&w.level2, &w.count2, p2, g2Bits, reclaim)
+		w.spill(&w.level2, &w.count2, p2, g2Bits)
 	}
-	dropped += w.spill(&w.level1, &w.count1, w.p0>>wheelSlotBits, g1Bits, reclaim)
-	return dropped
+	w.spill(&w.level1, &w.count1, w.p0>>wheelSlotBits, g1Bits)
 }
 
 // spill redistributes one bucket of a coarse level into the finer
 // levels below it: nodes whose absolute bucket index matches the new
-// horizon move down via place, cancelled nodes are reclaimed if reclaim
-// is set, and nodes from later wheel revolutions sharing the slot stay
-// put. A node from an earlier revolution missed its spill, when the
-// horizon crossed a boundary without cascading; it would never fire, so
-// it panics. Returns the number of tombstones reclaimed.
+// horizon move down via place, and nodes from later wheel revolutions
+// sharing the slot stay put. A node from an earlier revolution missed
+// its spill, when the horizon crossed a boundary without cascading; it
+// would never fire, so it panics.
 //
 //lint:hotpath
-func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits uint, reclaim bool) int {
-	dropped := 0
+func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits uint) {
 	slot := p & wheelMask
 	var keep *wheelNode
 	for n := level[slot]; n != nil; {
@@ -321,12 +295,7 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 		switch b := int64(n.time >> gBits); {
 		case b == p:
 			*count = *count - 1
-			if reclaim && n.ev.tombstone(n.seq) {
-				w.putNode(n)
-				dropped++
-			} else {
-				w.place(n)
-			}
+			w.place(n)
 		case b < p:
 			panic("des: wheel node stranded behind the horizon")
 		default:
@@ -336,5 +305,4 @@ func (w *wheel) spill(level *[wheelSlots]*wheelNode, count *int, p int64, gBits 
 		n = next
 	}
 	level[slot] = keep
-	return dropped
 }

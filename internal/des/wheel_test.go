@@ -87,33 +87,6 @@ func TestWheelSimultaneousFIFO(t *testing.T) {
 	}
 }
 
-// TestWheelCancel cancels a parked far timer: it must not fire, Pending
-// must drop immediately, and the tombstone must be reclaimed silently at
-// promotion time.
-func TestWheelCancel(t *testing.T) {
-	sim := NewSimulator(1)
-	fired := false
-	ev := sim.Schedule(3*time.Second, func() { fired = true })
-	keep := false
-	sim.Schedule(4*time.Second, func() { keep = true })
-	if sim.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", sim.Pending())
-	}
-	sim.Cancel(ev)
-	if sim.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", sim.Pending())
-	}
-	if err := sim.Run(time.Minute); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired {
-		t.Fatal("cancelled far timer fired")
-	}
-	if !keep {
-		t.Fatal("surviving far timer did not fire")
-	}
-}
-
 // TestRunHorizonWithFarTimer checks Run stops at the horizon with a far
 // timer still parked in the wheel, reports it pending, and fires it on a
 // later Run.
@@ -166,10 +139,10 @@ func TestWheelIdleCatchUp(t *testing.T) {
 // handling: the old container/heap implementation silently swallowed a
 // failed *Event type assertion, hiding kernel corruption; the rewrite
 // has no any boxing to fail, so the impossible states that remain —
-// a queued node whose seq matches a fired event, a wheel placement
-// below the promotion horizon, a level-0 count that the occupancy map
-// does not show, a coarse node left behind the horizon, a promotion of
-// an empty wheel — must panic loudly instead of being masked.
+// a wheel placement below the promotion horizon, a level-0 count that
+// the occupancy map does not show, a coarse node left behind the
+// horizon, a promotion of an empty wheel — must panic loudly instead of
+// being masked.
 func TestImpossibleStatesPanic(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()
@@ -183,20 +156,6 @@ func TestImpossibleStatesPanic(t *testing.T) {
 		}()
 		f()
 	}
-	expectPanic("fired event still queued", func() {
-		s := NewSimulator(1)
-		s.heap.push(heapNode{time: time.Millisecond, seq: 0, ev: &event{state: eventFired}})
-		s.tombstones = 1 // force settle onto the state-inspection path
-		s.Step()
-	})
-	expectPanic("fired event still parked in the wheel", func() {
-		s := NewSimulator(1)
-		n := s.wheel.takeNode()
-		n.time, n.ev = time.Millisecond, &event{state: eventFired}
-		s.wheel.place(n)
-		s.tombstones = 1 // force the drain onto the state-inspection path
-		s.Step()
-	})
 	expectPanic("placement below the promotion horizon", func() {
 		s := NewSimulator(1)
 		s.wheel.p0 = 1 << 20
@@ -213,7 +172,7 @@ func TestImpossibleStatesPanic(t *testing.T) {
 		// boundary at group 1 was crossed without a cascade.
 		s := NewSimulator(1)
 		n := s.wheel.takeNode()
-		n.time, n.ev = 1<<g1Bits, &event{}
+		n.time = 1 << g1Bits
 		s.wheel.level1[1] = n
 		s.wheel.count1 = 1
 		s.wheel.p0 = 257<<wheelSlotBits - 1
@@ -221,7 +180,7 @@ func TestImpossibleStatesPanic(t *testing.T) {
 	})
 	expectPanic("promote on an empty wheel", func() {
 		var w wheel
-		w.promote(&heap4{}, math.MaxInt64, false)
+		w.promote(&heap4{}, math.MaxInt64)
 	})
 }
 

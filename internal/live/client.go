@@ -5,6 +5,7 @@ import (
 	"net"
 	"time"
 
+	"ctqosim/internal/simnet"
 	"ctqosim/internal/span"
 )
 
@@ -15,9 +16,11 @@ import (
 type Client struct {
 	// Target is the tier's address.
 	Target string
-	// RTO is the retry delay; zero means 3s.
+	// RTO is the retry delay; zero means the paper's kernel's, 3s
+	// (simnet.RHEL6).
 	RTO time.Duration
-	// MaxAttempts bounds total attempts; zero means 5.
+	// MaxAttempts bounds total attempts; zero means the paper's kernel's,
+	// 5 (simnet.RHEL6).
 	MaxAttempts int
 	// IOTimeout caps each dial/read/write; zero means 10s.
 	IOTimeout time.Duration
@@ -35,30 +38,25 @@ func (c *Client) name() string {
 	return c.Target
 }
 
-func (c *Client) rto() time.Duration {
-	if c.RTO > 0 {
-		return c.RTO
+// withDefaults fills the zero retransmission and I/O settings. It is the
+// one copy of their defaults: Config.withDefaults takes a tier's from it.
+func (c Client) withDefaults() Client {
+	if c.RTO <= 0 {
+		c.RTO = simnet.RHEL6.RTO
 	}
-	return 3 * time.Second
-}
-
-func (c *Client) maxAttempts() int {
-	if c.MaxAttempts > 0 {
-		return c.MaxAttempts
+	if c.MaxAttempts < 1 {
+		c.MaxAttempts = simnet.RHEL6.MaxAttempts
 	}
-	return 5
-}
-
-func (c *Client) ioTimeout() time.Duration {
-	if c.IOTimeout > 0 {
-		return c.IOTimeout
+	if c.IOTimeout <= 0 {
+		c.IOTimeout = 10 * time.Second
 	}
-	return 10 * time.Second
+	return c
 }
 
 // Do performs one exchange, retrying dropped attempts. It returns the
 // number of attempts made and the first nil or final non-nil error.
 func (c *Client) Do(req Request) (attempts int, err error) {
+	d := c.withDefaults()
 	col := c.Collector
 	callStart := col.Clock()
 	defer func() {
@@ -70,15 +68,15 @@ func (c *Client) Do(req Request) (attempts int, err error) {
 	}()
 	for attempts = 1; ; attempts++ {
 		req.Attempt = attempts
-		err = c.once(req)
+		err = d.once(req)
 		if err == nil {
 			return attempts, nil
 		}
-		if attempts >= c.maxAttempts() {
+		if attempts >= d.MaxAttempts {
 			return attempts, fmt.Errorf("live: gave up after %d attempts: %w", attempts, err)
 		}
 		gap := col.Clock()
-		time.Sleep(c.rto())
+		time.Sleep(d.RTO)
 		if col != nil {
 			col.Record(req.ID, span.KindRetransmit, c.name(), gap, col.Clock(),
 				fmt.Sprintf("attempt %d dropped by %s; waited RTO", attempts, c.name()))
@@ -86,13 +84,14 @@ func (c *Client) Do(req Request) (attempts int, err error) {
 	}
 }
 
+// once makes one attempt. c has its defaults filled.
 func (c *Client) once(req Request) error {
-	conn, err := net.DialTimeout("tcp", c.Target, c.ioTimeout())
+	conn, err := net.DialTimeout("tcp", c.Target, c.IOTimeout)
 	if err != nil {
 		return fmt.Errorf("live: dial %s: %w", c.Target, err)
 	}
 	defer conn.Close()
-	return exchange(conn, req, c.ioTimeout())
+	return exchange(conn, req, c.IOTimeout)
 }
 
 // Outcome is one client request's result in a load run.

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"ctqosim/internal/simnet"
 )
 
 // fastRTO keeps the tests quick while preserving the retry mechanism.
@@ -312,8 +314,7 @@ func TestDeployTopology(t *testing.T) {
 		}
 	}()
 
-	client := topo.Client(fastRTO, 10)
-	client.IOTimeout = 5 * time.Second
+	client := topo.Client(10)
 	outcomes := RunLoad(client, 8, []time.Duration{time.Millisecond, time.Millisecond, time.Millisecond})
 	for _, o := range outcomes {
 		if o.Err != nil {
@@ -329,6 +330,39 @@ func TestDeployTopology(t *testing.T) {
 	}
 }
 
+// TestTopologyClientInherits pins what a topology's client takes from
+// it: the RTO, I/O timeout and collector its tiers use, with the
+// paper's kernel's defaults on both sides when the spec leaves them
+// zero.
+func TestTopologyClientInherits(t *testing.T) {
+	checkNoLeak(t)
+	col := NewCollector()
+	set, err := Deploy(TopologySpec{Sync: true, RTO: fastRTO, IOTimeout: 7 * time.Second, Collector: col})
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	defer set.Shutdown()
+	c := set.Client(9)
+	if c.Target != set.Web.Addr() || c.RTO != fastRTO || c.IOTimeout != 7*time.Second || c.MaxAttempts != 9 || c.Collector != col {
+		t.Fatalf("client %+v: want the web tier, RTO %v, I/O timeout 7s, 9 attempts and the collector", c, fastRTO)
+	}
+
+	zero, err := Deploy(TopologySpec{Sync: true})
+	if err != nil {
+		t.Fatalf("Deploy: %v", err)
+	}
+	defer zero.Shutdown()
+	c = zero.Client(0).withDefaults()
+	if c.RTO != simnet.RHEL6.RTO || c.MaxAttempts != simnet.RHEL6.MaxAttempts || c.IOTimeout != 10*time.Second {
+		t.Fatalf("defaulted client: RTO %v, %d attempts, I/O timeout %v; want %v, %d and 10s",
+			c.RTO, c.MaxAttempts, c.IOTimeout, simnet.RHEL6.RTO, simnet.RHEL6.MaxAttempts)
+	}
+	if cfg := zero.App.cfg; cfg.RTO != c.RTO || cfg.MaxAttempts != c.MaxAttempts || cfg.IOTimeout != c.IOTimeout {
+		t.Fatalf("app tier: RTO %v, %d attempts, I/O timeout %v; want the client's defaults",
+			cfg.RTO, cfg.MaxAttempts, cfg.IOTimeout)
+	}
+}
+
 func TestDeploySyncVsAsyncContrast(t *testing.T) {
 	// The paper's headline on real sockets via the topology helper: the
 	// same burst drops on sync, sails through async.
@@ -338,8 +372,7 @@ func TestDeploySyncVsAsyncContrast(t *testing.T) {
 			t.Fatalf("Deploy: %v", err)
 		}
 		defer topo.Shutdown()
-		client := topo.Client(fastRTO, 20)
-		client.IOTimeout = 10 * time.Second
+		client := topo.Client(20)
 		outcomes := RunLoad(client, 16, []time.Duration{30 * time.Millisecond, 10 * time.Millisecond, 10 * time.Millisecond})
 		failed := 0
 		for _, o := range outcomes {
@@ -373,8 +406,7 @@ func TestDeployNXLevelsOnSockets(t *testing.T) {
 			t.Fatalf("Deploy NX=%d: %v", nx, err)
 		}
 		t.Cleanup(func() { _ = topo.Shutdown() })
-		client := topo.Client(fastRTO, 30)
-		client.IOTimeout = 15 * time.Second
+		client := topo.Client(30)
 		outcomes := RunLoad(client, 16,
 			[]time.Duration{20 * time.Millisecond, 30 * time.Millisecond, 10 * time.Millisecond})
 		for _, o := range outcomes {

@@ -48,9 +48,11 @@ type Config struct {
 	// Downstream, if non-empty, is the next tier's address.
 	Downstream string
 	// RTO is the application-level retransmission timeout toward the
-	// downstream tier; zero means 3s (the paper's kernel).
+	// downstream tier; zero means the paper's kernel's, 3s
+	// (simnet.RHEL6).
 	RTO time.Duration
-	// MaxAttempts bounds downstream attempts; zero means 5.
+	// MaxAttempts bounds downstream attempts; zero means the paper's
+	// kernel's, 5 (simnet.RHEL6).
 	MaxAttempts int
 	// IOTimeout caps each read/write; zero means 10s.
 	IOTimeout time.Duration
@@ -73,15 +75,10 @@ func (c Config) withDefaults() Config {
 	if c.Queue < 0 {
 		c.Queue = 0
 	}
-	if c.RTO <= 0 {
-		c.RTO = 3 * time.Second
-	}
-	if c.MaxAttempts < 1 {
-		c.MaxAttempts = 5
-	}
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = 10 * time.Second
-	}
+	// The tier's downstream calls go through a Client, whose defaults
+	// these are.
+	d := Client{RTO: c.RTO, MaxAttempts: c.MaxAttempts, IOTimeout: c.IOTimeout}.withDefaults()
+	c.RTO, c.MaxAttempts, c.IOTimeout = d.RTO, d.MaxAttempts, d.IOTimeout
 	return c
 }
 

@@ -32,10 +32,11 @@ type TopologySpec struct {
 	// Workers+Queue), the LiteQDepth for async. Zero defaults to Workers
 	// (sync) or 10000 (async).
 	Queue int
-	// RTO is the application-level retransmission timeout between tiers;
-	// zero means 3s.
+	// RTO is the application-level retransmission timeout between tiers,
+	// and from the client a Topology hands out; zero means 3s.
 	RTO time.Duration
-	// IOTimeout caps socket operations; zero means 10s.
+	// IOTimeout caps socket operations, the client's included; zero
+	// means 10s.
 	IOTimeout time.Duration
 	// Collector, when non-nil, records span intervals across all three
 	// tiers (they share one process, hence one clock origin).
@@ -101,15 +102,18 @@ func Deploy(spec TopologySpec) (*Topology, error) {
 	return &Topology{Web: web, App: app, DB: db}, nil
 }
 
-// Client returns a load client aimed at the web tier, inheriting the
-// topology's RTO and collector.
-func (t *Topology) Client(rto time.Duration, maxAttempts int) Client {
+// Client returns a load client aimed at the web tier that makes up to
+// maxAttempts attempts per request, inheriting the topology's RTO, I/O
+// timeout and collector.
+func (t *Topology) Client(maxAttempts int) Client {
+	cfg := t.Web.cfg
 	return Client{
 		Target:      t.Web.Addr(),
-		RTO:         rto,
+		RTO:         cfg.RTO,
 		MaxAttempts: maxAttempts,
+		IOTimeout:   cfg.IOTimeout,
 		Name:        "web",
-		Collector:   t.Web.cfg.Collector,
+		Collector:   cfg.Collector,
 	}
 }
 

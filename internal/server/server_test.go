@@ -757,6 +757,119 @@ func TestSyncQueueTimeoutCancelledOnService(t *testing.T) {
 	}
 }
 
+// cpuFromPayload returns a plan of one CPU stage whose demand is the
+// request's payload.
+func cpuFromPayload(p any, buf Program) Program {
+	return append(buf, Stage{CPU: p.(time.Duration)})
+}
+
+// TestSyncQueueTimeoutShedsOneInstantInOneEvent queues three requests at
+// one instant behind a held thread: their common deadline sheds all
+// three in one event, oldest first.
+func TestSyncQueueTimeoutShedsOneInstantInOneEvent(t *testing.T) {
+	r := newRig(1)
+	srv := NewSync(r.sim, r.vm("s"), r.tr, cpuOnly(10*time.Second),
+		SyncConfig{Name: "s", Threads: 1, Backlog: 5, QueueTimeout: 100 * time.Millisecond})
+	type shed struct {
+		id    int
+		at    time.Duration
+		event uint64 // the number of events run before the shedding one
+	}
+	var got []shed
+	for i := 0; i < 4; i++ {
+		r.tr.Send(srv, &simnet.Call{Done: func(failedAt string) {
+			if failedAt == "s" {
+				got = append(got, shed{i, r.sim.Now(), r.sim.Executed()})
+			}
+		}})
+	}
+	if err := r.sim.Run(time.Second); err != des.ErrHorizon {
+		t.Fatalf("Run = %v, want ErrHorizon with the held request running", err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("shed %v, want requests 1, 2 and 3", got)
+	}
+	for i, g := range got {
+		if g.id != i+1 || g.at != 100*time.Millisecond || g.event != got[0].event {
+			t.Fatalf("shed %v, want requests 1, 2, 3 in that order at 100ms in one event", got)
+		}
+	}
+}
+
+// TestSyncQueueTimeoutFollowsTheHead frees the thread while three
+// requests wait: the head, taken before its deadline, is never shed, and
+// each later entry is shed at its own deadline, not at the one the
+// timeout was armed for when it queued.
+func TestSyncQueueTimeoutFollowsTheHead(t *testing.T) {
+	r := newRig(1)
+	srv := NewSync(r.sim, r.vm("s"), r.tr, cpuFromPayload,
+		SyncConfig{Name: "s", Threads: 1, Backlog: 5, QueueTimeout: 100 * time.Millisecond})
+	ended := map[string]time.Duration{}
+	send := func(name string, at, demand time.Duration) {
+		r.sim.Schedule(at, func() {
+			r.tr.Send(srv, &simnet.Call{Payload: demand, Done: func(failedAt string) {
+				ended[name+" "+failedAt] = r.sim.Now()
+			}})
+		})
+	}
+	send("a", 0, 60*time.Millisecond)                   // holds the thread until 60ms
+	send("b", 0, time.Second)                           // queued, taken at 60ms, before its 100ms deadline
+	send("c", 20*time.Millisecond, time.Second)         // queued, deadline 120ms
+	send("d", 40*time.Millisecond, 10*time.Millisecond) // queued, deadline 140ms
+	if err := r.sim.Run(time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := map[string]time.Duration{
+		"a ":  60 * time.Millisecond,
+		"b ":  1060 * time.Millisecond,
+		"c s": 120 * time.Millisecond,
+		"d s": 140 * time.Millisecond,
+	}
+	if len(ended) != len(want) {
+		t.Fatalf("ended %v, want %v", ended, want)
+	}
+	for k, at := range want {
+		if got, ok := ended[k]; !ok || got != at {
+			t.Fatalf("ended %v, want %v", ended, want)
+		}
+	}
+	if srv.Shed() != 2 {
+		t.Fatalf("shed = %d, want 2", srv.Shed())
+	}
+}
+
+// TestSyncQueueTimeoutLeavesNothingPending pins the timeout's kernel
+// footprint: queued requests add one pending event between them, and
+// it leaves the schedule the moment a freed thread empties the queue.
+func TestSyncQueueTimeoutLeavesNothingPending(t *testing.T) {
+	r := newRig(1)
+	srv := NewSync(r.sim, r.vm("s"), r.tr, cpuOnly(10*time.Millisecond),
+		SyncConfig{Name: "s", Threads: 1, Backlog: 5, QueueTimeout: time.Second})
+	r.tr.Send(srv, &simnet.Call{})
+	base := r.sim.Pending() // the running request's CPU completion
+	for i := 0; i < 3; i++ {
+		r.tr.Send(srv, &simnet.Call{})
+	}
+	if got := r.sim.Pending(); got != base+1 {
+		t.Fatalf("Pending = %d with three requests queued, want %d", got, base+1)
+	}
+	for srv.Queued() > 0 && r.sim.Step() {
+	}
+	if srv.Queued() != 0 {
+		t.Fatal("the queue never emptied")
+	}
+	if got := r.sim.Pending(); got != base {
+		t.Fatalf("Pending = %d once the queue emptied, want %d", got, base)
+	}
+	if err := r.sim.Run(time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if srv.Shed() != 0 || srv.Stats().Completed != 4 || r.sim.Pending() != 0 {
+		t.Fatalf("shed %d, completed %d, Pending %d; want 0, 4, 0",
+			srv.Shed(), srv.Stats().Completed, r.sim.Pending())
+	}
+}
+
 func TestSyncQueueTimeoutDisabledByDefault(t *testing.T) {
 	r := newRig(1)
 	srv := NewSync(r.sim, r.vm("s"), r.tr, cpuOnly(500*time.Millisecond),

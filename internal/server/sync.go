@@ -53,17 +53,18 @@ type SyncServer struct {
 	spareAdded bool
 	spareArmed bool
 	queue      fifo[queuedCall]
+	timeout    *des.Alarm // the queue head's QueueTimeout deadline; nil without one
 	stats      Stats
 	shed       int64
 	free       *visit // released visits, reused by the next thread taken
 }
 
-// queuedCall is an accept-queue entry with its optional shedding timer and
-// its open queue-wait span.
+// queuedCall is an accept-queue entry with its enqueue time and its open
+// queue-wait span.
 type queuedCall struct {
-	call  *simnet.Call
-	timer des.Timer
-	wait  span.ID
+	call   *simnet.Call
+	queued time.Duration
+	wait   span.ID
 }
 
 var _ Server = (*SyncServer)(nil)
@@ -80,7 +81,11 @@ func NewSync(sim *des.Simulator, vm *cpu.VM, transport *simnet.Transport, plan P
 	if cfg.SpareThreads > 0 && cfg.SpareAfter <= 0 {
 		cfg.SpareAfter = defaultSpareAfter
 	}
-	return &SyncServer{sim: sim, vm: vm, transport: transport, plan: plan, cfg: cfg}
+	s := &SyncServer{sim: sim, vm: vm, transport: transport, plan: plan, cfg: cfg}
+	if cfg.QueueTimeout > 0 {
+		s.timeout = sim.NewAlarm(s.shedExpired)
+	}
+	return s
 }
 
 // Name implements simnet.Admission.
@@ -116,16 +121,14 @@ func (s *SyncServer) TryAccept(call *simnet.Call) bool {
 	s.maybeArmSpare()
 	if s.queue.len() < s.cfg.Backlog {
 		s.stats.Accepted++
-		entry := queuedCall{
-			call: call,
-			wait: call.Trace.Start(span.KindQueueWait, s.cfg.Name, call.SpanID),
+		s.queue.push(queuedCall{
+			call:   call,
+			queued: s.sim.Now(),
+			wait:   call.Trace.Start(span.KindQueueWait, s.cfg.Name, call.SpanID),
+		})
+		if s.queue.len() == 1 {
+			s.armTimeout()
 		}
-		if s.cfg.QueueTimeout > 0 {
-			entry.timer = s.sim.Schedule(s.cfg.QueueTimeout, func() {
-				s.shedEntry(call)
-			})
-		}
-		s.queue.push(entry)
 		return true
 	}
 	return false
@@ -135,25 +138,33 @@ func (s *SyncServer) TryAccept(call *simnet.Call) bool {
 // the QueueTimeout policy.
 func (s *SyncServer) Shed() int64 { return s.shed }
 
-// shedEntry removes call's timed-out entry from the queue and fails it
-// fast.
-func (s *SyncServer) shedEntry(call *simnet.Call) {
-	q := &s.queue
-	for i := q.head; i < len(q.items); i++ {
-		entry := q.items[i]
-		if entry.call != call {
-			continue
-		}
-		copy(q.items[i:], q.items[i+1:])
-		q.items[len(q.items)-1] = queuedCall{}
-		q.items = q.items[:len(q.items)-1]
-		s.shed++
-		s.stats.Failed++
-		call.Trace.End(entry.wait)
-		call.Trace.Annotate(entry.wait, "shed by queue timeout")
-		replyNow(call, s.cfg.Name)
+// armTimeout arms the queue timeout for the head's deadline, or stops it
+// when the queue is empty. The queue is FIFO and every entry waits the
+// same timeout, so the head's deadline is the earliest.
+func (s *SyncServer) armTimeout() {
+	if s.timeout == nil {
 		return
 	}
+	if s.queue.len() == 0 {
+		s.timeout.Stop()
+		return
+	}
+	s.timeout.Set(s.queue.front().queued + s.cfg.QueueTimeout - s.sim.Now())
+}
+
+// shedExpired fails fast, oldest first, every queued call whose timeout
+// has run out, then re-arms the timeout for the new head.
+func (s *SyncServer) shedExpired() {
+	now := s.sim.Now()
+	for s.queue.len() > 0 && s.queue.front().queued+s.cfg.QueueTimeout <= now {
+		entry := s.queue.pop()
+		s.shed++
+		s.stats.Failed++
+		entry.call.Trace.End(entry.wait)
+		entry.call.Trace.Annotate(entry.wait, "shed by queue timeout")
+		replyNow(entry.call, s.cfg.Name)
+	}
+	s.armTimeout()
 }
 
 func (s *SyncServer) threadCap() int {
@@ -309,12 +320,18 @@ func (v *visit) release() {
 	v.next, s.free = s.free, v
 }
 
+// drainQueue moves queued calls onto free threads, oldest first, and
+// re-arms the queue timeout if the head left.
 func (s *SyncServer) drainQueue() {
+	served := false
 	for s.busy < s.threadCap() && s.queue.len() > 0 {
 		next := s.queue.pop()
-		s.sim.Cancel(next.timer)
 		next.call.Trace.End(next.wait)
 		s.startOnThread(next.call)
+		served = true
+	}
+	if served {
+		s.armTimeout()
 	}
 }
 
